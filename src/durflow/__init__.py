@@ -20,12 +20,10 @@ from durflow.duration import (
     DurationModel,
     LogDurations,
     SampleOptions,
-    det_forward,
-    det_loss,
-    fm_loss,
     fm_sample,
     length_regulate,
     load_model,
+    loss,
     quantisation_residual,
     save_model,
     to_frames,
@@ -51,16 +49,14 @@ __all__ = [
     "TextEncoder",
     "bench_sampling",
     "corpus_frames",
-    "det_forward",
-    "det_loss",
     "dist_stats",
     "encode",
-    "fm_loss",
     "fm_sample",
     "generate",
     "length_regulate",
     "load",
     "load_model",
+    "loss",
     "quantisation_residual",
     "residual_vs_nfe",
     "save",

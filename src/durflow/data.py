@@ -168,8 +168,14 @@ def zero_allowed(ids) -> np.ndarray:
     return (ids == BLANK_ID) | (ids == PAUSE_ID)
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def round_half_away(x):
+    """Nearest integer of positive x, halves away from zero: floor(x + 0.5).
+
+    Durations are positive, so this is the rounding that turns a drawn
+    or predicted linear duration into frames (numpy's rint would send
+    halves to the even neighbour). Works on floats and arrays alike.
+    """
+    return np.floor(x + 0.5)
 
 
 def _draw_duration(law: dict, rng: np.random.Generator, floor: int) -> int:
@@ -184,7 +190,7 @@ def _draw_duration(law: dict, rng: np.random.Generator, floor: int) -> int:
         return int(rng.choice(law["values"], p=law["probs"]))
     else:
         raise ValueError(f"unknown law kind {kind!r}")
-    return max(floor, _round_half_away(raw))
+    return max(floor, int(round_half_away(raw)))
 
 
 def _generate_sentence(spec: CorpusSpec, index: int) -> Sentence:

@@ -12,6 +12,10 @@ optimal-transport path
 with x0 standard normal and x1 the log-domain reference durations;
 sampling integrates dx/dt = v with Euler steps from t=0 to t=1.
 
+:func:`loss` is the one training objective of both heads, on a batch of
+equal-length sentences; training runs it and the gradient checks test
+it.
+
 Log-domain targets: positions that may legitimately have zero frames
 (blanks, pauses) use ln(d + 0.01) so the target stays finite; all other
 positions require d >= 1 and use ln(d).
@@ -19,12 +23,13 @@ positions require d >= 1 and use ln(d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from durflow import numerics as nm
 from durflow import nn
+from durflow.data import round_half_away
 from durflow.encoder import ConditioningSequence, TextEncoder, ENCODER_DIM
 from durflow.numerics import Tensor
 
@@ -37,19 +42,13 @@ TIME_DIM = 64
 
 @dataclass
 class LogDurations:
-    """Per-position natural-log durations plus a valid-position mask."""
+    """Per-position natural-log durations."""
 
     values: Tensor
-    mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if not isinstance(self.values, Tensor):
             self.values = Tensor(self.values)
-        if self.mask is None:
-            self.mask = np.ones(self.values.data.shape[-1])
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        if self.mask.shape != self.values.data.shape[-len(self.mask.shape):]:
-            raise ValueError("mask shape does not match values")
 
 
 @dataclass
@@ -66,14 +65,6 @@ class SampleOptions:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.min_duration not in (0, 1):
             raise ValueError(f"min_duration must be 0 or 1, got {self.min_duration}")
-
-
-@dataclass
-class FlowState:
-    """Current sample and time of the ODE integration; t ends at 1."""
-
-    x: np.ndarray
-    t: float
 
 
 def log_targets(durations, zero_allowed) -> np.ndarray:
@@ -93,7 +84,7 @@ def log_targets(durations, zero_allowed) -> np.ndarray:
 # predictors
 
 
-class DetPredictor:
+class DetPredictor(nn.Module):
     """Backbone ending in one scalar per position: the expected log-duration."""
 
     def __init__(self, cond_dim: int, hidden: int, rng: np.random.Generator):
@@ -110,22 +101,8 @@ class DetPredictor:
         h = self.norm2(nm.relu(self.conv2(h)))
         return self.proj(h)
 
-    def layers(self):
-        return [("conv1", self.conv1), ("norm1", self.norm1),
-                ("conv2", self.conv2), ("norm2", self.norm2), ("proj", self.proj)]
 
-    def params(self) -> dict:
-        out = {}
-        for prefix, layer in self.layers():
-            for k, v in layer.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
-
-    def specs(self) -> list:
-        return [layer.spec() for _, layer in self.layers()]
-
-
-class FlowPredictor:
+class FlowPredictor(nn.Module):
     """Vector-field head v(x_t, t, cond) for flow-matching durations.
 
     The noisy durations x_t enter through a pointwise projection whose
@@ -160,24 +137,8 @@ class FlowPredictor:
         h = self.norm2(nm.relu(h))
         return self.proj(h)
 
-    def layers(self):
-        return [("noise_proj", self.noise_proj), ("conv1", self.conv1),
-                ("norm1", self.norm1), ("conv2", self.conv2), ("norm2", self.norm2),
-                ("proj", self.proj), ("time", self.time),
-                ("time_to_h1", self.time_to_h1), ("time_to_h2", self.time_to_h2)]
 
-    def params(self) -> dict:
-        out = {}
-        for prefix, layer in self.layers():
-            for k, v in layer.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
-
-    def specs(self) -> list:
-        return [layer.spec() for _, layer in self.layers()]
-
-
-class DurationModel:
+class DurationModel(nn.Module):
     """A text encoder plus one duration head, with training metadata."""
 
     def __init__(self, kind: str, vocab_size: int, seed: int = 0,
@@ -198,14 +159,6 @@ class DurationModel:
             self.predictor = FlowPredictor(encoder_dim, hidden, noise_dim, time_dim, rng)
         self.trained_steps = 0
 
-    def params(self) -> dict:
-        out = {}
-        for k, v in self.encoder.params().items():
-            out[f"encoder.{k}"] = v
-        for k, v in self.predictor.params().items():
-            out[f"predictor.{k}"] = v
-        return out
-
     def predictor_param_count(self) -> int:
         return nn.param_count(self.predictor.params())
 
@@ -219,7 +172,7 @@ def save_model(model: DurationModel, path):
         "trained_steps": model.trained_steps,
         "layers": [
             [s.kind, s.input_dim, s.output_dim, s.kernel_width]
-            for s in model.encoder.specs() + model.predictor.specs()
+            for s in model.specs()
         ],
     }
     nn.save_params(path, model.params(), meta)
@@ -227,55 +180,25 @@ def save_model(model: DurationModel, path):
 
 def load_model(path) -> DurationModel:
     arrays, meta = nn.load_params(path)
+    for key in ("kind", "vocab_size", "seed", "dims", "trained_steps"):
+        if key not in meta:
+            raise ValueError(f"{path}: checkpoint metadata lacks '{key}'")
     model = DurationModel(meta["kind"], meta["vocab_size"], seed=meta["seed"],
                           **meta["dims"])
     params = model.params()
     if set(params) != set(arrays):
         missing = set(params) ^ set(arrays)
-        raise ValueError(f"checkpoint parameter mismatch: {sorted(missing)[:4]}")
+        raise ValueError(f"{path}: checkpoint parameter mismatch: {sorted(missing)[:4]}")
     for name, p in params.items():
         if p.data.shape != arrays[name].shape:
-            raise ValueError(f"checkpoint shape mismatch for '{name}'")
+            raise ValueError(f"{path}: checkpoint shape mismatch for '{name}'")
         p.data[...] = arrays[name]
     model.trained_steps = int(meta["trained_steps"])
     return model
 
 
 # ---------------------------------------------------------------------------
-# losses
-
-
-def _as_batched(vectors: Tensor) -> Tensor:
-    if vectors.data.ndim == 2:
-        return nm.reshape(vectors, (1,) + vectors.data.shape)
-    return vectors
-
-
-def masked_mse(pred: Tensor, ref: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of (pred - ref)^2 over positions where mask is nonzero."""
-    count = float(np.sum(mask != 0))
-    if count == 0:
-        raise ValueError("empty mask: no valid positions to average over")
-    diff = nm.sub(pred, ref)
-    total = nm.tensor_sum(nm.mul(Tensor(np.asarray(mask, dtype=np.float64)),
-                                 nm.mul(diff, diff)))
-    return nm.scale(total, 1.0 / count)
-
-
-def det_forward(cond: ConditioningSequence, model: DurationModel) -> LogDurations:
-    """Expected log-duration for each position of one sequence."""
-    if model.kind != "det":
-        raise ValueError(f"det_forward needs a 'det' model, got '{model.kind}'")
-    out = model.predictor(_as_batched(cond.vectors))  # (1, 1, T)
-    values = nm.reshape(out, (out.data.shape[-1],))
-    return LogDurations(values, cond.mask)
-
-
-def det_loss(pred: LogDurations, ref: LogDurations) -> Tensor:
-    """Log-domain MSE over unmasked positions."""
-    if not np.array_equal(pred.mask, ref.mask):
-        raise ValueError("prediction and reference masks differ")
-    return masked_mse(pred.values, ref.values, pred.mask)
+# loss
 
 
 def cfm_pair(x1, x0, t, sigma: float = OT_SIGMA):
@@ -293,23 +216,33 @@ def cfm_pair(x1, x0, t, sigma: float = OT_SIGMA):
     return x_t, u_t
 
 
-def fm_loss(cond: ConditioningSequence, ref: LogDurations, model: DurationModel,
-            rng: np.random.Generator) -> Tensor:
-    """Flow-matching regression loss for one sequence.
+def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor:
+    """Training loss of a batch of B equal-length sentences.
 
-    Draws one t ~ U[0,1] for the sequence and x0 ~ N(0, I) per position
-    (in that order), forms the path point, and averages the squared
-    vector-field error over unmasked positions.
+    ids are (B, T) interleaved token ids and targets the (B, T) log-domain
+    reference durations. A 'det' model returns the mean squared error of
+    its predictions; rng is not used. An 'fm' model draws t ~ U[0, 1] per
+    sentence and then x0 ~ N(0, I) per position, in that order, and
+    returns the mean squared error of its field against u_t at x_t.
     """
-    if model.kind != "fm":
-        raise ValueError(f"fm_loss needs an 'fm' model, got '{model.kind}'")
-    t_len = ref.values.data.shape[-1]
-    t = rng.uniform(size=1)
-    x0 = rng.standard_normal((1, 1, t_len))
-    x1 = ref.values.data.reshape(1, 1, t_len)
-    x_t, u_t = cfm_pair(x1, x0, t[:, None, None])
-    v = model.predictor(Tensor(x_t), t, _as_batched(cond.vectors))
-    return masked_mse(v, Tensor(u_t), ref.mask.reshape(1, 1, t_len))
+    ids = np.asarray(ids)
+    targets = np.asarray(targets, dtype=np.float64)
+    if ids.ndim != 2 or targets.shape != ids.shape:
+        raise ValueError(f"ids {ids.shape} and targets {targets.shape} must both be (B, T)")
+    if ids.size == 0:
+        raise ValueError("empty batch: no positions to average over")
+    batch, t_len = ids.shape
+    x1 = targets.reshape(batch, 1, t_len)
+    cond = model.encoder(ids)  # (B, D, T)
+    if model.kind == "det":
+        pred, goal = model.predictor(cond), x1
+    else:
+        t = rng.uniform(size=batch)
+        x0 = rng.standard_normal((batch, 1, t_len))
+        x_t, goal = cfm_pair(x1, x0, t[:, None, None])
+        pred = model.predictor(Tensor(x_t), t, cond)
+    diff = nm.sub(pred, Tensor(goal))
+    return nm.scale(nm.tensor_sum(nm.mul(diff, diff)), 1.0 / ids.size)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +256,11 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     cond is (B, D, T), noise is the t=0 state (B, 1, T). Each of the
     nfe steps evaluates the field at t = i/nfe and advances by 1/nfe.
     """
-    state = FlowState(x=np.asarray(noise, dtype=np.float64), t=0.0)
+    x = np.asarray(noise, dtype=np.float64)
     dt = 1.0 / nfe
     for i in range(nfe):
-        v = model.predictor(Tensor(state.x), state.t, cond).data
-        state = FlowState(x=state.x + dt * v, t=(i + 1) / nfe)
-    assert state.t == 1.0
-    return state.x
+        x = x + dt * model.predictor(Tensor(x), i / nfe, cond).data
+    return x
 
 
 def fm_sample(cond: ConditioningSequence, model: DurationModel,
@@ -344,17 +275,12 @@ def fm_sample(cond: ConditioningSequence, model: DurationModel,
     t_len = cond.vectors.data.shape[-1]
     rng = np.random.default_rng(opts.seed)
     noise = opts.temperature * rng.standard_normal((1, 1, t_len))
-    x1 = fm_sample_batch(model, _as_batched(cond.vectors), noise, opts.nfe)
-    return LogDurations(x1[0, 0], cond.mask)
+    vectors = nm.reshape(cond.vectors, (1,) + cond.vectors.data.shape[-2:])
+    return LogDurations(fm_sample_batch(model, vectors, noise, opts.nfe)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # quantisation and length regulation
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # exp() output is always positive, so half away from zero is floor(x + 0.5)
-    return np.floor(x + 0.5)
 
 
 def _check_finite(values: np.ndarray, what: str):
@@ -370,21 +296,19 @@ def to_frames(log_dur: LogDurations, min_duration: int = 0) -> np.ndarray:
     _check_finite(values, "log-duration")
     linear = np.exp(values)
     _check_finite(linear, "duration")
-    return np.maximum(_round_half_away(linear), int(min_duration)).astype(np.int64)
+    return np.maximum(round_half_away(linear), int(min_duration)).astype(np.int64)
 
 
 def quantisation_residual(log_dur: LogDurations) -> float:
-    """Mean distance from exp(v) to its nearest integer, over unmasked positions."""
+    """Mean distance from exp(v) to its nearest integer over all positions."""
     values = np.asarray(log_dur.values.data)
+    if values.size == 0:
+        raise ValueError("no positions to average over")
     _check_finite(values, "log-duration")
     linear = np.exp(values)
     _check_finite(linear, "duration")
-    residual = np.abs(linear - _round_half_away(linear))
-    mask = np.broadcast_to(log_dur.mask, values.shape)
-    count = mask.sum()
-    if count == 0:
-        raise ValueError("empty mask: no valid positions to average over")
-    return float((residual * mask).sum() / count)
+    residual = np.abs(linear - round_half_away(linear))
+    return float(residual.sum() / residual.size)
 
 
 def length_regulate(cond: ConditioningSequence, frames) -> Tensor:

@@ -8,7 +8,7 @@ one width-3 convolution, layer norm, ReLU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,20 +55,9 @@ class PhoneSequence:
 
 @dataclass
 class ConditioningSequence:
-    """Encoder output: vectors of shape (D, T) plus a valid-position mask."""
+    """Encoder output: vectors of shape (D, T)."""
 
     vectors: Tensor
-    mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        t_len = self.vectors.data.shape[-1]
-        if self.mask is None:
-            self.mask = np.ones(t_len)
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        if self.mask.shape[-1] != t_len:
-            raise ValueError(
-                f"mask length {self.mask.shape[-1]} does not match sequence length {t_len}"
-            )
 
 
 def interleave_blanks(ids) -> np.ndarray:
@@ -84,7 +73,7 @@ def interleave_blanks(ids) -> np.ndarray:
     return out
 
 
-class TextEncoder:
+class TextEncoder(nn.Module):
     """Embedding -> conv1d(k=3) -> layer norm -> ReLU, dimension D=192."""
 
     def __init__(self, vocab_size: int, rng: np.random.Generator, dim: int = ENCODER_DIM):
@@ -99,20 +88,9 @@ class TextEncoder:
         h = self.embed(ids)
         return nm.relu(self.norm(self.conv(h)))
 
-    def params(self) -> dict:
-        out = {}
-        for prefix, layer in (("embed", self.embed), ("conv", self.conv), ("norm", self.norm)):
-            for k, v in layer.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
-
-    def specs(self) -> list:
-        return [self.embed.spec(), self.conv.spec(), self.norm.spec()]
-
 
 def encode(seq: PhoneSequence, encoder: TextEncoder) -> ConditioningSequence:
     """Encode one interleaved phone sequence into conditioning vectors."""
     if not seq.interleaved:
         raise ValueError("sequence must be interleaved before encoding")
-    vectors = encoder(seq.ids)
-    return ConditioningSequence(vectors, np.ones(len(seq)))
+    return ConditioningSequence(encoder(seq.ids))

@@ -21,10 +21,11 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from durflow import numerics as nm
 from durflow.data import DurationCorpus
 from durflow.duration import (
     DurationModel,
@@ -84,6 +85,7 @@ def _group_log_values(model: DurationModel, group, opts: SampleOptions, rep: int
 def corpus_log_values(model: DurationModel, corpus: DurationCorpus,
                       opts: SampleOptions, rep: int = 0) -> dict:
     """Map sent_id -> log-duration array for every corpus sentence."""
+    nm.keep_freed_memory()
     groups = _groups_by_length(corpus)
     workers = worker_count()
     out = {}
@@ -173,9 +175,8 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
     else:
         row = []
         for nfe in nfe_list:
-            step_opts = SampleOptions(nfe=nfe, temperature=opts.temperature,
-                                      seed=opts.seed, min_duration=opts.min_duration)
-            row.append(pooled_residual(corpus_log_values(model, corpus_val, step_opts)))
+            row.append(pooled_residual(
+                corpus_log_values(model, corpus_val, replace(opts, nfe=nfe))))
         curve.add(model_id, corpus_id, row)
     return curve
 
@@ -269,13 +270,10 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
     """
     opts = opts or SampleOptions()
     nfe_list = tuple(int(n) for n in nfe_list)
-    warm = SampleOptions(nfe=nfe_list[0], temperature=opts.temperature,
-                         seed=opts.seed, min_duration=opts.min_duration)
-    corpus_log_values(model, corpus_val, warm)
+    corpus_log_values(model, corpus_val, replace(opts, nfe=nfe_list[0]))
     rows = []
     for nfe in nfe_list:
-        step_opts = SampleOptions(nfe=nfe, temperature=opts.temperature,
-                                  seed=opts.seed, min_duration=opts.min_duration)
+        step_opts = replace(opts, nfe=nfe)
         times = []
         for _ in range(repetitions):
             t0 = time.perf_counter()

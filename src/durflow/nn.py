@@ -10,6 +10,7 @@ biases start at zero and layer norms at identity.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,29 @@ def param_count(model) -> int:
 
 # ---------------------------------------------------------------------------
 # layers
+
+
+class Module:
+    """A layer built from other layers.
+
+    Its sub-layers are the attributes that have ``params``, in the order
+    ``__init__`` assigns them. That order fixes the parameter names
+    ``<attribute>.<name>`` and their order, on which the optimiser's flat
+    buffer and the checkpoint keys depend.
+    """
+
+    def _sublayers(self):
+        return [(name, v) for name, v in vars(self).items() if hasattr(v, "params")]
+
+    def params(self) -> dict:
+        return {f"{name}.{key}": p
+                for name, layer in self._sublayers()
+                for key, p in layer.params().items()}
+
+    def specs(self) -> list:
+        """One LayerSpec per leaf layer; a sub-layer with its own ``spec`` is a leaf."""
+        return [spec for _, layer in self._sublayers()
+                for spec in ([layer.spec()] if hasattr(layer, "spec") else layer.specs())]
 
 
 class Linear:
@@ -169,7 +193,7 @@ def sinusoidal_time_embedding(t, dim: int, scale: float = 1000.0,
     return Tensor(out)
 
 
-class TimeEmbedding:
+class TimeEmbedding(Module):
     """Sinusoidal features followed by a dim -> 4*dim -> dim MLP with ReLU."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -187,13 +211,6 @@ class TimeEmbedding:
         out = self.lin2(nm.relu(self.lin1(raw)))
         if scalar:
             out = nm.reshape(out, (self.dim,))
-        return out
-
-    def params(self) -> dict:
-        out = {}
-        for prefix, layer in (("lin1", self.lin1), ("lin2", self.lin2)):
-            for k, v in layer.params().items():
-                out[f"{prefix}.{k}"] = v
         return out
 
     def spec(self) -> LayerSpec:
@@ -224,12 +241,21 @@ def save_params(path, arrays: dict, meta: dict):
 def load_params(path):
     """Read back a checkpoint written by :func:`save_params`.
 
-    Returns (arrays, meta). Unknown versions are rejected.
+    Returns (arrays, meta). A file that is not such a checkpoint (not an
+    .npz archive, truncated, or without a JSON metadata object) and an
+    unknown version raise ValueError naming the file.
     """
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-        arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+    try:
+        with np.load(path) as archive:
+            if "__meta__" not in archive.files:
+                raise ValueError("no '__meta__' metadata entry")
+            meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
+            arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ValueError(f"{path}: not a durflow checkpoint ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint metadata is not a JSON object")
     version = meta.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     return arrays, meta

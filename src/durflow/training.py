@@ -1,7 +1,7 @@
 """Training loops for both duration model kinds.
 
 Sentences are bucketed by exact length so every batch is rectangular
-with an all-ones mask; batch order is reshuffled each epoch from a
+and needs no padding; batch order is reshuffled each epoch from a
 dedicated generator, so a (corpus, seed, steps) triple always produces
 the same loss trajectory bit for bit.
 """
@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from durflow import numerics as nm
-from durflow.duration import DurationModel, cfm_pair, log_targets, masked_mse
+from durflow.duration import DurationModel, log_targets, loss
 from durflow.data import DurationCorpus, zero_allowed
-from durflow.numerics import Adam, Tensor, record
+from durflow.numerics import Adam, record
 
 BATCH_STREAM = 11
 NOISE_STREAM = 12
@@ -85,21 +85,8 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
 
 
 def _train_step(model, ids, targets, noise_rng, opt) -> float:
-    batch, t_len = ids.shape
-    mask = np.ones((batch, 1, t_len))
-    ref = targets.reshape(batch, 1, t_len)
     with record() as tape:
-        cond = model.encoder(ids)  # (B, D, T)
-        if model.kind == "det":
-            pred = model.predictor(cond)
-            loss = masked_mse(pred, Tensor(ref), mask)
-        else:
-            t = noise_rng.uniform(size=batch)
-            x0 = noise_rng.standard_normal((batch, 1, t_len))
-            x_t, u_t = cfm_pair(ref, x0, t[:, None, None])
-            v = model.predictor(Tensor(x_t), t, cond)
-            loss = masked_mse(v, Tensor(u_t), mask)
-    value = loss.item()
-    tape.backward(loss)
+        batch_loss = loss(model, ids, targets, noise_rng)
+    tape.backward(batch_loss)
     opt.step()
-    return value
+    return batch_loss.item()

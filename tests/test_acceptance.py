@@ -13,15 +13,12 @@ import numpy as np
 from durflow.data import BIMODAL_ID, CorpusSpec, generate
 from durflow.duration import (
     DurationModel,
-    LogDurations,
     SampleOptions,
-    det_forward,
-    det_loss,
-    fm_loss,
     fm_sample,
     length_regulate,
+    loss,
 )
-from durflow.encoder import BLANK_ID, ConditioningSequence, PhoneSequence, encode
+from durflow.encoder import BLANK_ID, ConditioningSequence, encode
 from durflow.evaluation import (
     bench_sampling,
     corpus_frames,
@@ -57,22 +54,20 @@ def test_criterion_1_gradient_integrity():
     for name, fn, arrays in gradient_cases():
         worst[name] = fd_gradcheck(fn, arrays)
 
-    ids = np.array([3, 0, 4, 0])
-    ref = LogDurations(np.array([0.7, -4.6, 1.1, 0.0]))
+    ids = np.array([[3, 0, 4, 0]])
+    targets = np.array([[0.7, -4.6, 1.1, 0.0]])
 
     det_model = _tiny("det")
 
     def det_full():
-        cond = encode(PhoneSequence(ids, interleaved=True), det_model.encoder)
-        return det_loss(det_forward(cond, det_model), ref)
+        return loss(det_model, ids, targets, np.random.default_rng(99))
 
     worst["det_loss"] = fd_gradcheck_params(det_full, list(det_model.params().values()))
 
     fm_model = _tiny("fm")
 
     def fm_full():
-        cond = encode(PhoneSequence(ids, interleaved=True), fm_model.encoder)
-        return fm_loss(cond, ref, fm_model, np.random.default_rng(99))
+        return loss(fm_model, ids, targets, np.random.default_rng(99))
 
     worst["fm_loss"] = fd_gradcheck_params(fm_full, list(fm_model.params().values()))
 

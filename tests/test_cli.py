@@ -9,6 +9,7 @@ import pytest
 from durflow.cli import main
 from durflow.data import CorpusSpec, generate, save
 from durflow.duration import DurationModel, save_model
+from durflow.nn import load_params, save_params
 from durflow.training import train_model
 
 
@@ -245,6 +246,35 @@ def test_sample_kind_mismatch_is_runtime_error(tmp_path, capsys,
                         "--out", str(tmp_path / "s")], capsys)
     assert code == 2
     assert "'fm'" in err
+
+
+def test_sample_truncated_checkpoint_is_runtime_error(tmp_path, capsys,
+                                                      tiny_checkpoints):
+    paths, corpus_path = tiny_checkpoints
+    broken = tmp_path / "model-fm.npz"
+    data = open(paths["fm"], "rb").read()
+    broken.write_bytes(data[:len(data) // 2])
+    code, _, err = run(["sample", "--checkpoint", str(broken), "--corpus",
+                        corpus_path, "--kind", "fm",
+                        "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "model-fm.npz" in err
+
+
+def test_sample_checkpoint_without_kind_is_runtime_error(tmp_path, capsys,
+                                                         tiny_checkpoints):
+    paths, corpus_path = tiny_checkpoints
+    arrays, meta = load_params(paths["fm"])
+    del meta["kind"]
+    broken = tmp_path / "no-kind.npz"
+    save_params(broken, arrays, meta)
+    code, _, err = run(["sample", "--checkpoint", str(broken), "--corpus",
+                        corpus_path, "--kind", "fm",
+                        "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no-kind.npz" in err and "'kind'" in err
 
 
 # ---------------------------------------------------------------- eval

@@ -6,17 +6,14 @@ from durflow import duration as dur
 from durflow import numerics as nm
 from durflow.duration import (
     DurationModel,
-    FlowState,
     LogDurations,
     SampleOptions,
     cfm_pair,
-    det_forward,
-    det_loss,
-    fm_loss,
     fm_sample,
     length_regulate,
     load_model,
     log_targets,
+    loss,
     quantisation_residual,
     save_model,
     to_frames,
@@ -84,68 +81,72 @@ class TestCfmPair:
         assert np.allclose(u0, x1 - (1 - dur.OT_SIGMA) * x0, atol=1e-12)
 
 
-class TestDetForward:
-    def test_deterministic(self):
-        model = tiny_model("det")
-        cond = tiny_cond(model)
-        a = det_forward(cond, model)
-        b = det_forward(cond, model)
-        assert np.array_equal(a.values.data, b.values.data)
-        assert a.values.data.shape == (6,)
+IDS = np.array([[3, 0, 4, 0]])
+TARGETS = np.array([[0.7, -4.6, 1.1, 0.0]])
 
-    def test_kind_mismatch_rejected(self):
-        model = tiny_model("fm")
-        cond = tiny_cond(model)
-        with pytest.raises(ValueError):
-            det_forward(cond, model)
+
+class FixedHead:
+    """Stand-in det head that predicts the given log-durations."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64).reshape(1, 1, -1)
+
+    def __call__(self, cond):
+        return Tensor(self.values)
+
+
+def det_loss_of(pred, targets):
+    model = tiny_model("det")
+    model.predictor = FixedHead(pred)
+    targets = np.asarray(targets, dtype=np.float64).reshape(1, -1)
+    return loss(model, np.full(targets.shape, 3), targets, None).item()
 
 
 class TestDetLoss:
     def test_zero_when_equal(self):
-        ref = LogDurations(np.array([0.1, 0.2, 0.3]))
-        assert det_loss(ref, ref).item() == 0.0
+        assert det_loss_of([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]) == 0.0
 
     def test_single_offset_position(self):
-        pred = LogDurations(np.array([2.0, 0.0, 0.0, 0.0]))
-        ref = LogDurations(np.zeros(4))
-        assert det_loss(pred, ref).item() == pytest.approx(1.0)
+        assert det_loss_of([2.0, 0.0, 0.0, 0.0], np.zeros(4)) == pytest.approx(1.0)
 
     def test_minimiser_is_class_mean(self):
         targets = np.array([np.log(2), np.log(12)])
         best = targets.mean()
 
         def loss_at(b):
-            return det_loss(LogDurations(np.full(2, b)), LogDurations(targets)).item()
+            return det_loss_of(np.full(2, b), targets)
 
         assert loss_at(best) < loss_at(best + 0.05)
         assert loss_at(best) < loss_at(best - 0.05)
 
-    def test_masked_target_does_not_affect_loss(self):
-        mask = np.array([1.0, 1.0, 0.0])
-        pred = LogDurations(np.array([0.5, 0.5, 0.5]), mask)
-        ref_a = LogDurations(np.array([0.0, 0.0, 9.0]), mask)
-        ref_b = LogDurations(np.array([0.0, 0.0, -9.0]), mask)
-        assert det_loss(pred, ref_a).item() == det_loss(pred, ref_b).item()
+    def test_deterministic(self):
+        model = tiny_model("det")
+        ids = np.array([[3, 0, 4, 0, 5, 0], [5, 0, 3, 0, 4, 0]])
+        targets = np.zeros(ids.shape)
+        a = loss(model, ids, targets, np.random.default_rng(0)).item()
+        b = loss(model, ids, targets, np.random.default_rng(1)).item()
+        assert a == b
 
-    def test_mask_disagreement_rejected(self):
-        pred = LogDurations(np.zeros(3), np.array([1.0, 1.0, 0.0]))
-        ref = LogDurations(np.zeros(3), np.ones(3))
+    def test_empty_input_rejected(self):
+        model = tiny_model("det")
         with pytest.raises(ValueError):
-            det_loss(pred, ref)
+            loss(model, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)), None)
+        with pytest.raises(ValueError):
+            loss(model, np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)), None)
 
-    def test_empty_mask_rejected(self):
-        pred = LogDurations(np.zeros(3), np.zeros(3))
-        ref = LogDurations(np.zeros(3), np.zeros(3))
+    def test_shape_mismatch_rejected(self):
+        model = tiny_model("det")
         with pytest.raises(ValueError):
-            det_loss(pred, ref)
+            loss(model, IDS, TARGETS[:, :3], None)
+        with pytest.raises(ValueError):
+            loss(model, IDS[0], TARGETS[0], None)
 
 
 class TestFmLoss:
     def test_stub_head_matching_field_gives_zero(self):
         model = tiny_model("fm")
-        cond = tiny_cond(model)
-        ref = LogDurations(np.array([1.0, -4.6, 1.4, -4.6, 1.8, 0.0]))
-        x1 = ref.values.data.reshape(1, 1, -1)
+        targets = np.array([[1.0, -4.6, 1.4, -4.6, 1.8, 0.0]])
+        x1 = targets.reshape(1, 1, -1)
         sigma = dur.OT_SIGMA
 
         class ExactField:
@@ -156,38 +157,60 @@ class TestFmLoss:
                 return Tensor(x1 - (1.0 - sigma) * x0)
 
         model.predictor = ExactField()
-        loss = fm_loss(cond, ref, model, np.random.default_rng(0))
-        assert loss.item() < 1e-20
+        ids = np.array([[3, 0, 4, 0, 5, 0]])
+        assert loss(model, ids, targets, np.random.default_rng(0)).item() < 1e-20
 
     def test_untrained_loss_near_field_second_moment(self):
         # with near-zero initial outputs the loss approaches
         # E[(x1 - (1-sigma) x0)^2] = mean(x1^2) + (1-sigma)^2
         model = tiny_model("fm")
-        cond = tiny_cond(model)
-        targets = np.array([0.3, -1.0, 0.8, -0.2, 0.1, 0.5])
-        ref = LogDurations(targets)
+        ids = np.array([[3, 0, 4, 0, 5, 0]])
+        targets = np.array([[0.3, -1.0, 0.8, -0.2, 0.1, 0.5]])
         rng = np.random.default_rng(7)
-        losses = [fm_loss(cond, ref, model, rng).item() for _ in range(400)]
+        losses = [loss(model, ids, targets, rng).item() for _ in range(400)]
         expected = np.mean(targets**2) + (1 - dur.OT_SIGMA) ** 2
         got = np.mean(losses)
         assert got > 0
         assert abs(got - expected) < 0.30 * expected
 
-    def test_kind_mismatch_rejected(self):
-        model = tiny_model("det")
-        cond = tiny_cond(model)
-        with pytest.raises(ValueError):
-            fm_loss(cond, LogDurations(np.zeros(6)), model, np.random.default_rng(0))
+    def test_draws_t_then_x0_per_sentence(self):
+        model = tiny_model("fm")
+        ids = np.array([[3, 0, 4, 0], [5, 0, 3, 0]])
+        targets = np.array([[0.7, -4.6, 1.1, 0.0], [0.2, -4.6, 0.9, 0.0]])
+        seen = []
+
+        class Spy:
+            def __call__(self, x, t, _cond):
+                seen.append((x.data.copy(), np.array(t)))
+                return Tensor(np.zeros(x.data.shape))
+
+        model.predictor = Spy()
+        loss(model, ids, targets, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        t = rng.uniform(size=2)
+        x0 = rng.standard_normal((2, 1, 4))
+        x_t, _ = cfm_pair(targets.reshape(2, 1, 4), x0, t[:, None, None])
+        assert np.array_equal(seen[0][1], t)
+        assert np.array_equal(seen[0][0], x_t)
 
     def test_gradient_matches_finite_differences(self):
         model = tiny_model("fm")
-        cond_ids = np.array([3, 0, 4, 0])
-        ref = LogDurations(np.array([0.7, -4.6, 1.1, 0.0]))
 
         def loss_fn():
-            seq = PhoneSequence(cond_ids, interleaved=True)
-            cond = encode(seq, model.encoder)
-            return fm_loss(cond, ref, model, np.random.default_rng(99))
+            return loss(model, IDS, TARGETS, np.random.default_rng(99))
+
+        err = fd_gradcheck_params(loss_fn, list(model.params().values()))
+        assert err < 1e-4
+
+    def test_batched_gradient_matches_finite_differences(self):
+        # B=2 is the batched path training runs; criterion 1 checks B=1
+        model = tiny_model("fm")
+        ids = np.array([[3, 0, 4, 0, 5, 0], [5, 0, 3, 0, 4, 0]])
+        targets = np.array([[0.7, -4.6, 1.1, 0.0, 1.6, -4.6],
+                            [1.2, 0.0, 0.4, -4.6, 0.9, 0.0]])
+
+        def loss_fn():
+            return loss(model, ids, targets, np.random.default_rng(99))
 
         err = fd_gradcheck_params(loss_fn, list(model.params().values()))
         assert err < 1e-4
@@ -196,13 +219,21 @@ class TestFmLoss:
 class TestDetLossGradient:
     def test_full_det_loss_gradient(self):
         model = tiny_model("det")
-        ids = np.array([3, 0, 4, 0])
-        ref = LogDurations(np.array([0.7, -4.6, 1.1, 0.0]))
 
         def loss_fn():
-            seq = PhoneSequence(ids, interleaved=True)
-            cond = encode(seq, model.encoder)
-            return det_loss(det_forward(cond, model), ref)
+            return loss(model, IDS, TARGETS, None)
+
+        err = fd_gradcheck_params(loss_fn, list(model.params().values()))
+        assert err < 1e-4
+
+    def test_batched_det_loss_gradient(self):
+        model = tiny_model("det")
+        ids = np.array([[3, 0, 4, 0, 5, 0], [5, 0, 3, 0, 4, 0]])
+        targets = np.array([[0.7, -4.6, 1.1, 0.0, 1.6, -4.6],
+                            [1.2, 0.0, 0.4, -4.6, 0.9, 0.0]])
+
+        def loss_fn():
+            return loss(model, ids, targets, None)
 
         err = fd_gradcheck_params(loss_fn, list(model.params().values()))
         assert err < 1e-4
@@ -260,9 +291,8 @@ class TestFmSample:
         noise = rng.standard_normal((2, 1, 4))
         batched = dur.fm_sample_batch(model, model.encoder(ids), noise, nfe=4)
         for n in range(2):
-            cond = ConditioningSequence(model.encoder(ids[n]))
             single = dur.fm_sample_batch(
-                model, dur._as_batched(cond.vectors), noise[n:n + 1], nfe=4
+                model, model.encoder(ids[n:n + 1]), noise[n:n + 1], nfe=4
             )
             assert np.allclose(batched[n], single[0], atol=1e-10)
 
@@ -299,13 +329,9 @@ class TestQuantisationResidual:
     def test_half_is_maximal(self):
         assert quantisation_residual(LogDurations(np.log(np.array([2.5])))) == pytest.approx(0.5)
 
-    def test_mask_weighting(self):
-        ld = LogDurations(np.log(np.array([2.5, 2.0])), np.array([0.0, 1.0]))
-        assert quantisation_residual(ld) == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty_mask_rejected(self):
+    def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            quantisation_residual(LogDurations(np.array([1.0]), np.array([0.0])))
+            quantisation_residual(LogDurations(np.array([])))
 
 
 class TestLengthRegulate:
@@ -366,6 +392,20 @@ class TestParamBudgets:
             model = tiny_model(kind)
             from durflow.nn import param_count
             assert param_count(model.predictor.specs()) == model.predictor_param_count()
+
+
+class TestParamNames:
+    def test_names_follow_layer_assignment_order(self):
+        # the optimiser's flat buffer and checkpoint keys rely on this order
+        expected = ["encoder.embed.table"]
+        for layer in ("encoder.conv", "encoder.norm", "predictor.noise_proj",
+                      "predictor.conv1", "predictor.norm1", "predictor.conv2",
+                      "predictor.norm2", "predictor.proj", "predictor.time.lin1",
+                      "predictor.time.lin2", "predictor.time_to_h1",
+                      "predictor.time_to_h2"):
+            first = "gain" if "norm" in layer else "weight"
+            expected += [f"{layer}.{first}", f"{layer}.bias"]
+        assert list(tiny_model("fm").params()) == expected
 
 
 class TestCheckpointRoundTrip:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from durflow import encoder as enc
 from durflow.encoder import (
     BLANK_ID,
-    ConditioningSequence,
     PhoneSequence,
     TextEncoder,
     encode,
@@ -73,8 +72,6 @@ class TestEncode:
         seq = PhoneSequence(np.array([3, 4, 5])).interleave()
         cond = encode(seq, e)
         assert cond.vectors.data.shape == (192, 6)
-        assert cond.mask.shape == (6,)
-        assert np.all(cond.mask == 1.0)
 
     def test_non_interleaved_rejected(self):
         e = self.make_encoder()
@@ -108,11 +105,6 @@ class TestEncode:
         for n in range(2):
             single = e(ids[n]).data
             assert np.allclose(batched[n], single, atol=1e-12)
-
-    def test_mask_length_validated(self):
-        from durflow.numerics import Tensor
-        with pytest.raises(ValueError):
-            ConditioningSequence(Tensor(np.zeros((4, 6))), mask=np.ones(5))
 
     def test_encoder_param_count(self):
         from durflow.nn import param_count
