@@ -87,7 +87,7 @@ class CorpusSpec:
         if not self.phone_class_ids():
             raise ValueError("spec declares no phone classes")
         for cid, law in self.laws.items():
-            if cid >= self.vocab_size:
+            if not 0 <= cid < self.vocab_size:
                 raise ValueError(f"class id {cid} outside vocab of size {self.vocab_size}")
             kind = law.get("kind")
             if kind == "lognormal":
@@ -298,6 +298,8 @@ def load(path) -> DurationCorpus:
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CorpusFormatError(f"{path}: line 1: bad header ({exc})") from exc
 
+    has_law = np.zeros(spec.vocab_size, dtype=bool)
+    has_law[list(spec.laws)] = True
     sentences = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -316,6 +318,17 @@ def load(path) -> DurationCorpus:
         if ids.size != durs.size:
             raise CorpusFormatError(
                 f"{path}: line {lineno}: {ids.size} ids but {durs.size} durations"
+            )
+        outside = ids[(ids < 0) | (ids >= spec.vocab_size)]
+        if outside.size:
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: token id {outside[0]} outside the "
+                f"vocabulary of size {spec.vocab_size}"
+            )
+        if not np.all(has_law[ids]):
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: token id {ids[~has_law[ids]][0]} has no "
+                f"duration law in the header"
             )
         if np.any(durs < 0):
             raise CorpusFormatError(f"{path}: line {lineno}: negative duration")

@@ -38,6 +38,8 @@ LOG_FLOOR = 1e-2
 HIDDEN_CHANNELS = 280
 NOISE_CHANNELS = 32
 TIME_DIM = 64
+# the keyword arguments of DurationModel that a checkpoint's 'dims' holds
+DIM_KEYS = ("encoder_dim", "hidden", "noise_dim", "time_dim")
 
 
 @dataclass
@@ -130,12 +132,45 @@ class FlowPredictor(nn.Module):
         batch = cond.data.shape[0]
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
         emb = self.time(t_arr)  # (B, time_dim)
-        h = nm.concat([cond, self.noise_proj(x)], axis=1)
-        h = nm.add(self.conv1(h), nm.unsqueeze(self.time_to_h1(emb), 2))
+        h = self.conv1(nm.concat([cond, self.noise_proj(x)], axis=1))
+        h = nm.add(h, nm.unsqueeze(self.time_to_h1(emb), 2))
+        return self._tail(h, nm.unsqueeze(self.time_to_h2(emb), 2))
+
+    def _tail(self, h: Tensor, e2: Tensor) -> Tensor:
+        """The network after the first block's time shift: h is conv1's
+        output plus that shift (B, hidden, T), e2 the second block's
+        shift, broadcastable to it."""
         h = self.norm1(nm.relu(h))
-        h = nm.add(self.conv2(h), nm.unsqueeze(self.time_to_h2(emb), 2))
+        h = nm.add(self.conv2(h), e2)
         h = self.norm2(nm.relu(h))
         return self.proj(h)
+
+    def condition(self, cond: Tensor) -> FlowCondition:
+        """Split conv1 at the conditioning channels for one batch of cond.
+
+        Convolution is linear in its input channels, so conv1 over
+        concat(cond, noise) is conv1 over the cond channels, bias
+        included, plus conv1 over the noise channels without bias. The
+        first part depends on neither x nor t and is computed here.
+        """
+        weight = self.conv1.weight.data
+        return FlowCondition(
+            nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias),
+            Tensor(np.ascontiguousarray(weight[:, self.cond_dim:])),
+        )
+
+
+@dataclass
+class FlowCondition:
+    """A FlowPredictor's conv1 split at the conditioning channels, for one
+    batch: ``part`` is conv1 over the cond channels plus the bias
+    (B, hidden, T), ``noise_weight`` the kernel slice that each Euler step
+    applies to the projected noise channels. Both are taken from the
+    parameters as they were when it was made, so it is valid only until
+    they next change."""
+
+    part: Tensor
+    noise_weight: Tensor
 
 
 class DurationModel(nn.Module):
@@ -178,13 +213,40 @@ def save_model(model: DurationModel, path):
     nn.save_params(path, model.params(), meta)
 
 
-def load_model(path) -> DurationModel:
-    arrays, meta = nn.load_params(path)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_meta(path, meta: dict):
+    """Raise ValueError naming the file and key of any malformed metadata."""
     for key in ("kind", "vocab_size", "seed", "dims", "trained_steps"):
         if key not in meta:
             raise ValueError(f"{path}: checkpoint metadata lacks '{key}'")
-    model = DurationModel(meta["kind"], meta["vocab_size"], seed=meta["seed"],
-                          **meta["dims"])
+    if meta["kind"] not in ("det", "fm"):
+        raise ValueError(f"{path}: checkpoint metadata 'kind' must be 'det' or 'fm', "
+                         f"got {meta['kind']!r}")
+    for key, low in (("vocab_size", 1), ("seed", 0), ("trained_steps", 0)):
+        if not _is_int(meta[key]) or meta[key] < low:
+            raise ValueError(f"{path}: checkpoint metadata '{key}' must be an integer "
+                             f">= {low}, got {meta[key]!r}")
+    dims = meta["dims"]
+    if not isinstance(dims, dict) or set(dims) != set(DIM_KEYS):
+        raise ValueError(f"{path}: checkpoint metadata 'dims' must be an object with "
+                         f"the keys {list(DIM_KEYS)}, got {dims!r}")
+    for key in DIM_KEYS:
+        if not _is_int(dims[key]) or dims[key] < 1:
+            raise ValueError(f"{path}: checkpoint metadata 'dims.{key}' must be a "
+                             f"positive integer, got {dims[key]!r}")
+
+
+def load_model(path) -> DurationModel:
+    arrays, meta = nn.load_params(path)
+    _check_meta(path, meta)
+    try:
+        model = DurationModel(meta["kind"], meta["vocab_size"], seed=meta["seed"],
+                              **meta["dims"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     params = model.params()
     if set(params) != set(arrays):
         missing = set(params) ^ set(arrays)
@@ -193,7 +255,7 @@ def load_model(path) -> DurationModel:
         if p.data.shape != arrays[name].shape:
             raise ValueError(f"{path}: checkpoint shape mismatch for '{name}'")
         p.data[...] = arrays[name]
-    model.trained_steps = int(meta["trained_steps"])
+    model.trained_steps = meta["trained_steps"]
     return model
 
 
@@ -249,17 +311,35 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
 # sampling
 
 
-def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
+def fm_sample_batch(model: DurationModel, cond, noise: np.ndarray,
                     nfe: int) -> np.ndarray:
     """Euler-integrate the learned field for a batch; returns x at t=1.
 
-    cond is (B, D, T), noise is the t=0 state (B, 1, T). Each of the
-    nfe steps evaluates the field at t = i/nfe and advances by 1/nfe.
+    cond is the (B, D, T) encoder output, or its FlowCondition
+    (``model.predictor.condition(cond)``) when several noise batches
+    share it; noise is the t=0 state (B, 1, T). Each of the nfe steps
+    evaluates the field at t = i/nfe and advances by 1/nfe.
+
+    What depends on neither x nor the step is computed once per call:
+    conv1 over the conditioning channels, and the two time rows of every
+    grid point. A step convolves only the noise channels and runs the
+    layers after conv1. Nothing outlives the call, so a change to the
+    parameters shows in the next call.
     """
+    predictor = model.predictor
+    if not isinstance(cond, FlowCondition):
+        cond = predictor.condition(cond)
+    emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
+    rows1 = predictor.time_to_h1(emb).data  # (nfe, hidden)
+    rows2 = predictor.time_to_h2(emb).data[:, None, :, None]  # (nfe, 1, hidden, 1)
     x = np.asarray(noise, dtype=np.float64)
     dt = 1.0 / nfe
     for i in range(nfe):
-        x = x + dt * model.predictor(Tensor(x), i / nfe, cond).data
+        # the first time shift rides on the noise convolution as its bias
+        noise_part = nm.conv1d(predictor.noise_proj(Tensor(x)), cond.noise_weight,
+                               Tensor(rows1[i]))
+        h = nm.add(cond.part, noise_part)
+        x = x + dt * predictor._tail(h, Tensor(rows2[i])).data
     return x
 
 

@@ -59,18 +59,23 @@ def _groups_by_length(corpus: DurationCorpus):
     return [groups[t] for t in sorted(groups)]
 
 
-def _group_log_values(model: DurationModel, group, opts: SampleOptions, rep: int):
-    """Log-duration rows for one equal-length sentence group.
+def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) -> list:
+    """Log-duration rows for one equal-length sentence group, one dict per rep.
 
-    FM noise comes from a per-(sentence, rep) stream so the grouping
-    itself never influences the sample.
+    The group is encoded once, and for an fm model conv1's conditioning
+    part is computed once, for all reps. FM noise comes from a
+    per-(sentence, rep) stream, so neither the grouping nor the other
+    reps ever influence a sample.
     """
     ids = np.stack([s.seq.ids for s in group])
     cond = model.encoder(ids)  # (B, D, T)
     if model.kind == "det":
         values = model.predictor(cond).data[:, 0, :]
-    else:
-        t_len = ids.shape[1]
+        return [{s.sent_id: values[i] for i, s in enumerate(group)} for _ in reps]
+    cond = model.predictor.condition(cond)
+    t_len = ids.shape[1]
+    out = []
+    for rep in reps:
         noise = np.stack([
             opts.temperature
             * np.random.default_rng(
@@ -79,38 +84,48 @@ def _group_log_values(model: DurationModel, group, opts: SampleOptions, rep: int
             for s in group
         ])
         values = fm_sample_batch(model, cond, noise, opts.nfe)[:, 0, :]
-    return {s.sent_id: values[i] for i, s in enumerate(group)}
+        out.append({s.sent_id: values[i] for i, s in enumerate(group)})
+    return out
+
+
+def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
+                       opts: SampleOptions, reps) -> list:
+    """One sent_id -> log-duration dict per rep in reps, over every sentence."""
+    nm.keep_freed_memory()
+    groups = _groups_by_length(corpus)
+    workers = worker_count()
+    if workers > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(
+                lambda g: _group_log_values(model, g, opts, reps), groups
+            ))
+    else:
+        chunks = [_group_log_values(model, g, opts, reps) for g in groups]
+    out = [{} for _ in reps]
+    for chunk in chunks:
+        for values, part in zip(out, chunk):
+            values.update(part)
+    return out
 
 
 def corpus_log_values(model: DurationModel, corpus: DurationCorpus,
                       opts: SampleOptions, rep: int = 0) -> dict:
     """Map sent_id -> log-duration array for every corpus sentence."""
-    nm.keep_freed_memory()
-    groups = _groups_by_length(corpus)
-    workers = worker_count()
-    out = {}
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda g: _group_log_values(model, g, opts, rep), groups
-            )
-            for chunk in results:
-                out.update(chunk)
-    else:
-        for group in groups:
-            out.update(_group_log_values(model, group, opts, rep))
-    return out
+    return _corpus_log_values(model, corpus, opts, (rep,))[0]
 
 
 def corpus_frames(model: DurationModel, corpus: DurationCorpus,
                   opts: SampleOptions, reps: int = 1) -> dict:
-    """Map sent_id -> list of integer duration arrays, one per realisation."""
-    out = {s.sent_id: [] for s in corpus.sentences}
-    for rep in range(reps):
-        values = corpus_log_values(model, corpus, opts, rep)
-        for sent_id, vals in values.items():
-            out[sent_id].append(to_frames(LogDurations(vals), opts.min_duration))
-    return out
+    """Map sent_id -> list of integer duration arrays, one per realisation.
+
+    Realisation r equals ``to_frames`` of ``corpus_log_values(..., rep=r)``.
+    """
+    per_rep = _corpus_log_values(model, corpus, opts, range(reps))
+    return {
+        s.sent_id: [to_frames(LogDurations(values[s.sent_id]), opts.min_duration)
+                    for values in per_rep]
+        for s in corpus.sentences
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -242,11 +242,15 @@ def load_params(path):
     """Read back a checkpoint written by :func:`save_params`.
 
     Returns (arrays, meta). A file that is not such a checkpoint (not an
-    .npz archive, truncated, or without a JSON metadata object) and an
-    unknown version raise ValueError naming the file.
+    .npz archive, a plain .npy array, truncated, or without a JSON
+    metadata object) and an unknown version raise ValueError naming the
+    file.
     """
     try:
-        with np.load(path) as archive:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array, not an .npz archive")
+        with archive:
             if "__meta__" not in archive.files:
                 raise ValueError("no '__meta__' metadata entry")
             meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))

@@ -277,6 +277,37 @@ def test_sample_checkpoint_without_kind_is_runtime_error(tmp_path, capsys,
     assert "no-kind.npz" in err and "'kind'" in err
 
 
+def test_sample_plain_npy_checkpoint_is_runtime_error(tmp_path, capsys,
+                                                     tiny_checkpoints):
+    _, corpus_path = tiny_checkpoints
+    broken = tmp_path / "model-fm.npz"
+    with open(broken, "wb") as fh:
+        np.save(fh, np.zeros((3, 4)))
+    code, _, err = run(["sample", "--checkpoint", str(broken), "--corpus",
+                        corpus_path, "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "model-fm.npz" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vocab_size", "24"),
+    ("dims", {**tiny_kwargs(), "depth": 2}),
+])
+def test_sample_checkpoint_with_mistyped_metadata_is_runtime_error(
+        tmp_path, capsys, tiny_checkpoints, key, value):
+    paths, corpus_path = tiny_checkpoints
+    arrays, meta = load_params(paths["fm"])
+    meta[key] = value
+    broken = tmp_path / "typed.npz"
+    save_params(broken, arrays, meta)
+    code, _, err = run(["sample", "--checkpoint", str(broken), "--corpus",
+                        corpus_path, "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "typed.npz" in err and f"'{key}'" in err
+
+
 # ---------------------------------------------------------------- eval
 
 

@@ -50,6 +50,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CorpusSpec(style="read", vocab_size=24, laws=laws)
 
+    def test_negative_class_id_rejected(self):
+        laws = {-1: {"kind": "lognormal", "mu": 1.0, "sigma": 0.1}}
+        with pytest.raises(ValueError, match="class id -1"):
+            CorpusSpec(style="read", vocab_size=24, laws=laws)
+
     def test_unknown_law_kind_rejected(self):
         with pytest.raises(ValueError):
             CorpusSpec(style="read", laws={3: {"kind": "gamma", "mu": 1.0}})
@@ -260,4 +265,23 @@ class TestFileFormat:
         lines[1] = "\t".join(sent)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusFormatError, match="line 2"):
+            load(path)
+
+    @pytest.mark.parametrize("token, reason", [
+        (30, "outside the vocabulary of size 24"),
+        (BIMODAL_ID, "no duration law"),  # read corpora declare no bimodal class
+    ])
+    def test_unknown_token_id_reports_line(self, tmp_path, token, reason):
+        corpus = generate(CorpusSpec(style="read", num_sentences=2, seed=0))
+        path = tmp_path / "u.durcorpus"
+        save(corpus, path)
+        lines = path.read_text().splitlines()
+        sent = lines[2].split("\t")
+        ids = sent[1].split()
+        ids[0] = str(token)
+        sent[1] = " ".join(ids)
+        lines[2] = "\t".join(sent)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match=f"u.durcorpus: line 3: token id {token} .*{reason}"):
             load(path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from durflow import duration as dur
+from durflow import nn
 from durflow import numerics as nm
 from durflow.duration import (
     DurationModel,
@@ -297,6 +298,62 @@ class TestFmSample:
             assert np.allclose(batched[n], single[0], atol=1e-10)
 
 
+def reference_euler(model, cond, noise, nfe):
+    """The Euler loop through the training forward pass, one call per step."""
+    x = np.array(noise, dtype=np.float64)
+    for i in range(nfe):
+        x = x + (1.0 / nfe) * model.predictor(Tensor(x), i / nfe, cond).data
+    return x
+
+
+def frames_of(x):
+    return to_frames(LogDurations(x.reshape(-1)))
+
+
+class TestFmSampleBatch:
+    """The per-call precompute (conv1 split at the conditioning channels,
+    time rows once per grid) against the plain forward pass."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 4, 11])
+    @pytest.mark.parametrize("nfe", [1, 4])
+    def test_matches_reference_loop(self, batch, t_len, nfe):
+        model = tiny_model("fm", seed=2)
+        rng = np.random.default_rng(batch * 100 + t_len * 10 + nfe)
+        cond = model.encoder(rng.integers(0, 6, size=(batch, t_len)))
+        noise = rng.standard_normal((batch, 1, t_len))
+        got = dur.fm_sample_batch(model, cond, noise, nfe)
+        want = reference_euler(model, cond, noise, nfe)
+        assert got.shape == (batch, 1, t_len)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(frames_of(got), frames_of(want))
+
+    def test_shared_condition_matches_encoder_output(self):
+        model = tiny_model("fm", seed=2)
+        rng = np.random.default_rng(8)
+        cond = model.encoder(rng.integers(0, 6, size=(2, 5)))
+        shared = model.predictor.condition(cond)
+        for _ in range(2):
+            noise = rng.standard_normal((2, 1, 5))
+            assert np.array_equal(dur.fm_sample_batch(model, shared, noise, 3),
+                                  dur.fm_sample_batch(model, cond, noise, 3))
+
+    def test_parameter_change_shows_in_next_call(self):
+        model = tiny_model("fm", seed=2)
+        rng = np.random.default_rng(9)
+        cond = model.encoder(rng.integers(0, 6, size=(3, 6)))
+        noise = rng.standard_normal((3, 1, 6))
+        before = dur.fm_sample_batch(model, cond, noise, 4)
+        pred = model.predictor
+        for p in (pred.conv1.weight, pred.time.lin1.weight, pred.time.lin2.weight,
+                  pred.time_to_h1.weight, pred.time_to_h2.weight):
+            p.data[...] += 0.5 * rng.standard_normal(p.data.shape)
+        after = dur.fm_sample_batch(model, cond, noise, 4)
+        want = reference_euler(model, cond, noise, 4)
+        assert not np.allclose(after, before)
+        assert np.max(np.abs(after - want)) <= 1e-12
+
+
 class TestToFrames:
     def test_exact_log_of_integer(self):
         assert to_frames(LogDurations(np.array([np.log(5.0)]))).tolist() == [5]
@@ -408,6 +465,22 @@ class TestParamNames:
         assert list(tiny_model("fm").params()) == expected
 
 
+def rewrite_meta(src, dst, **changes):
+    """Copy a checkpoint with some metadata entries replaced or, given
+    None, removed."""
+    arrays, meta = nn.load_params(src)
+    for key, value in changes.items():
+        if value is None:
+            meta.pop(key)
+        else:
+            meta[key] = value
+    nn.save_params(dst, arrays, meta)
+    return dst
+
+
+TINY_DIMS = {"encoder_dim": 8, "hidden": 10, "noise_dim": 4, "time_dim": 8}
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
         model = tiny_model("fm", seed=3)
@@ -435,3 +508,34 @@ class TestCheckpointRoundTrip:
         a = fm_sample(cond_a, model, opts)
         b = fm_sample(cond_b, loaded, opts)
         assert np.array_equal(a.values.data, b.values.data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "flow"),
+        ("kind", 1),
+        ("vocab_size", "24"),
+        ("vocab_size", True),
+        ("vocab_size", 0),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("trained_steps", None),
+        ("trained_steps", "7"),
+        ("dims", [8, 10, 4, 8]),
+        ("dims", {**TINY_DIMS, "depth": 2}),
+        ("dims", {k: v for k, v in TINY_DIMS.items() if k != "hidden"}),
+        ("dims", {**TINY_DIMS, "hidden": "10"}),
+        ("dims", {**TINY_DIMS, "hidden": 0}),
+        ("dims", {**TINY_DIMS, "hidden": False}),
+    ])
+    def test_malformed_metadata_names_file_and_key(self, tmp_path, key, value):
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("fm"), good)
+        bad = rewrite_meta(good, tmp_path / "bad.npz", **{key: value})
+        with pytest.raises(ValueError, match=f"bad.npz: .*'{key}"):
+            load_model(bad)
+
+    def test_odd_time_dim_names_file(self, tmp_path):
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("fm"), good)
+        bad = rewrite_meta(good, tmp_path / "bad.npz", dims={**TINY_DIMS, "time_dim": 7})
+        with pytest.raises(ValueError, match="bad.npz: .*even"):
+            load_model(bad)

@@ -8,7 +8,7 @@ import pytest
 
 from _oracles import rounded_lognormal_moments
 from durflow.data import BIMODAL_ID, CorpusSpec, generate
-from durflow.duration import DurationModel, SampleOptions
+from durflow.duration import DurationModel, LogDurations, SampleOptions, to_frames
 from durflow.encoder import PAUSE_ID
 from durflow.evaluation import (
     DEFAULT_NFE_LIST,
@@ -115,6 +115,24 @@ def test_thread_fanout_matches_single_thread(tiny_det, tiny_corpus, monkeypatch)
     assert single.keys() == fanned.keys()
     for k in single:
         assert np.array_equal(single[k], fanned[k])
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["threads-unset", "threads-2"])
+def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus, monkeypatch, threads):
+    # corpus_frames encodes each group once for all reps; every rep must
+    # still equal a pass of its own
+    if threads is None:
+        monkeypatch.delenv("DURFLOW_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DURFLOW_THREADS", threads)
+    opts = SampleOptions(nfe=3, seed=4)
+    frames = corpus_frames(tiny_fm, tiny_corpus, opts, reps=3)
+    assert list(frames) == [s.sent_id for s in tiny_corpus.sentences]
+    for rep in range(3):
+        values = corpus_log_values(tiny_fm, tiny_corpus, opts, rep=rep)
+        for s in tiny_corpus.sentences:
+            assert np.array_equal(frames[s.sent_id][rep],
+                                  to_frames(LogDurations(values[s.sent_id])))
 
 
 def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):
