@@ -9,8 +9,9 @@ Subcommands:
 
 Settings resolve in three layers: built-in defaults, then a --config
 file (flat key=value lines), then explicit flags. The resolved
-configuration is echoed to the output directory, so a run can be
-reproduced from its artifacts alone.
+configuration is echoed to the output directory, with the thread
+settings that results depend on, so a run can be reproduced from its
+artifacts alone.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Failures print
 a single "error: ..." line on standard error.
@@ -36,6 +37,7 @@ from durflow.evaluation import (
     ResidualCurve, bench_sampling, corpus_frames, declared_modes, dist_stats,
     frames_by_class, residual_vs_nfe, write_report,
 )
+from durflow.files import atomic_write
 from durflow.training import train_model
 
 MODEL_KINDS = ("det", "fm")
@@ -125,12 +127,18 @@ def resolve_config(args) -> tuple:
     return config, frozenset(settings)
 
 
+# thread settings that change results in their last bits (OpenBLAS splits
+# its products by thread) or how work is spread; config.txt records them
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "DURFLOW_THREADS")
+
+
 def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     lines = [f"command={command}"]
     lines += [f"{f.name}={getattr(config, f.name)}" for f in fields(RunConfig)]
     lines += [f"{key}={value}" for key, value in sorted(inputs.items())]
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
+    lines += [f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES]
+    with atomic_write(os.path.join(out_dir, "config.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -200,7 +208,7 @@ def cmd_sample(args) -> int:
                  "reps": reps}, config.out)
     frames = corpus_frames(model, corpus, config.sample_options(), reps)
     path = os.path.join(config.out, "durations.txt")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(
             f"#durations model={model.kind} nfe={config.nfe} "
             f"temperature={config.temperature!r} seed={config.seed} "

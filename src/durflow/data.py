@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence
+from durflow.files import atomic_write
 
 RESERVED_IDS = (BLANK_ID, PAUSE_ID, FILLER_ID)
 FIRST_PHONE_ID = 3
@@ -246,7 +247,8 @@ class CorpusFormatError(ValueError):
 
 
 def save(corpus: DurationCorpus, path):
-    """Write the line-oriented corpus format; identical corpora give identical bytes."""
+    """Write the line-oriented corpus format, atomically; identical corpora
+    give identical bytes."""
     spec = corpus.spec
     params = {
         "num_sentences": spec.num_sentences,
@@ -266,14 +268,17 @@ def save(corpus: DurationCorpus, path):
         ids = " ".join(str(i) for i in s.seq.ids)
         durs = " ".join(str(d) for d in s.durations)
         lines.append(f"{s.sent_id}\t{ids}\t{durs}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load(path) -> DurationCorpus:
     """Parse a corpus file; malformed input reports the offending line number."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines or not lines[0].startswith("#durcorpus v1 "):
         raise CorpusFormatError(f"{path}: line 1: missing '#durcorpus v1' header")
     header = {}
@@ -301,6 +306,7 @@ def load(path) -> DurationCorpus:
     has_law = np.zeros(spec.vocab_size, dtype=bool)
     has_law[list(spec.laws)] = True
     sentences = []
+    seen = {}  # sentence id -> line
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -340,5 +346,14 @@ def load(path) -> DurationCorpus:
             seq = PhoneSequence(ids, interleaved=True)
         except ValueError as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if sent_id in seen:
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: sentence id {sent_id} already used on "
+                f"line {seen[sent_id]}"
+            )
+        seen[sent_id] = lineno
         sentences.append(Sentence(sent_id, seq, durs))
-    return DurationCorpus(sentences, spec, split)
+    try:
+        return DurationCorpus(sentences, spec, split)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc

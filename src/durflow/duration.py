@@ -252,9 +252,16 @@ def load_model(path) -> DurationModel:
         missing = set(params) ^ set(arrays)
         raise ValueError(f"{path}: checkpoint parameter mismatch: {sorted(missing)[:4]}")
     for name, p in params.items():
-        if p.data.shape != arrays[name].shape:
+        array = arrays[name]
+        if array.dtype.kind != "f":
+            raise ValueError(f"{path}: checkpoint parameter '{name}' has dtype "
+                             f"{array.dtype}, not a real floating dtype")
+        if p.data.shape != array.shape:
             raise ValueError(f"{path}: checkpoint shape mismatch for '{name}'")
-        p.data[...] = arrays[name]
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{path}: checkpoint parameter '{name}' holds a "
+                             f"non-finite value")
+        p.data[...] = array
     model.trained_steps = meta["trained_steps"]
     return model
 
@@ -325,19 +332,26 @@ def fm_sample_batch(model: DurationModel, cond, noise: np.ndarray,
     grid point. A step convolves only the noise channels and runs the
     layers after conv1. Nothing outlives the call, so a change to the
     parameters shows in the next call.
+
+    The network runs in the dtype of the model's parameters (float32
+    for the copy that corpus-level sampling makes): the time rows are
+    cast to it once per call and x at every step's input. The state x
+    itself stays float64, so the Euler sum accumulates in float64.
     """
     predictor = model.predictor
+    dtype = predictor.conv1.weight.data.dtype
     if not isinstance(cond, FlowCondition):
         cond = predictor.condition(cond)
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
-    rows1 = predictor.time_to_h1(emb).data  # (nfe, hidden)
-    rows2 = predictor.time_to_h2(emb).data[:, None, :, None]  # (nfe, 1, hidden, 1)
+    rows1 = predictor.time_to_h1(emb).data.astype(dtype, copy=False)  # (nfe, hidden)
+    rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False)
+    rows2 = rows2[:, None, :, None]  # (nfe, 1, hidden, 1)
     x = np.asarray(noise, dtype=np.float64)
     dt = 1.0 / nfe
     for i in range(nfe):
         # the first time shift rides on the noise convolution as its bias
-        noise_part = nm.conv1d(predictor.noise_proj(Tensor(x)), cond.noise_weight,
-                               Tensor(rows1[i]))
+        noise_part = nm.conv1d(predictor.noise_proj(Tensor(x.astype(dtype, copy=False))),
+                               cond.noise_weight, Tensor(rows1[i]))
         h = nm.add(cond.part, noise_part)
         x = x + dt * predictor._tail(h, Tensor(rows2[i])).data
     return x

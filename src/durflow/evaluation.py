@@ -12,6 +12,12 @@ Corpus-level sampling derives one random stream per (sentence, rep)
 from the option seed, so results do not depend on batching or on how
 work is spread over threads. The DURFLOW_THREADS environment variable
 caps the worker count (default 1).
+
+Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
+a copy of the model made at the start of each pass, while the Euler
+state and the log-durations returned stay float64. On spont validation
+sets it flipped no integer frame against float64 sampling (see the
+README); training never sees the copy.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from durflow import nn
 from durflow import numerics as nm
 from durflow.data import DurationCorpus
 from durflow.duration import (
@@ -36,8 +43,11 @@ from durflow.duration import (
     quantisation_residual,
 )
 from durflow.encoder import PAUSE_ID
+from durflow.files import atomic_write
 
 DEFAULT_NFE_LIST = (1, 2, 4, 8, 10, 16, 32)
+# the dtype corpus-level sampling runs the network in
+SAMPLING_DTYPE = np.float32
 
 
 def worker_count() -> int:
@@ -70,7 +80,7 @@ def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) ->
     ids = np.stack([s.seq.ids for s in group])
     cond = model.encoder(ids)  # (B, D, T)
     if model.kind == "det":
-        values = model.predictor(cond).data[:, 0, :]
+        values = model.predictor(cond).data[:, 0, :].astype(np.float64)
         return [{s.sent_id: values[i] for i, s in enumerate(group)} for _ in reps]
     cond = model.predictor.condition(cond)
     t_len = ids.shape[1]
@@ -90,8 +100,14 @@ def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) ->
 
 def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
                        opts: SampleOptions, reps) -> list:
-    """One sent_id -> log-duration dict per rep in reps, over every sentence."""
+    """One sent_id -> log-duration dict per rep in reps, over every sentence.
+
+    The passes run on a SAMPLING_DTYPE copy of the model, made here and
+    dropped on return, so a change to the model's parameters shows in
+    the next call.
+    """
     nm.keep_freed_memory()
+    model = nn.cast_copy(model, SAMPLING_DTYPE)
     groups = _groups_by_length(corpus)
     workers = worker_count()
     if workers > 1 and len(groups) > 1:
@@ -309,7 +325,7 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

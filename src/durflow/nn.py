@@ -9,6 +9,7 @@ biases start at zero and layer norms at identity.
 
 from __future__ import annotations
 
+import copy
 import json
 import zipfile
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from durflow import numerics as nm
+from durflow.files import atomic_write
 from durflow.numerics import Tensor, parameter
 
 CHECKPOINT_VERSION = 1
@@ -217,6 +219,23 @@ class TimeEmbedding(Module):
         return LayerSpec("time_embedding", self.dim, self.dim)
 
 
+def cast_copy(layer, dtype):
+    """A forward-only copy of a layer or module whose parameters hold
+    their data as ``dtype``.
+
+    Each parameter is converted straight from the original's data, and
+    everything else is shared with the original. The copy has no
+    gradient buffers and does not follow later changes to the original.
+    """
+    out = copy.copy(layer)
+    for name, value in vars(layer).items():
+        if isinstance(value, Tensor):
+            setattr(out, name, Tensor(value.data.astype(dtype)))
+        elif hasattr(value, "params"):
+            setattr(out, name, cast_copy(value, dtype))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -224,7 +243,8 @@ class TimeEmbedding(Module):
 def save_params(path, arrays: dict, meta: dict):
     """Write named float64 arrays plus a JSON metadata block to one file.
 
-    The container is a numpy .npz archive; round-trips are bit-exact.
+    The container is a numpy .npz archive, written at ``path`` exactly
+    (no ``.npz`` is appended) and atomically; round-trips are bit-exact.
     """
     meta = dict(meta)
     meta["checkpoint_version"] = CHECKPOINT_VERSION
@@ -235,7 +255,8 @@ def save_params(path, arrays: dict, meta: dict):
     payload["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    np.savez(path, **payload)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, **payload)
 
 
 def load_params(path):
@@ -247,15 +268,20 @@ def load_params(path):
     file.
     """
     try:
-        archive = np.load(path)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a single .npy array, not an .npz archive")
-        with archive:
-            if "__meta__" not in archive.files:
-                raise ValueError("no '__meta__' metadata entry")
-            meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-            arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        # opened here, not by np.load, which leaves its own handle open
+        # when the archive is unreadable
+        with open(path, "rb") as fh:
+            archive = np.load(fh)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single .npy array, not an .npz archive")
+            with archive:
+                if "__meta__" not in archive.files:
+                    raise ValueError("no '__meta__' metadata entry")
+                meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
+                arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+    # zipfile raises RuntimeError for an entry marked encrypted and
+    # NotImplementedError, a RuntimeError, for an unknown compression
+    except (zipfile.BadZipFile, EOFError, ValueError, RuntimeError) as exc:
         raise ValueError(f"{path}: not a durflow checkpoint ({exc})") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: checkpoint metadata is not a JSON object")

@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff on float64 numpy arrays.
+"""Reverse-mode autodiff on numpy arrays, float64 for training.
 
 The engine is deliberately small: a :class:`Tensor` wraps an ndarray, a
 :class:`Tape` records one closure per primitive op while a ``record()``
@@ -9,7 +9,16 @@ BLAS rather than in Python graph bookkeeping.
 
 Conventions:
 
-* every Tensor holds float64 data; integer inputs are converted,
+* a Tensor holds float64 data, or float32 data when it is given a
+  numpy float32 array or scalar; every other input (ints, lists,
+  Python floats, other float widths) is converted to float64.
+  Training, its gradients and Adam run in float64 only; float32
+  serves forward-only sampling (:mod:`durflow.evaluation`),
+* ops keep their inputs' dtype: the output, and every buffer an op
+  allocates, is float32 when all its array inputs are; mixed inputs
+  promote as numpy promotes them, to float64. A Python scalar does
+  not change the dtype (``scale``, ``relu``), but one passed to
+  ``add``/``sub``/``mul`` becomes a float64 Tensor,
 * elementwise ops broadcast numpy-style (shapes aligned from the
   trailing axis) and the backward pass sums gradients over the
   broadcast axes,
@@ -75,7 +84,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if isinstance(data, (np.ndarray, np.float32)) and data.dtype == np.float32:
+            self.data = np.asarray(data)
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -132,7 +144,7 @@ def parameter(data, rng=None, shape=None) -> Tensor:
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(x)
 
 
 class Tape:
@@ -499,7 +511,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     n = batch * t_len
     xc = _channel_major(xd)
     # patches[i, j, b*T + t] = x[b, i, t + j - pad], zero outside sequence b
-    patches = np.empty((c_in, k, n))
+    patches = np.empty((c_in, k, n), dtype=xd.dtype)
     for j in range(k):
         _shifted(patches[:, j], xc, j - pad, add=False)
         _zero_outside(patches[:, j], j, pad, batch, t_len)
@@ -524,7 +536,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 # scatter into a zeroed buffer would
                 for j in range(k):
                     _zero_outside(gp[:, j], j, pad, batch, t_len)
-                gx = np.empty((c_in, n))
+                gx = np.empty((c_in, n), dtype=gp.dtype)
                 for j in range(k):
                     _shifted(gx, gp[:, j], pad - j, add=j > 0)
                 _accum(x, _batch_major_view(gx, batch, t_len, squeeze), fresh=True)

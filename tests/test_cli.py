@@ -2,15 +2,20 @@
 
 import csv
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from durflow import cli
 from durflow.cli import main
 from durflow.data import CorpusSpec, generate, save
 from durflow.duration import DurationModel, save_model
+from durflow.evaluation import corpus_frames
 from durflow.nn import load_params, save_params
 from durflow.training import train_model
+from test_duration import BAD_PARAMETER_ARRAYS, rewrite_param
 
 
 def run(argv, capsys):
@@ -154,6 +159,17 @@ def test_config_file_overrides_defaults_and_flags_win(tmp_path, capsys,
     assert len(read_losses(out2 / "loss-det.csv")) == 9
     echoed = (out2 / "config.txt").read_text()
     assert "steps=9" in echoed and "batch=4" in echoed
+
+
+def test_config_echo_records_thread_settings(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("DURFLOW_THREADS", "2")
+    code, _, _ = run(["gen", "--seed", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    lines = (tmp_path / "config.txt").read_text().splitlines()
+    assert lines[-3:] == ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=unset",
+                          "DURFLOW_THREADS=2"]
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path, capsys,
@@ -306,6 +322,48 @@ def test_sample_checkpoint_with_mistyped_metadata_is_runtime_error(
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "typed.npz" in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "complex", "string"])
+def test_sample_bad_parameter_array_is_runtime_error(tmp_path, capsys,
+                                                     tiny_checkpoints, bad):
+    paths, corpus_path = tiny_checkpoints
+    name = "predictor.conv1.weight"
+    array = load_params(paths["fm"])[0][name]
+    broken = rewrite_param(paths["fm"], tmp_path / "arrays.npz", name,
+                           BAD_PARAMETER_ARRAYS[bad](array))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["sample", "--checkpoint", str(broken), "--corpus",
+                            corpus_path, "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "arrays.npz" in err and f"'{name}'" in err
+    assert not (tmp_path / "s" / "durations.txt").exists()
+
+
+def test_sample_failing_midway_keeps_old_durations(tmp_path, capsys,
+                                                   tiny_checkpoints, monkeypatch):
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "s"
+    argv = ["sample", "--checkpoint", paths["fm"], "--corpus", corpus_path,
+            "--reps", "2", "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    old = (out / "durations.txt").read_bytes()
+
+    def broken_frames(*args):
+        # the last sentence's frames cannot be written, so the writer
+        # fails after the header and every other row
+        frames = corpus_frames(*args)
+        last = list(frames)[-1]
+        frames[last] = [np.full(f.shape, np.nan) for f in frames[last]]
+        return frames
+
+    monkeypatch.setattr(cli, "corpus_frames", broken_frames)
+    code, _, err = run(argv + ["--seed", "1"], capsys)
+    assert code == 2 and err.startswith("error:")
+    assert (out / "durations.txt").read_bytes() == old
+    assert sorted(os.listdir(out)) == ["config.txt", "durations.txt"]
 
 
 # ---------------------------------------------------------------- eval

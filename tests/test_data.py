@@ -267,6 +267,31 @@ class TestFileFormat:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load(path)
 
+    def test_duplicate_sentence_id_reports_both_lines(self, tmp_path):
+        path = tmp_path / "d.durcorpus"
+        save(generate(CorpusSpec(style="read", num_sentences=3, seed=0)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[1].split("\t", 1)[0] + "\t" + lines[3].split("\t", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match="d.durcorpus: line 4: sentence id 0 already used on line 2"):
+            load(path)
+
+    def test_short_validation_file_names_file(self, tmp_path):
+        path = tmp_path / "v.durcorpus"
+        save(generate(CorpusSpec(style="read", seed=0), "val"), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(CorpusFormatError, match="v.durcorpus: .*100 sentences, got 99"):
+            load(path)
+
+    def test_non_utf8_file_names_file(self, tmp_path):
+        path = tmp_path / "b.durcorpus"
+        save(generate(CorpusSpec(style="read", num_sentences=2, seed=0)), path)
+        path.write_bytes(path.read_bytes().replace(b"\t", b"\xff", 1))
+        with pytest.raises(CorpusFormatError, match="b.durcorpus: not UTF-8"):
+            load(path)
+
     @pytest.mark.parametrize("token, reason", [
         (30, "outside the vocabulary of size 24"),
         (BIMODAL_ID, "no duration law"),  # read corpora declare no bimodal class

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -481,6 +483,26 @@ def rewrite_meta(src, dst, **changes):
 TINY_DIMS = {"encoder_dim": 8, "hidden": 10, "noise_dim": 4, "time_dim": 8}
 
 
+def rewrite_param(src, dst, name, value):
+    """Copy a checkpoint with one parameter array replaced by ``value``,
+    stored as given (``nn.save_params`` would convert it to float64)."""
+    arrays, meta = nn.load_params(src)
+    arrays[name] = value
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, __meta__=meta_bytes, **arrays)
+    return dst
+
+
+BAD_PARAMETER_ARRAYS = {
+    "nan": lambda a: np.where(np.arange(a.size).reshape(a.shape) == 1, np.nan, a),
+    "inf": lambda a: np.full_like(a, -np.inf),
+    "complex": lambda a: a + 1j,
+    "string": lambda a: np.full(a.shape, "0.5"),
+    "int": lambda a: np.zeros(a.shape, dtype=np.int64),
+}
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
         model = tiny_model("fm", seed=3)
@@ -532,6 +554,26 @@ class TestCheckpointRoundTrip:
         bad = rewrite_meta(good, tmp_path / "bad.npz", **{key: value})
         with pytest.raises(ValueError, match=f"bad.npz: .*'{key}"):
             load_model(bad)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PARAMETER_ARRAYS))
+    def test_bad_parameter_array_names_file_and_parameter(self, tmp_path, bad):
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("fm"), good)
+        name = "predictor.conv2.weight"
+        array = nn.load_params(good)[0][name]
+        path = rewrite_param(good, tmp_path / "bad.npz", name,
+                             BAD_PARAMETER_ARRAYS[bad](array))
+        with pytest.raises(ValueError, match=f"bad.npz: .*'{name}'"):
+            load_model(path)
+
+    def test_float32_parameter_array_loads(self, tmp_path):
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("fm"), good)
+        name = "predictor.proj.bias"
+        array = nn.load_params(good)[0][name].astype(np.float32) + 0.25
+        loaded = load_model(rewrite_param(good, tmp_path / "f32.npz", name, array))
+        assert loaded.params()[name].data.dtype == np.float64
+        assert np.array_equal(loaded.params()[name].data, array)
 
     def test_odd_time_dim_names_file(self, tmp_path):
         good = tmp_path / "good.npz"

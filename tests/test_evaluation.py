@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 from _oracles import rounded_lognormal_moments
+from durflow import evaluation
+from durflow import numerics as nm
 from durflow.data import BIMODAL_ID, CorpusSpec, generate
-from durflow.duration import DurationModel, LogDurations, SampleOptions, to_frames
+from durflow.duration import (
+    DurationModel,
+    LogDurations,
+    SampleOptions,
+    quantisation_residual,
+    to_frames,
+)
 from durflow.encoder import PAUSE_ID
 from durflow.evaluation import (
     DEFAULT_NFE_LIST,
@@ -144,6 +152,76 @@ def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):
     assert any(
         not np.array_equal(a[sid][0], a[sid][1]) for sid in a
     )
+
+
+# ---------------------------------------------------------------- precision
+
+
+@pytest.fixture(scope="module")
+def spont_fm():
+    """A briefly trained full-size fm model and its spont val corpus."""
+    spec = CorpusSpec(style="spont", seed=2)
+    model = DurationModel("fm", spec.vocab_size, seed=2)
+    train_model(model, generate(spec, "train"), 100, batch_size=16, seed=2)
+    return model, generate(spec, "val")
+
+
+@pytest.mark.parametrize("nfe", [1, 10])
+def test_float32_pass_matches_float64_pass(spont_fm, monkeypatch, nfe):
+    model, val = spont_fm
+    opts = SampleOptions(nfe=nfe, seed=3)
+    single = corpus_log_values(model, val, opts)
+    monkeypatch.setattr(evaluation, "SAMPLING_DTYPE", np.float64)
+    double = corpus_log_values(model, val, opts)
+    a = np.concatenate([single[s.sent_id] for s in val.sentences])
+    b = np.concatenate([double[s.sent_id] for s in val.sentences])
+    assert a.dtype == b.dtype == np.float64
+    same = np.mean(to_frames(LogDurations(a)) == to_frames(LogDurations(b)))
+    assert same >= 0.999
+    assert abs(quantisation_residual(LogDurations(a))
+               - quantisation_residual(LogDurations(b))) <= 1e-3
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_corpus_pass_runs_in_float32(tiny_det, tiny_fm, tiny_corpus, monkeypatch, kind):
+    model = {"det": tiny_det, "fm": tiny_fm}[kind]
+    dtypes = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            dtypes.append(out.data.dtype)
+            return out
+        return wrapped
+
+    for name in ("conv1d", "layer_norm"):
+        monkeypatch.setattr(nm, name, spy(getattr(nm, name)))
+    values = corpus_log_values(model, tiny_corpus, SampleOptions(nfe=3))
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    assert {v.dtype for v in values.values()} == {np.dtype(np.float64)}
+    assert all(p.data.dtype == np.float64 for p in model.params().values())
+
+
+def test_parameter_edit_shows_in_next_pass(tiny_corpus):
+    def fresh():
+        return DurationModel("fm", 24, seed=5, encoder_dim=16, hidden=24,
+                             noise_dim=8, time_dim=8)
+
+    def edit(model):
+        for name in ("encoder.conv.weight", "predictor.conv2.weight",
+                     "predictor.proj.bias"):
+            model.params()[name].data[...] += 0.25
+
+    model, reference = fresh(), fresh()
+    opts = SampleOptions(nfe=2, seed=1)
+    before = corpus_log_values(model, tiny_corpus, opts)
+    edit(model)
+    edit(reference)
+    after = corpus_log_values(model, tiny_corpus, opts)
+    want = corpus_log_values(reference, tiny_corpus, opts)
+    for s in tiny_corpus.sentences:
+        assert not np.array_equal(after[s.sent_id], before[s.sent_id])
+        assert np.array_equal(after[s.sent_id], want[s.sent_id])
 
 
 # ---------------------------------------------------------------- stats

@@ -163,7 +163,33 @@ class TestParamCount:
             nn.LayerSpec("attention", 8, 8).count()
 
 
+class TestCastCopy:
+    def test_copy_holds_float32_and_leaves_the_original(self):
+        model = nn.TimeEmbedding(8, np.random.default_rng(3))
+        copy = nn.cast_copy(model, np.float32)
+        assert list(copy.params()) == list(model.params())
+        for name, p in copy.params().items():
+            original = model.params()[name]
+            assert p.data.dtype == np.float32 and original.data.dtype == np.float64
+            assert np.array_equal(p.data, original.data.astype(np.float32))
+            assert p is not original and not p.requires_grad
+        t = np.array([0.0, 0.5])
+        assert np.allclose(copy(t).data, model(t).data, atol=1e-5)
+
+    def test_copy_does_not_follow_the_original(self):
+        layer = nn.Conv1d(2, 3, 3, np.random.default_rng(4))
+        copy = nn.cast_copy(layer, np.float32)
+        layer.weight.data[...] += 1.0
+        assert np.array_equal(copy.weight.data, (layer.weight.data - 1.0).astype(np.float32))
+
+
 class TestCheckpoint:
+    def test_written_at_the_given_name(self, tmp_path):
+        path = tmp_path / "bare"
+        nn.save_params(path, {"w": np.ones(3)}, {})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare"]
+        assert np.array_equal(nn.load_params(path)[0]["w"], np.ones(3))
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
         arrays = {

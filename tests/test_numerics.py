@@ -341,3 +341,65 @@ def test_random_elementwise_chain_gradient(seed):
         return nm.mean(nm.mul(nm.exp(nm.mul(ta, tb)), nm.log(ta)))
 
     assert fd_gradcheck(fn, [a, b]) < GRAD_TOL
+
+
+class TestDtypes:
+    def test_tensor_keeps_float32_and_converts_the_rest_to_float64(self):
+        assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.float32(2.0)).data.dtype == np.float32
+        for data in (np.arange(3), [1, 2, 3], [0.5, 1.5], 2, 0.5, np.float64(2.0),
+                     np.ones(2, dtype=np.float16), [np.float32(1.0)]):
+            assert Tensor(data).data.dtype == np.float64, data
+
+    def test_float64_data_is_not_copied(self):
+        a = np.ones(4)
+        assert Tensor(a).data is a
+
+    def test_ops_keep_float32(self):
+        rng = np.random.default_rng(4)
+
+        def t(*shape):
+            return Tensor(rng.normal(size=shape).astype(np.float32))
+
+        x = t(2, 3, 5)
+        outs = {
+            "conv1d": nm.conv1d(x, t(4, 3, 3), t(4)),
+            "conv1d_2d": nm.conv1d(t(3, 5), t(4, 3, 1), t(4)),
+            "layer_norm": nm.layer_norm(x, t(3), t(3)),
+            "add": nm.add(x, t(3, 1)),
+            "mul": nm.mul(x, x),
+            "scale": nm.scale(x, 0.5),
+            "relu": nm.relu(x),
+            "exp": nm.exp(x),
+            "matmul": nm.matmul(t(2, 3), t(3, 4)),
+            "take_rows": nm.take_rows(t(6, 3), np.array([[0, 5], [2, 2]])),
+            "concat": nm.concat([x, x], axis=1),
+            "permute": nm.permute(x, (0, 2, 1)),
+            "tensor_sum": nm.tensor_sum(x),
+            "mean": nm.mean(x),
+        }
+        for name, out in outs.items():
+            assert out.data.dtype == np.float32, name
+
+    def test_float32_conv_and_norm_match_float64(self):
+        rng = np.random.default_rng(5)
+        x, w, b = rng.normal(size=(2, 6, 9)), rng.normal(size=(4, 6, 3)), rng.normal(size=4)
+        g, c = rng.uniform(0.5, 1.5, size=6), rng.normal(size=6)
+
+        def f32(a):
+            return Tensor(a.astype(np.float32))
+
+        conv = nm.conv1d(f32(x), f32(w), f32(b)).data
+        assert np.allclose(conv, ref_conv1d(x, w, b), atol=1e-5)
+        norm = nm.layer_norm(f32(x), f32(g), f32(c)).data
+        assert np.allclose(norm, ref_layer_norm(x, g, c), atol=1e-5)
+
+    def test_float32_gradients_are_float32(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 3, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        with record() as tape:
+            loss = nm.tensor_sum(nm.conv1d(x, w, b))
+        tape.backward(loss)
+        assert {x.grad.dtype, w.grad.dtype, b.grad.dtype} == {np.dtype(np.float32)}
