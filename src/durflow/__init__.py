@@ -36,9 +36,11 @@ from durflow.evaluation import (
     residual_vs_nfe,
     write_report,
 )
+from durflow.nn import CheckpointFormatError
 from durflow.training import train_model
 
 __all__ = [
+    "CheckpointFormatError",
     "CorpusSpec",
     "DurationCorpus",
     "DurationModel",

@@ -31,6 +31,7 @@ from durflow import numerics as nm
 from durflow import nn
 from durflow.data import round_half_away
 from durflow.encoder import ConditioningSequence, TextEncoder, ENCODER_DIM
+from durflow.nn import CheckpointFormatError
 from durflow.numerics import Tensor
 
 OT_SIGMA = 1e-4
@@ -146,31 +147,57 @@ class FlowPredictor(nn.Module):
         return self.proj(h)
 
     def condition(self, cond: Tensor) -> FlowCondition:
-        """Split conv1 at the conditioning channels for one batch of cond.
+        """Everything of conv1 that does not depend on x, for one batch of cond.
 
         Convolution is linear in its input channels, so conv1 over
-        concat(cond, noise) is conv1 over the cond channels, bias
+        concat(cond, noise_proj(x)) is conv1 over the cond channels, bias
         included, plus conv1 over the noise channels without bias. The
-        first part depends on neither x nor t and is computed here.
+        pointwise noise_proj (weight P, bias b) folds into the second
+        part: with W conv1's kernel slice for the noise channels, it is
+        x convolved with the one-channel kernel K[o, j] = sum_c W[o, c, j] P[c],
+        plus the bias term E[o, j] = sum_c W[o, c, j] b[c] convolved with
+        ones that, like noise_proj's output, are zero-padded, so the
+        term differs at the two sequence edges. K and E are summed in
+        float64, then cast to the parameters' dtype. The cond part
+        and the bias term depend on neither x nor t and are computed
+        here, once.
         """
         weight = self.conv1.weight.data
-        return FlowCondition(
-            nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias),
-            Tensor(np.ascontiguousarray(weight[:, self.cond_dim:])),
-        )
+        dtype = weight.dtype
+        proj = np.stack([self.noise_proj.weight.data[:, 0, 0], self.noise_proj.bias.data])
+        # (hidden, 2, 3): row 0 of each output channel is K, row 1 is E
+        folded = (proj.astype(np.float64) @ weight[:, self.cond_dim:]).astype(dtype)
+        ones = np.ones((1, cond.data.shape[-1]), dtype=dtype)
+        edge_part = nm.conv1d(Tensor(ones), Tensor(folded[:, 1:]),
+                              Tensor(np.zeros(self.hidden, dtype=dtype)))
+        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias)
+        part.data += edge_part.data
+        return FlowCondition(part, Tensor(np.ascontiguousarray(folded[:, :1])))
 
 
 @dataclass
 class FlowCondition:
-    """A FlowPredictor's conv1 split at the conditioning channels, for one
-    batch: ``part`` is conv1 over the cond channels plus the bias
-    (B, hidden, T), ``noise_weight`` the kernel slice that each Euler step
-    applies to the projected noise channels. Both are taken from the
-    parameters as they were when it was made, so it is valid only until
-    they next change."""
+    """The x-free part of a FlowPredictor's conv1, for one batch.
+
+    ``part`` (B, hidden, T), channel-major in memory, is conv1 over the
+    cond channels plus its bias plus the edge-aware bias term of the
+    folded noise projection; ``noise_weight`` (hidden, 1, 3) is the
+    folded kernel that each Euler step convolves x with. Both are taken
+    from the parameters as they were when it was made, so it is valid
+    only until they next change.
+    """
 
     part: Tensor
     noise_weight: Tensor
+
+    def repeat(self, reps: int) -> FlowCondition:
+        """The condition of ``reps`` copies of the batch stacked rep-major:
+        row r*B + b of the result's part is row b of this one. The
+        copies keep the channel-major memory layout."""
+        if reps == 1:
+            return self
+        tiled = np.tile(self.part.data.transpose(1, 0, 2), (1, reps, 1))
+        return FlowCondition(Tensor(tiled.transpose(1, 0, 2)), self.noise_weight)
 
 
 class DurationModel(nn.Module):
@@ -218,49 +245,51 @@ def _is_int(value) -> bool:
 
 
 def _check_meta(path, meta: dict):
-    """Raise ValueError naming the file and key of any malformed metadata."""
+    """Raise CheckpointFormatError naming the file and key of any
+    malformed metadata."""
+    def bad(message):
+        return CheckpointFormatError(f"{path}: checkpoint metadata {message}")
+
     for key in ("kind", "vocab_size", "seed", "dims", "trained_steps"):
         if key not in meta:
-            raise ValueError(f"{path}: checkpoint metadata lacks '{key}'")
+            raise bad(f"lacks '{key}'")
     if meta["kind"] not in ("det", "fm"):
-        raise ValueError(f"{path}: checkpoint metadata 'kind' must be 'det' or 'fm', "
-                         f"got {meta['kind']!r}")
+        raise bad(f"'kind' must be 'det' or 'fm', got {meta['kind']!r}")
     for key, low in (("vocab_size", 1), ("seed", 0), ("trained_steps", 0)):
         if not _is_int(meta[key]) or meta[key] < low:
-            raise ValueError(f"{path}: checkpoint metadata '{key}' must be an integer "
-                             f">= {low}, got {meta[key]!r}")
+            raise bad(f"'{key}' must be an integer >= {low}, got {meta[key]!r}")
     dims = meta["dims"]
     if not isinstance(dims, dict) or set(dims) != set(DIM_KEYS):
-        raise ValueError(f"{path}: checkpoint metadata 'dims' must be an object with "
-                         f"the keys {list(DIM_KEYS)}, got {dims!r}")
+        raise bad(f"'dims' must be an object with the keys {list(DIM_KEYS)}, got {dims!r}")
     for key in DIM_KEYS:
         if not _is_int(dims[key]) or dims[key] < 1:
-            raise ValueError(f"{path}: checkpoint metadata 'dims.{key}' must be a "
-                             f"positive integer, got {dims[key]!r}")
+            raise bad(f"'dims.{key}' must be a positive integer, got {dims[key]!r}")
 
 
 def load_model(path) -> DurationModel:
+    """Read a checkpoint written by :func:`save_model`. Any malformed
+    checkpoint raises CheckpointFormatError naming the file."""
     arrays, meta = nn.load_params(path)
     _check_meta(path, meta)
     try:
         model = DurationModel(meta["kind"], meta["vocab_size"], seed=meta["seed"],
                               **meta["dims"])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
     params = model.params()
     if set(params) != set(arrays):
-        missing = set(params) ^ set(arrays)
-        raise ValueError(f"{path}: checkpoint parameter mismatch: {sorted(missing)[:4]}")
+        missing = sorted(set(params) ^ set(arrays))[:4]
+        raise CheckpointFormatError(f"{path}: checkpoint parameter mismatch: {missing}")
     for name, p in params.items():
         array = arrays[name]
+        where = f"{path}: checkpoint parameter '{name}'"
         if array.dtype.kind != "f":
-            raise ValueError(f"{path}: checkpoint parameter '{name}' has dtype "
-                             f"{array.dtype}, not a real floating dtype")
+            raise CheckpointFormatError(
+                f"{where} has dtype {array.dtype}, not a real floating dtype")
         if p.data.shape != array.shape:
-            raise ValueError(f"{path}: checkpoint shape mismatch for '{name}'")
+            raise CheckpointFormatError(f"{path}: checkpoint shape mismatch for '{name}'")
         if not np.all(np.isfinite(array)):
-            raise ValueError(f"{path}: checkpoint parameter '{name}' holds a "
-                             f"non-finite value")
+            raise CheckpointFormatError(f"{where} holds a non-finite value")
         p.data[...] = array
     model.trained_steps = meta["trained_steps"]
     return model
@@ -322,14 +351,16 @@ def fm_sample_batch(model: DurationModel, cond, noise: np.ndarray,
                     nfe: int) -> np.ndarray:
     """Euler-integrate the learned field for a batch; returns x at t=1.
 
-    cond is the (B, D, T) encoder output, or its FlowCondition
-    (``model.predictor.condition(cond)``) when several noise batches
-    share it; noise is the t=0 state (B, 1, T). Each of the nfe steps
-    evaluates the field at t = i/nfe and advances by 1/nfe.
+    cond is the (B, D, T) encoder output, or a FlowCondition of B rows
+    (``model.predictor.condition(cond)``, possibly ``.repeat``-ed) when
+    several noise batches share it; noise is the t=0 state (B, 1, T).
+    Each of the nfe steps evaluates the field at t = i/nfe and advances
+    by 1/nfe.
 
     What depends on neither x nor the step is computed once per call:
-    conv1 over the conditioning channels, and the two time rows of every
-    grid point. A step convolves only the noise channels and runs the
+    conv1 over the conditioning channels with the folded noise
+    projection's bias term, and the two time rows of every grid point.
+    A step convolves x with the folded one-channel kernel and runs the
     layers after conv1. Nothing outlives the call, so a change to the
     parameters shows in the next call.
 
@@ -350,8 +381,8 @@ def fm_sample_batch(model: DurationModel, cond, noise: np.ndarray,
     dt = 1.0 / nfe
     for i in range(nfe):
         # the first time shift rides on the noise convolution as its bias
-        noise_part = nm.conv1d(predictor.noise_proj(Tensor(x.astype(dtype, copy=False))),
-                               cond.noise_weight, Tensor(rows1[i]))
+        noise_part = nm.conv1d(Tensor(x.astype(dtype, copy=False)), cond.noise_weight,
+                               Tensor(rows1[i]))
         h = nm.add(cond.part, noise_part)
         x = x + dt * predictor._tail(h, Tensor(rows2[i])).data
     return x

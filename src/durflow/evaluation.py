@@ -9,9 +9,14 @@ Three experiment families:
 * bench_sampling: wall-clock cost of sampling as a function of steps.
 
 Corpus-level sampling derives one random stream per (sentence, rep)
-from the option seed, so results do not depend on batching or on how
-work is spread over threads. The DURFLOW_THREADS environment variable
-caps the worker count (default 1).
+from the option seed, so the noise a sample starts from depends neither
+on batching nor on how work is spread over threads. The realisations
+of a length group run stacked in one Euler batch of at most
+MAX_BATCH_COLUMNS columns; the batch width changes how BLAS blocks its
+products, so a stacked realisation can differ from a one-realisation
+pass in its last float32 bits (see the README for the measured
+parity). The DURFLOW_THREADS environment variable caps the worker count
+(default 1).
 
 Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
 a copy of the model made at the start of each pass, while the Euler
@@ -48,6 +53,11 @@ from durflow.files import atomic_write
 DEFAULT_NFE_LIST = (1, 2, 4, 8, 10, 16, 32)
 # the dtype corpus-level sampling runs the network in
 SAMPLING_DTYPE = np.float32
+# columns (stacked sentences x reps x positions) per fm_sample_batch call
+# at most, unless one rep of a length group alone is wider: float32 GEMM
+# throughput levels off near this width, and a fixed cap keeps many-rep
+# passes from multiplying peak memory
+MAX_BATCH_COLUMNS = 2048
 
 
 def worker_count() -> int:
@@ -72,10 +82,11 @@ def _groups_by_length(corpus: DurationCorpus):
 def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) -> list:
     """Log-duration rows for one equal-length sentence group, one dict per rep.
 
-    The group is encoded once, and for an fm model conv1's conditioning
-    part is computed once, for all reps. FM noise comes from a
-    per-(sentence, rep) stream, so neither the grouping nor the other
-    reps ever influence a sample.
+    The group is encoded once, and for an fm model conv1's x-free part
+    is computed once, for all reps. The reps then run stacked, as many
+    per ``fm_sample_batch`` call as fit in MAX_BATCH_COLUMNS (at least
+    one). FM noise comes from a per-(sentence, rep) stream, so neither
+    the grouping nor the other reps ever influence a sample's noise.
     """
     ids = np.stack([s.seq.ids for s in group])
     cond = model.encoder(ids)  # (B, D, T)
@@ -83,18 +94,23 @@ def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) ->
         values = model.predictor(cond).data[:, 0, :].astype(np.float64)
         return [{s.sent_id: values[i] for i, s in enumerate(group)} for _ in reps]
     cond = model.predictor.condition(cond)
-    t_len = ids.shape[1]
+    batch, t_len = ids.shape
+    reps = list(reps)
+    # as few calls as the column budget allows, their sizes differing by one at most
+    calls = -(-len(reps) // max(1, MAX_BATCH_COLUMNS // (batch * t_len)))
     out = []
-    for rep in reps:
+    for k in range(calls):
+        chunk = reps[k * len(reps) // calls:(k + 1) * len(reps) // calls]
         noise = np.stack([
             opts.temperature
             * np.random.default_rng(
                 np.random.SeedSequence([opts.seed, s.sent_id, rep])
             ).standard_normal((1, t_len))
-            for s in group
+            for rep in chunk for s in group
         ])
-        values = fm_sample_batch(model, cond, noise, opts.nfe)[:, 0, :]
-        out.append({s.sent_id: values[i] for i, s in enumerate(group)})
+        values = fm_sample_batch(model, cond.repeat(len(chunk)), noise, opts.nfe)[:, 0, :]
+        for r in range(len(chunk)):
+            out.append({s.sent_id: values[r * batch + i] for i, s in enumerate(group)})
     return out
 
 
@@ -134,7 +150,8 @@ def corpus_frames(model: DurationModel, corpus: DurationCorpus,
                   opts: SampleOptions, reps: int = 1) -> dict:
     """Map sent_id -> list of integer duration arrays, one per realisation.
 
-    Realisation r equals ``to_frames`` of ``corpus_log_values(..., rep=r)``.
+    Realisation r starts from the noise of ``corpus_log_values(..., rep=r)``;
+    the realisations of each length group run stacked.
     """
     per_rep = _corpus_log_values(model, corpus, opts, range(reps))
     return {
@@ -296,21 +313,26 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
                    opts: SampleOptions = None) -> list:
     """Median wall time of a full-corpus sampling pass at each NFE count.
 
-    One warm-up pass runs before any timing. Rows are dicts with keys
-    model, nfe, median_ms, ms_per_nfe (median_ms divided by nfe).
+    One warm-up pass runs before any timing. Each repetition times one
+    pass per NFE count, in an order rotated by one every repetition.
+    Rows are dicts with keys model, nfe, median_ms, ms_per_nfe
+    (median_ms divided by nfe).
     """
     opts = opts or SampleOptions()
     nfe_list = tuple(int(n) for n in nfe_list)
     corpus_log_values(model, corpus_val, replace(opts, nfe=nfe_list[0]))
-    rows = []
-    for nfe in nfe_list:
-        step_opts = replace(opts, nfe=nfe)
-        times = []
-        for _ in range(repetitions):
+    times = [[] for _ in nfe_list]
+    for repetition in range(repetitions):
+        # the order rotates each repetition, so drift hits every NFE alike
+        for k in range(len(nfe_list)):
+            index = (repetition + k) % len(nfe_list)
+            step_opts = replace(opts, nfe=nfe_list[index])
             t0 = time.perf_counter()
             corpus_log_values(model, corpus_val, step_opts)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        median_ms = statistics.median(times)
+            times[index].append((time.perf_counter() - t0) * 1000.0)
+    rows = []
+    for nfe, nfe_times in zip(nfe_list, times):
+        median_ms = statistics.median(nfe_times)
         rows.append({
             "model": model.kind,
             "nfe": nfe,

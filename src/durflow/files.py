@@ -1,7 +1,7 @@
 """Writing artifacts so that a reader never sees half a file.
 
-Every file durflow writes as a whole (checkpoints, corpora,
-``durations.txt``, the report CSVs) goes through :func:`atomic_write`:
+Every file durflow writes (checkpoints, corpora, ``durations.txt``,
+the report CSVs, the loss log) goes through :func:`atomic_write`:
 the content goes to a temporary file in the target's directory, which
 ``os.replace`` then renames over the target. A writer that fails or is
 interrupted part-way leaves the previous file, or no file, and removes

@@ -23,6 +23,11 @@ from durflow.numerics import Tensor, parameter
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointFormatError(ValueError):
+    """A file that is not a well-formed durflow checkpoint. The message
+    names the file and, where one is at fault, the key or parameter."""
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Shape-level description of a layer, enough to count its parameters."""
@@ -264,8 +269,8 @@ def load_params(path):
 
     Returns (arrays, meta). A file that is not such a checkpoint (not an
     .npz archive, a plain .npy array, truncated, or without a JSON
-    metadata object) and an unknown version raise ValueError naming the
-    file.
+    metadata object) and an unknown version raise CheckpointFormatError
+    naming the file.
     """
     try:
         # opened here, not by np.load, which leaves its own handle open
@@ -282,10 +287,10 @@ def load_params(path):
     # zipfile raises RuntimeError for an entry marked encrypted and
     # NotImplementedError, a RuntimeError, for an unknown compression
     except (zipfile.BadZipFile, EOFError, ValueError, RuntimeError) as exc:
-        raise ValueError(f"{path}: not a durflow checkpoint ({exc})") from exc
+        raise CheckpointFormatError(f"{path}: not a durflow checkpoint ({exc})") from exc
     if not isinstance(meta, dict):
-        raise ValueError(f"{path}: checkpoint metadata is not a JSON object")
+        raise CheckpointFormatError(f"{path}: checkpoint metadata is not a JSON object")
     version = meta.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
     return arrays, meta

@@ -492,7 +492,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     The batch is flattened to B*T columns of a channel-major matrix.
     The forward pass fills a (C_in*k, B*T) patch matrix with k shifted
     copies of the input, zeroing the steps whose tap falls outside its
-    sequence, and performs one dgemm. The backward pass is
+    sequence, and performs one dgemm; for k=1 the channel-major input
+    itself is that matrix, with no copy. The backward pass is
     two dgemms, after which each input step sums its taps' shifted
     slices in tap order. Output shape matches the input layout with C_in
     replaced by C_out; its memory is channel-major.
@@ -510,12 +511,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     pad = (k - 1) // 2
     n = batch * t_len
     xc = _channel_major(xd)
-    # patches[i, j, b*T + t] = x[b, i, t + j - pad], zero outside sequence b
-    patches = np.empty((c_in, k, n), dtype=xd.dtype)
-    for j in range(k):
-        _shifted(patches[:, j], xc, j - pad, add=False)
-        _zero_outside(patches[:, j], j, pad, batch, t_len)
-    patches = patches.reshape(c_in * k, n)
+    if k == 1:
+        # one tap with no shift: the channel-major input is the patch matrix
+        patches = xc
+    else:
+        # patches[i, j, b*T + t] = x[b, i, t + j - pad], zero outside sequence b
+        patches = np.empty((c_in, k, n), dtype=xd.dtype)
+        for j in range(k):
+            _shifted(patches[:, j], xc, j - pad, add=False)
+            _zero_outside(patches[:, j], j, pad, batch, t_len)
+        patches = patches.reshape(c_in * k, n)
     w2 = weight.data.reshape(c_out, c_in * k)
     out2 = w2 @ patches
     out2 += bias.data[:, None]
@@ -529,16 +534,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             if bias.requires_grad:
                 _accum(bias, g2.sum(axis=1), fresh=True)
             if x.requires_grad:
-                gp = (w2.T @ g2).reshape(c_in, k, n)
-                # drop each tap's terms that fall outside their sequence, so
-                # the flat shifted sums below add +0.0 there; every input
-                # step then sums its taps in the same order as a window
-                # scatter into a zeroed buffer would
-                for j in range(k):
-                    _zero_outside(gp[:, j], j, pad, batch, t_len)
-                gx = np.empty((c_in, n), dtype=gp.dtype)
-                for j in range(k):
-                    _shifted(gx, gp[:, j], pad - j, add=j > 0)
+                gx = w2.T @ g2
+                if k > 1:
+                    gp = gx.reshape(c_in, k, n)
+                    # drop each tap's terms that fall outside their sequence,
+                    # so the flat shifted sums below add +0.0 there; every
+                    # input step then sums its taps in the same order as a
+                    # window scatter into a zeroed buffer would
+                    for j in range(k):
+                        _zero_outside(gp[:, j], j, pad, batch, t_len)
+                    gx = np.empty((c_in, n), dtype=gp.dtype)
+                    for j in range(k):
+                        _shifted(gx, gp[:, j], pad - j, add=j > 0)
                 _accum(x, _batch_major_view(gx, batch, t_len, squeeze), fresh=True)
         _active_tape._push(out, backward_fn)
     return out

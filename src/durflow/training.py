@@ -8,11 +8,14 @@ the same loss trajectory bit for bit.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from durflow import numerics as nm
 from durflow.duration import DurationModel, log_targets, loss
 from durflow.data import DurationCorpus, zero_allowed
+from durflow.files import atomic_write
 from durflow.numerics import Adam, record
 
 BATCH_STREAM = 11
@@ -49,8 +52,10 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
                 loss_path=None) -> np.ndarray:
     """Run Adam for `steps` updates; returns the per-step loss trajectory.
 
-    Optionally streams a `step,loss` CSV to loss_path. A non-finite
-    loss aborts with a diagnostic rather than training onward.
+    Optionally streams a `step,loss` CSV into a temporary file beside
+    loss_path that replaces loss_path once every step has run, so an
+    aborted run leaves the previous file, or none. A non-finite loss
+    aborts with a diagnostic rather than training onward.
     """
     nm.keep_freed_memory()
     buckets = _prepare(corpus)
@@ -59,8 +64,7 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     opt = Adam(model.params(), lr=lr)
     losses = np.empty(steps)
 
-    writer = open(loss_path, "w", encoding="utf-8") if loss_path else None
-    try:
+    with (atomic_write(loss_path) if loss_path else contextlib.nullcontext()) as writer:
         if writer:
             writer.write("step,loss\n")
         step = 0
@@ -77,9 +81,6 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
                 if writer:
                     writer.write(f"{step},{loss_value!r}\n")
                 step += 1
-    finally:
-        if writer:
-            writer.close()
     model.trained_steps += steps
     return losses
 

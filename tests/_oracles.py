@@ -122,6 +122,35 @@ def window_scatter_conv1d_grads(x, w, g):
     return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
 
 
+def copied_patch_pointwise_conv1d(x, w, b, g):
+    """A k=1 conv1d and its adjoint through an explicitly copied
+    (C_in, B*T) patch matrix, the way every kernel width once built it.
+
+    Returns (out, grad_x, grad_w, grad_b) for upstream gradient ``g``,
+    in the dtype of the inputs.
+    """
+    squeeze = x.ndim == 2
+    xd, gd = (x[None], g[None]) if squeeze else (x, g)
+    batch, c_in, t_len = xd.shape
+    c_out = w.shape[0]
+    n = batch * t_len
+    patches = np.empty((c_in, n), dtype=x.dtype)
+    patches[...] = xd.transpose(1, 0, 2).reshape(c_in, n)
+    w2 = w.reshape(c_out, c_in)
+    g2 = np.ascontiguousarray(gd.transpose(1, 0, 2)).reshape(c_out, n)
+    out = w2 @ patches
+    out += b[:, None]
+    grad_x = np.empty((c_in, n), dtype=x.dtype)
+    grad_x[...] = w2.T @ g2
+
+    def batch_major(a2):
+        a = a2.reshape(a2.shape[0], batch, t_len).transpose(1, 0, 2)
+        return a[0] if squeeze else a
+
+    return (batch_major(out), batch_major(grad_x), (g2 @ patches.T).reshape(w.shape),
+            g2.sum(axis=1))
+
+
 def batch_major_layer_norm(x, gain, bias, g, eps=1e-5):
     """Layer norm and its adjoint, vectorised over a (B, C, T) array.
 

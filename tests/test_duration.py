@@ -22,6 +22,7 @@ from durflow.duration import (
     to_frames,
 )
 from durflow.encoder import ConditioningSequence, PhoneSequence, encode
+from durflow.nn import CheckpointFormatError
 from durflow.numerics import Tensor
 
 from _oracles import fd_gradcheck_params
@@ -330,6 +331,33 @@ class TestFmSampleBatch:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(frames_of(got), frames_of(want))
 
+    @pytest.mark.parametrize("t_len", [1, 2, 4])
+    def test_noise_projection_bias_folds_at_the_edges(self, t_len):
+        # every model starts with noise_proj.bias at zero; once it is not,
+        # the folded bias term differs at the first and last position
+        model = tiny_model("fm", seed=2)
+        rng = np.random.default_rng(20 + t_len)
+        cond = model.encoder(rng.integers(0, 6, size=(3, t_len)))
+        noise = rng.standard_normal((3, 1, t_len))
+        zero_bias = dur.fm_sample_batch(model, cond, noise, 4)
+        model.predictor.noise_proj.bias.data[...] = rng.normal(size=4)
+        got = dur.fm_sample_batch(model, cond, noise, 4)
+        want = reference_euler(model, cond, noise, 4)
+        assert not np.allclose(got, zero_bias)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_repeated_condition_matches_separate_batches(self):
+        model = tiny_model("fm", seed=2)
+        rng = np.random.default_rng(7)
+        cond = model.predictor.condition(model.encoder(rng.integers(0, 6, size=(2, 5))))
+        noise = rng.standard_normal((3 * 2, 1, 5))
+        stacked = dur.fm_sample_batch(model, cond.repeat(3), noise, 3)
+        for r in range(3):
+            rows = slice(2 * r, 2 * r + 2)
+            single = dur.fm_sample_batch(model, cond, noise[rows], 3)
+            assert np.max(np.abs(stacked[rows] - single)) <= 1e-12
+        assert cond.repeat(1) is cond
+
     def test_shared_condition_matches_encoder_output(self):
         model = tiny_model("fm", seed=2)
         rng = np.random.default_rng(8)
@@ -347,7 +375,8 @@ class TestFmSampleBatch:
         noise = rng.standard_normal((3, 1, 6))
         before = dur.fm_sample_batch(model, cond, noise, 4)
         pred = model.predictor
-        for p in (pred.conv1.weight, pred.time.lin1.weight, pred.time.lin2.weight,
+        for p in (pred.conv1.weight, pred.noise_proj.weight, pred.noise_proj.bias,
+                  pred.time.lin1.weight, pred.time.lin2.weight,
                   pred.time_to_h1.weight, pred.time_to_h2.weight):
             p.data[...] += 0.5 * rng.standard_normal(p.data.shape)
         after = dur.fm_sample_batch(model, cond, noise, 4)
@@ -500,6 +529,7 @@ BAD_PARAMETER_ARRAYS = {
     "complex": lambda a: a + 1j,
     "string": lambda a: np.full(a.shape, "0.5"),
     "int": lambda a: np.zeros(a.shape, dtype=np.int64),
+    "shape": lambda a: a[..., :1],
 }
 
 
@@ -552,7 +582,7 @@ class TestCheckpointRoundTrip:
         good = tmp_path / "good.npz"
         save_model(tiny_model("fm"), good)
         bad = rewrite_meta(good, tmp_path / "bad.npz", **{key: value})
-        with pytest.raises(ValueError, match=f"bad.npz: .*'{key}"):
+        with pytest.raises(CheckpointFormatError, match=f"bad.npz: .*'{key}"):
             load_model(bad)
 
     @pytest.mark.parametrize("bad", sorted(BAD_PARAMETER_ARRAYS))
@@ -563,8 +593,18 @@ class TestCheckpointRoundTrip:
         array = nn.load_params(good)[0][name]
         path = rewrite_param(good, tmp_path / "bad.npz", name,
                              BAD_PARAMETER_ARRAYS[bad](array))
-        with pytest.raises(ValueError, match=f"bad.npz: .*'{name}'"):
+        with pytest.raises(CheckpointFormatError, match=f"bad.npz: .*'{name}'"):
             load_model(path)
+
+    def test_missing_parameter_names_file_and_parameter(self, tmp_path):
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("fm"), good)
+        arrays, meta = nn.load_params(good)
+        del arrays["predictor.noise_proj.bias"]
+        nn.save_params(tmp_path / "bad.npz", arrays, meta)
+        with pytest.raises(CheckpointFormatError,
+                           match="bad.npz: .*'predictor.noise_proj.bias'"):
+            load_model(tmp_path / "bad.npz")
 
     def test_float32_parameter_array_loads(self, tmp_path):
         good = tmp_path / "good.npz"
@@ -579,5 +619,5 @@ class TestCheckpointRoundTrip:
         good = tmp_path / "good.npz"
         save_model(tiny_model("fm"), good)
         bad = rewrite_meta(good, tmp_path / "bad.npz", dims={**TINY_DIMS, "time_dim": 7})
-        with pytest.raises(ValueError, match="bad.npz: .*even"):
+        with pytest.raises(CheckpointFormatError, match="bad.npz: .*even"):
             load_model(bad)

@@ -14,6 +14,7 @@ from durflow.duration import (
     DurationModel,
     LogDurations,
     SampleOptions,
+    fm_sample_batch,
     quantisation_residual,
     to_frames,
 )
@@ -141,6 +142,43 @@ def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus, monkeypatch, threa
         for s in tiny_corpus.sentences:
             assert np.array_equal(frames[s.sent_id][rep],
                                   to_frames(LogDurations(values[s.sent_id])))
+
+
+def test_reps_split_under_the_column_budget(tiny_fm, tiny_corpus, monkeypatch):
+    # all reps of a length group run stacked in one fm_sample_batch call
+    # per chunk that fits the column budget; a small budget splits them
+    opts = SampleOptions(nfe=3, seed=4)
+    reps = 7
+    unsplit = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
+    calls = []
+
+    def spy(model, cond, noise, nfe):
+        calls.append(noise.shape)
+        return fm_sample_batch(model, cond, noise, nfe)
+
+    budget = 40
+    monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", budget)
+    monkeypatch.setattr(evaluation, "fm_sample_batch", spy)
+    split = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
+    assert list(split) == list(unsplit)
+    for sent_id, frames in split.items():
+        assert len(frames) == reps
+        for rep in range(reps):
+            assert np.array_equal(frames[rep], unsplit[sent_id][rep])
+    lengths = {}
+    for s in tiny_corpus.sentences:
+        lengths[len(s.seq)] = lengths.get(len(s.seq), 0) + 1
+    want = []
+    for t_len, batch in sorted(lengths.items()):
+        per_call = max(1, budget // (batch * t_len))
+        chunks = -(-reps // per_call)
+        want += [t_len] * chunks
+    assert [shape[2] for shape in calls] == want
+    assert len(calls) > len(lengths)
+    for rows, _, t_len in calls:
+        assert rows * t_len <= budget or rows == lengths[t_len]
+        assert rows % lengths[t_len] == 0
+    assert sum(rows for rows, _, _ in calls) == reps * len(tiny_corpus.sentences)
 
 
 def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):
@@ -306,6 +344,21 @@ def test_bench_rows_are_well_formed(tiny_fm, tiny_corpus):
         assert r["model"] == "fm"
         assert r["median_ms"] > 0 and np.isfinite(r["median_ms"])
         assert r["ms_per_nfe"] == pytest.approx(r["median_ms"] / r["nfe"])
+
+
+def test_bench_interleaves_nfe_passes(tiny_fm, tiny_corpus, monkeypatch):
+    # one warm-up pass, then one pass per NFE each repetition, the order
+    # rotated by one every repetition
+    order = []
+
+    def spy(model, corpus, opts):
+        order.append(opts.nfe)
+        return {}
+
+    monkeypatch.setattr(evaluation, "corpus_log_values", spy)
+    rows = bench_sampling(tiny_fm, tiny_corpus, nfe_list=(1, 2, 4), repetitions=4)
+    assert order == [1, 1, 2, 4, 2, 4, 1, 4, 1, 2, 1, 2, 4]
+    assert [r["nfe"] for r in rows] == [1, 2, 4]
 
 
 def test_bench_runs_for_det(tiny_det, tiny_corpus):

@@ -4,8 +4,9 @@ Each example truncates a valid tiny file, flips one byte of it, or
 drops one of its keys, and runs ``durflow sample`` on the result. The
 command must exit 0 with nothing on stderr, or 1 or 2 with exactly one
 ``error:`` line; it never raises, warns or prints a traceback. A file
-that no longer loads must fail with an error naming it, and a
-truncated checkpoint or one missing a key must fail.
+that no longer loads must fail with an error naming it (for a
+checkpoint, a CheckpointFormatError), and a truncated checkpoint or one
+missing a key must fail.
 """
 
 import contextlib
@@ -65,13 +66,14 @@ def sample_on(files: dict):
                          "--nfe", "1", "--reps", "1",
                          "--out", os.path.join(directory, "out")])
         loads = {}
-        for name, reader in (("model.npz", load_model), ("val.durcorpus", load)):
+        for name, reader, error in (("model.npz", load_model, nn.CheckpointFormatError),
+                                    ("val.durcorpus", load, ValueError)):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     reader(os.path.join(directory, name))
                 loads[name] = True
-            except ValueError:
+            except error:
                 loads[name] = False
     return code, err.getvalue().split("\n")[:-1], caught, loads
 

@@ -227,5 +227,26 @@ class TestCheckpoint:
         meta["checkpoint_version"] = 99
         payload["__meta__"] = np.frombuffer(js.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **payload)
-        with pytest.raises(ValueError):
+        with pytest.raises(nn.CheckpointFormatError, match="version 99"):
             nn.load_params(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "plain-npy", "no-meta", "meta-list",
+                                        "not-json"])
+    def test_malformed_file_raises_checkpoint_format_error(self, tmp_path, damage):
+        path = tmp_path / "bad.npz"
+        nn.save_params(path, {"w": np.ones(3)}, {})
+        content = path.read_bytes()
+        meta = {"meta-list": b"[1]", "not-json": b"{"}.get(damage)
+        if damage == "truncated":
+            path.write_bytes(content[:len(content) // 2])
+        elif damage == "plain-npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.ones(3))
+        else:
+            members = {} if damage == "no-meta" else {
+                "__meta__": np.frombuffer(meta, dtype=np.uint8)}
+            with open(path, "wb") as fh:
+                np.savez(fh, w=np.ones(3), **members)
+        with pytest.raises(nn.CheckpointFormatError, match="bad.npz"):
+            nn.load_params(path)
+        assert issubclass(nn.CheckpointFormatError, ValueError)

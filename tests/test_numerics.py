@@ -7,6 +7,7 @@ from durflow.numerics import Tensor, Adam, parameter, record
 
 from _oracles import (
     batch_major_layer_norm,
+    copied_patch_pointwise_conv1d,
     fd_gradcheck,
     gradient_cases,
     ref_adam,
@@ -99,6 +100,24 @@ class TestBitExactLayouts:
         want = window_scatter_conv1d_grads(xv, w.data, upstream)
         for got, expected in zip((x.grad, w.grad, b.grad), want):
             assert got.flags.c_contiguous
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(5, 9), (3, 5, 9)], ids=["2d", "batched"])
+    def test_pointwise_conv1d_equals_copied_patches(self, shape, dtype):
+        # k=1 takes the channel-major input as its patch matrix, with no copy
+        rng = np.random.default_rng(len(shape))
+        c_in, t_len = shape[-2:]
+        xv = rng.normal(size=shape).astype(dtype)
+        w = parameter(rng.normal(size=(4, c_in, 1)).astype(dtype))
+        b = parameter(rng.normal(size=(4,)).astype(dtype))
+        upstream = rng.normal(size=shape[:-2] + (4, t_len)).astype(dtype)
+        x = Tensor(xv, requires_grad=True)
+        out = _backward_with(lambda t: nm.conv1d(t, w, b), x, upstream)
+        want = copied_patch_pointwise_conv1d(xv, w.data, b.data, upstream)
+        for got, expected in zip((out.data, x.grad, w.grad, b.grad), want):
+            assert got.dtype == dtype
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
 

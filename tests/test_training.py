@@ -72,6 +72,27 @@ def test_loss_csv_round_trips(tmp_path):
         col0, col1 = line.split(",")
         assert int(col0) == step
         assert float(col1) == losses[step]
+    text = "step,loss\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(losses))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv"]
+
+
+@pytest.mark.parametrize("previous", [None, b"step,loss\n0,1.5\n"],
+                         ids=["no-previous-log", "previous-log"])
+def test_aborted_run_leaves_no_partial_loss_log(tmp_path, previous):
+    path = tmp_path / "loss-det.csv"
+    if previous is not None:
+        path.write_bytes(previous)
+    model = small_model("det")
+    model.params()["encoder.embed.table"].data[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        train_model(model, small_corpus(), steps=5, batch_size=8, seed=0,
+                    loss_path=path)
+    if previous is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert [p.name for p in tmp_path.iterdir()] == ["loss-det.csv"]
+        assert path.read_bytes() == previous
 
 
 def test_same_seed_identical_trajectory():
