@@ -91,7 +91,6 @@ class DetPredictor(nn.Module):
     """Backbone ending in one scalar per position: the expected log-duration."""
 
     def __init__(self, cond_dim: int, hidden: int, rng: np.random.Generator):
-        self.cond_dim, self.hidden = cond_dim, hidden
         self.conv1 = nn.Conv1d(cond_dim, hidden, 3, rng)
         self.norm1 = nn.LayerNorm(hidden)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
@@ -116,8 +115,7 @@ class FlowPredictor(nn.Module):
 
     def __init__(self, cond_dim: int, hidden: int, noise_dim: int, time_dim: int,
                  rng: np.random.Generator):
-        self.cond_dim, self.hidden = cond_dim, hidden
-        self.noise_dim, self.time_dim = noise_dim, time_dim
+        self.cond_dim = cond_dim
         self.noise_proj = nn.Conv1d(1, noise_dim, 1, rng)
         self.conv1 = nn.Conv1d(cond_dim + noise_dim, hidden, 3, rng)
         self.norm1 = nn.LayerNorm(hidden)
@@ -167,9 +165,9 @@ class FlowPredictor(nn.Module):
         proj = np.stack([self.noise_proj.weight.data[:, 0, 0], self.noise_proj.bias.data])
         # (hidden, 2, 3): row 0 of each output channel is K, row 1 is E
         folded = (proj.astype(np.float64) @ weight[:, self.cond_dim:]).astype(dtype)
-        ones = np.ones((1, cond.data.shape[-1]), dtype=dtype)
+        ones = np.ones((1, 1, cond.data.shape[-1]), dtype=dtype)
         edge_part = nm.conv1d(Tensor(ones), Tensor(folded[:, 1:]),
-                              Tensor(np.zeros(self.hidden, dtype=dtype)))
+                              Tensor(np.zeros(len(weight), dtype=dtype)))
         part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias)
         part.data += edge_part.data
         return FlowCondition(part, Tensor(np.ascontiguousarray(folded[:, :1])))
@@ -232,10 +230,6 @@ def save_model(model: DurationModel, path):
         "seed": model.seed,
         "dims": model.dims,
         "trained_steps": model.trained_steps,
-        "layers": [
-            [s.kind, s.input_dim, s.output_dim, s.kernel_width]
-            for s in model.specs()
-        ],
     }
     nn.save_params(path, model.params(), meta)
 

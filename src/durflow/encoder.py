@@ -77,20 +77,20 @@ class TextEncoder(nn.Module):
     """Embedding -> conv1d(k=3) -> layer norm -> ReLU, dimension D=192."""
 
     def __init__(self, vocab_size: int, rng: np.random.Generator, dim: int = ENCODER_DIM):
-        self.vocab_size = vocab_size
-        self.dim = dim
         self.embed = nn.Embedding(vocab_size, dim, rng)
         self.conv = nn.Conv1d(dim, dim, 3, rng)
         self.norm = nn.LayerNorm(dim)
 
     def __call__(self, ids) -> Tensor:
-        """ids (T,) -> (D, T), or ids (B, T) -> (B, D, T)."""
+        """ids (B, T) -> (B, D, T); one sequence is a batch of one."""
         h = self.embed(ids)
         return nm.relu(self.norm(self.conv(h)))
 
 
 def encode(seq: PhoneSequence, encoder: TextEncoder) -> ConditioningSequence:
-    """Encode one interleaved phone sequence into conditioning vectors."""
+    """Encode one interleaved phone sequence into (D, T) conditioning
+    vectors: the encoder's batch of one, with the batch axis dropped."""
     if not seq.interleaved:
         raise ValueError("sequence must be interleaved before encoding")
-    return ConditioningSequence(encoder(seq.ids))
+    vectors = encoder(seq.ids[None])
+    return ConditioningSequence(nm.reshape(vectors, vectors.data.shape[1:]))

@@ -313,14 +313,15 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
                    opts: SampleOptions = None) -> list:
     """Median wall time of a full-corpus sampling pass at each NFE count.
 
-    One warm-up pass runs before any timing. Each repetition times one
-    pass per NFE count, in an order rotated by one every repetition.
-    Rows are dicts with keys model, nfe, median_ms, ms_per_nfe
-    (median_ms divided by nfe).
+    One untimed warm-up pass per NFE count runs before any timing. Each
+    repetition times one pass per NFE count, in an order rotated by one
+    every repetition. Rows are dicts with keys model, nfe, median_ms,
+    ms_per_nfe (median_ms divided by nfe).
     """
     opts = opts or SampleOptions()
     nfe_list = tuple(int(n) for n in nfe_list)
-    corpus_log_values(model, corpus_val, replace(opts, nfe=nfe_list[0]))
+    for nfe in nfe_list:
+        corpus_log_values(model, corpus_val, replace(opts, nfe=nfe))
     times = [[] for _ in nfe_list]
     for repetition in range(repetitions):
         # the order rotates each repetition, so drift hits every NFE alike

@@ -1,4 +1,4 @@
-"""Layers, parameter accounting and checkpoint IO.
+"""Layers, parameter counts and checkpoint IO.
 
 Layers are thin containers around :mod:`durflow.numerics` Tensors.
 Construction takes a ``numpy.random.Generator`` so that the same seed
@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import zipfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,46 +21,22 @@ from durflow.numerics import Tensor, parameter
 
 CHECKPOINT_VERSION = 1
 
+# sinusoidal time features: t is scaled by TIME_SCALE, and the
+# frequencies fall geometrically from 1 towards 1/TIME_BASE
+TIME_SCALE = 1000.0
+TIME_BASE = 10000.0
+
 
 class CheckpointFormatError(ValueError):
     """A file that is not a well-formed durflow checkpoint. The message
     names the file and, where one is at fault, the key or parameter."""
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """Shape-level description of a layer, enough to count its parameters."""
-
-    kind: str  # embedding | conv1d | layer_norm | linear | time_embedding
-    input_dim: int
-    output_dim: int
-    kernel_width: int = 0
-
-    def count(self) -> int:
-        if self.kind == "embedding":
-            return self.input_dim * self.output_dim
-        if self.kind == "conv1d":
-            return self.output_dim * self.input_dim * self.kernel_width + self.output_dim
-        if self.kind == "linear":
-            return self.input_dim * self.output_dim + self.output_dim
-        if self.kind == "layer_norm":
-            return 2 * self.input_dim
-        if self.kind == "time_embedding":
-            # sinusoidal part is parameter-free; the MLP is dim -> 4*dim -> dim
-            d = self.input_dim
-            return d * 4 * d + 4 * d + 4 * d * d + d
-        raise ValueError(f"unknown layer kind '{self.kind}'")
-
-
 def param_count(model) -> int:
-    """Total number of scalar parameters in a model, layer, dict or spec list."""
-    if isinstance(model, LayerSpec):
-        return model.count()
-    if isinstance(model, dict):
-        return sum(int(np.size(p.data if isinstance(p, Tensor) else p)) for p in model.values())
-    if hasattr(model, "params"):
-        return param_count(model.params())
-    return sum(param_count(item) for item in model)
+    """Total number of scalar parameters in a layer, a model or a dict
+    of named parameters."""
+    params = model.params() if hasattr(model, "params") else model
+    return sum(int(np.size(p.data if isinstance(p, Tensor) else p)) for p in params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +60,18 @@ class Module:
                 for name, layer in self._sublayers()
                 for key, p in layer.params().items()}
 
-    def specs(self) -> list:
-        """One LayerSpec per leaf layer; a sub-layer with its own ``spec`` is a leaf."""
-        return [spec for _, layer in self._sublayers()
-                for spec in ([layer.spec()] if hasattr(layer, "spec") else layer.specs())]
-
 
 class Linear:
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         lim = np.sqrt(1.0 / in_dim)
         self.weight = parameter(rng.uniform(-lim, lim, size=(in_dim, out_dim)))
         self.bias = parameter(None, shape=(out_dim,))
-        self.in_dim, self.out_dim = in_dim, out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.add(nm.matmul(x, self.weight), self.bias)
 
     def params(self) -> dict:
         return {"weight": self.weight, "bias": self.bias}
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec("linear", self.in_dim, self.out_dim)
 
 
 class Conv1d:
@@ -116,8 +82,6 @@ class Conv1d:
             rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
         )
         self.bias = parameter(None, shape=(out_channels,))
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel_width = kernel_width
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.conv1d(x, self.weight, self.bias)
@@ -125,15 +89,11 @@ class Conv1d:
     def params(self) -> dict:
         return {"weight": self.weight, "bias": self.bias}
 
-    def spec(self) -> LayerSpec:
-        return LayerSpec("conv1d", self.in_channels, self.out_channels, self.kernel_width)
-
 
 class LayerNorm:
     def __init__(self, channels: int):
         self.gain = parameter(np.ones(channels))
         self.bias = parameter(None, shape=(channels,))
-        self.channels = channels
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)
@@ -141,14 +101,10 @@ class LayerNorm:
     def params(self) -> dict:
         return {"gain": self.gain, "bias": self.bias}
 
-    def spec(self) -> LayerSpec:
-        return LayerSpec("layer_norm", self.channels, self.channels)
-
 
 class Embedding:
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.table = parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
-        self.vocab_size, self.dim = vocab_size, dim
 
     def __call__(self, ids) -> Tensor:
         return embedding_forward(self.table, ids)
@@ -156,47 +112,42 @@ class Embedding:
     def params(self) -> dict:
         return {"table": self.table}
 
-    def spec(self) -> LayerSpec:
-        return LayerSpec("embedding", self.vocab_size, self.dim)
-
 
 def embedding_forward(table: Tensor, ids) -> Tensor:
     """Look up token embeddings, channels first.
 
-    ids of shape (T,) gives (E, T); ids of shape (B, T) gives (B, E, T).
+    ids of shape (B, T) give (B, E, T); one sequence is a batch of one.
     The gradient scatters only into the selected table rows.
     """
     ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ValueError(f"embedding expects batched (B, T) token ids, got shape {ids.shape}")
     vocab = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise ValueError(f"token id {bad} outside vocabulary of size {vocab}")
-    rows = nm.take_rows(table, ids)
-    if ids.ndim == 1:
-        return nm.permute(rows, (1, 0))
-    return nm.permute(rows, (0, 2, 1))
+    return nm.permute(nm.take_rows(table, ids), (0, 2, 1))
 
 
-def sinusoidal_time_embedding(t, dim: int, scale: float = 1000.0,
-                              base: float = 10000.0) -> Tensor:
-    """Raw interleaved sin/cos features of a time value in [0, 1].
+def sinusoidal_time_embedding(t, dim: int) -> Tensor:
+    """Raw interleaved sin/cos features of B time values in [0, 1].
 
     Even indices carry sin, odd indices cos, at geometrically spaced
-    frequencies base**(-i/half). t is multiplied by ``scale`` first so a
-    unit interval spans many periods of the fastest component. Scalar t
-    gives shape (dim,), a length-B array gives (B, dim).
+    frequencies TIME_BASE**(-i/half). t is multiplied by ``TIME_SCALE``
+    first so a unit interval spans many periods of the fastest
+    component. t of shape (B,) gives (B, dim).
     """
     if dim % 2 != 0:
         raise ValueError(f"embedding dim must be even, got {dim}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        raise ValueError(f"time embedding expects a (B,) array of times, got shape {t.shape}")
     half = dim // 2
-    freqs = base ** (-np.arange(half) / half)
-    angles = scale * t_arr[:, None] * freqs[None, :]
-    out = np.empty((t_arr.size, dim))
+    freqs = TIME_BASE ** (-np.arange(half) / half)
+    angles = TIME_SCALE * t[:, None] * freqs[None, :]
+    out = np.empty((t.size, dim))
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
-    if np.ndim(t) == 0:
-        out = out[0]
     return Tensor(out)
 
 
@@ -211,17 +162,9 @@ class TimeEmbedding(Module):
         self.lin2 = Linear(4 * dim, dim, rng)
 
     def __call__(self, t) -> Tensor:
+        """t (B,) -> (B, dim)."""
         raw = sinusoidal_time_embedding(t, self.dim)
-        scalar = raw.data.ndim == 1
-        if scalar:
-            raw = nm.reshape(raw, (1, self.dim))
-        out = self.lin2(nm.relu(self.lin1(raw)))
-        if scalar:
-            out = nm.reshape(out, (self.dim,))
-        return out
-
-    def spec(self) -> LayerSpec:
-        return LayerSpec("time_embedding", self.dim, self.dim)
+        return self.lin2(nm.relu(self.lin1(raw)))
 
 
 def cast_copy(layer, dtype):

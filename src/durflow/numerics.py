@@ -27,9 +27,10 @@ Conventions:
   persistent gradient buffer that starts at zero, so a parameter that
   never enters the graph simply keeps a zero gradient; an :class:`Adam`
   optimizer moves their data and gradients into its flat buffers,
-* ``conv1d`` and ``layer_norm`` compute on channel-major (C, B*T)
-  matrices and return (B, C, T) views of that memory, so a chain of
-  them transposes nothing in between,
+* ``conv1d`` and ``layer_norm`` take batched (B, C, T) input only; a
+  single sequence is a batch of one. They compute on channel-major
+  (C, B*T) matrices and return (B, C, T) views of that memory, so a
+  chain of them transposes nothing in between,
 * every gradient buffer is C-contiguous in the layout of its tensor's
   data. numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it
@@ -49,6 +50,9 @@ _active_tape = None
 # float64 entries per block of the Adam update: 128 KiB per buffer, so
 # the six buffers that one block touches fit in a core's L2 cache
 _ADAM_BLOCK = 1 << 14
+
+# added to the variance in layer_norm before the square root
+LAYER_NORM_EPS = 1e-5
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -132,7 +136,7 @@ class Tensor:
         return scale(self, -1.0)
 
 
-def parameter(data, rng=None, shape=None) -> Tensor:
+def parameter(data, shape=None) -> Tensor:
     """Build a trainable Tensor with a persistent zero gradient buffer."""
     if data is None:
         data = np.zeros(shape, dtype=np.float64)
@@ -441,11 +445,16 @@ def _channel_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(c, batch * t_len)
 
 
-def _batch_major_view(a2: np.ndarray, batch: int, t_len: int,
-                      squeeze: bool) -> np.ndarray:
-    """(C, B*T) -> a (B, C, T) view of the same memory, or (C, T) if squeezed."""
-    view = a2.reshape(a2.shape[0], batch, t_len).transpose(1, 0, 2)
-    return view[0] if squeeze else view
+def _batch_major_view(a2: np.ndarray, batch: int, t_len: int) -> np.ndarray:
+    """(C, B*T) -> a (B, C, T) view of the same memory."""
+    return a2.reshape(a2.shape[0], batch, t_len).transpose(1, 0, 2)
+
+
+def _check_batched(op: str, x: Tensor):
+    if x.data.ndim != 3:
+        raise ValueError(
+            f"{op} expects a batched (B, C, T) input, got shape {x.data.shape}"
+        )
 
 
 def _zero_outside(cols: np.ndarray, j: int, pad: int, batch: int, t_len: int):
@@ -483,7 +492,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     Parameters
     ----------
     x : Tensor
-        Input of shape (C_in, T) or (B, C_in, T).
+        Input of shape (B, C_in, T); one sequence is a batch of one.
     weight : Tensor
         Kernel of shape (C_out, C_in, k); k must be odd.
     bias : Tensor
@@ -495,28 +504,27 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     sequence, and performs one dgemm; for k=1 the channel-major input
     itself is that matrix, with no copy. The backward pass is
     two dgemms, after which each input step sums its taps' shifted
-    slices in tap order. Output shape matches the input layout with C_in
-    replaced by C_out; its memory is channel-major.
+    slices in tap order. The output is (B, C_out, T); its memory is
+    channel-major.
     """
+    _check_batched("conv1d", x)
     c_out, c_in, k = weight.data.shape
     if k % 2 == 0:
         raise ValueError(f"conv1d kernel width must be odd, got {k}")
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.shape[1] != c_in:
+    batch, x_channels, t_len = x.data.shape
+    if x_channels != c_in:
         raise ValueError(
-            f"conv1d channel mismatch: input has {xd.shape[1]}, weight wants {c_in}"
+            f"conv1d channel mismatch: input has {x_channels}, weight wants {c_in}"
         )
-    batch, _, t_len = xd.shape
     pad = (k - 1) // 2
     n = batch * t_len
-    xc = _channel_major(xd)
+    xc = _channel_major(x.data)
     if k == 1:
         # one tap with no shift: the channel-major input is the patch matrix
         patches = xc
     else:
         # patches[i, j, b*T + t] = x[b, i, t + j - pad], zero outside sequence b
-        patches = np.empty((c_in, k, n), dtype=xd.dtype)
+        patches = np.empty((c_in, k, n), dtype=xc.dtype)
         for j in range(k):
             _shifted(patches[:, j], xc, j - pad, add=False)
             _zero_outside(patches[:, j], j, pad, batch, t_len)
@@ -524,11 +532,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     w2 = weight.data.reshape(c_out, c_in * k)
     out2 = w2 @ patches
     out2 += bias.data[:, None]
-    out, tracked = _make_out(_batch_major_view(out2, batch, t_len, squeeze),
-                              (x, weight, bias))
+    out, tracked = _make_out(_batch_major_view(out2, batch, t_len), (x, weight, bias))
     if tracked:
         def backward_fn(g):
-            g2 = _channel_major(g[None] if squeeze else g)
+            g2 = _channel_major(g)
             if weight.requires_grad:
                 _accum(weight, (g2 @ patches.T).reshape(weight.data.shape), fresh=True)
             if bias.requires_grad:
@@ -546,7 +553,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                     gx = np.empty((c_in, n), dtype=gp.dtype)
                     for j in range(k):
                         _shifted(gx, gp[:, j], pad - j, add=j > 0)
-                _accum(x, _batch_major_view(gx, batch, t_len, squeeze), fresh=True)
+                _accum(x, _batch_major_view(gx, batch, t_len), fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -559,18 +566,18 @@ def _sum_batch_time(a2: np.ndarray, batch: int, t_len: int) -> np.ndarray:
     return np.ascontiguousarray(per_seq.T).sum(axis=0)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise each time step across channels, then apply gain and bias.
 
-    Input is (C, T) or (B, C, T); gain and bias are (C,). Uses the
-    population variance (no Bessel correction). The work runs on a
-    channel-major (C, B*T) matrix, so every channel sum is one long
-    vectorised pass; the output's memory is channel-major.
+    Input is (B, C, T), one sequence being a batch of one; gain and bias
+    are (C,). Uses the population variance (no Bessel correction) plus
+    ``LAYER_NORM_EPS``. The work runs on a channel-major (C, B*T)
+    matrix, so every channel sum is one long vectorised pass; the
+    output's memory is channel-major.
     """
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    batch, c, t_len = xd.shape
-    xc = _channel_major(xd)
+    _check_batched("layer_norm", x)
+    batch, c, t_len = x.data.shape
+    xc = _channel_major(x.data)
     mu = xc.mean(axis=0)
     # the centred input serves the variance (as numpy's var computes it)
     # and, scaled in place, becomes xhat
@@ -578,15 +585,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out2 = np.square(xhat)
     var = out2.sum(axis=0)
     var /= c
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv_std
     np.multiply(gain.data[:, None], xhat, out=out2)
     out2 += bias.data[:, None]
-    out, tracked = _make_out(_batch_major_view(out2, batch, t_len, squeeze),
-                              (x, gain, bias))
+    out, tracked = _make_out(_batch_major_view(out2, batch, t_len), (x, gain, bias))
     if tracked:
         def backward_fn(g):
-            gc = _channel_major(g[None] if squeeze else g)
+            gc = _channel_major(g)
             prod = gc * xhat
             if gain.requires_grad:
                 _accum(gain, _sum_batch_time(prod, batch, t_len), fresh=True)
@@ -602,7 +608,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 np.multiply(xhat, s2, out=prod)
                 gx -= prod
                 gx *= inv_std / c
-                _accum(x, _batch_major_view(gx, batch, t_len, squeeze), fresh=True)
+                _accum(x, _batch_major_view(gx, batch, t_len), fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 

@@ -71,9 +71,6 @@ def fd_gradcheck_params(loss_fn, params, h=1e-5):
 
 def ref_conv1d(x, w, b):
     """Direct triple-loop 1-D convolution with same zero padding."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     batch, c_in, t_len = x.shape
     c_out, _, k = w.shape
     pad = (k - 1) // 2
@@ -88,7 +85,7 @@ def ref_conv1d(x, w, b):
                         if 0 <= src < t_len:
                             acc += w[o, i, j] * x[n, i, src]
                 out[n, o, t] = acc
-    return out[0] if squeeze else out
+    return out
 
 
 def window_scatter_conv1d_grads(x, w, g):
@@ -101,25 +98,22 @@ def window_scatter_conv1d_grads(x, w, g):
     buffer. Returns (grad_x, grad_w, grad_b) for a zero-initialised
     accumulation; each input step sums its taps in tap order.
     """
-    squeeze = x.ndim == 2
-    xd, gd = (x[None], g[None]) if squeeze else (x, g)
-    batch, c_in, t_len = xd.shape
+    batch, c_in, t_len = x.shape
     c_out, _, k = w.shape
     pad = (k - 1) // 2
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
     patches = np.ascontiguousarray(windows.transpose(1, 3, 0, 2)).reshape(
         c_in * k, batch * t_len
     )
-    g2 = np.ascontiguousarray(gd.transpose(1, 0, 2)).reshape(c_out, batch * t_len)
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, batch * t_len)
     grad_w = (g2 @ patches.T).reshape(w.shape)
     grad_b = g2.sum(axis=1)
     gp = (w.reshape(c_out, c_in * k).T @ g2).reshape(c_in, k, batch, t_len)
     gxp = np.zeros_like(xp)
     for j in range(k):
         gxp[:, :, j : j + t_len] += gp[:, j].transpose(1, 0, 2)
-    grad_x = gxp[:, :, pad : pad + t_len]
-    return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
+    return gxp[:, :, pad : pad + t_len], grad_w, grad_b
 
 
 def copied_patch_pointwise_conv1d(x, w, b, g):
@@ -129,23 +123,20 @@ def copied_patch_pointwise_conv1d(x, w, b, g):
     Returns (out, grad_x, grad_w, grad_b) for upstream gradient ``g``,
     in the dtype of the inputs.
     """
-    squeeze = x.ndim == 2
-    xd, gd = (x[None], g[None]) if squeeze else (x, g)
-    batch, c_in, t_len = xd.shape
+    batch, c_in, t_len = x.shape
     c_out = w.shape[0]
     n = batch * t_len
     patches = np.empty((c_in, n), dtype=x.dtype)
-    patches[...] = xd.transpose(1, 0, 2).reshape(c_in, n)
+    patches[...] = x.transpose(1, 0, 2).reshape(c_in, n)
     w2 = w.reshape(c_out, c_in)
-    g2 = np.ascontiguousarray(gd.transpose(1, 0, 2)).reshape(c_out, n)
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, n)
     out = w2 @ patches
     out += b[:, None]
     grad_x = np.empty((c_in, n), dtype=x.dtype)
     grad_x[...] = w2.T @ g2
 
     def batch_major(a2):
-        a = a2.reshape(a2.shape[0], batch, t_len).transpose(1, 0, 2)
-        return a[0] if squeeze else a
+        return a2.reshape(a2.shape[0], batch, t_len).transpose(1, 0, 2)
 
     return (batch_major(out), batch_major(grad_x), (g2 @ patches.T).reshape(w.shape),
             g2.sum(axis=1))
@@ -158,33 +149,26 @@ def batch_major_layer_norm(x, gain, bias, g, eps=1e-5):
     ``g``, each channel sum taken by numpy over axis 1 of the
     batch-major array.
     """
-    squeeze = x.ndim == 2
-    xd, gd = (x[None], g[None]) if squeeze else (x, g)
-    c = xd.shape[1]
-    mu = xd.mean(axis=1, keepdims=True)
-    var = xd.var(axis=1, keepdims=True)
+    c = x.shape[1]
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv_std
+    xhat = (x - mu) * inv_std
     out = gain[:, None] * xhat + bias[:, None]
-    gxhat = gd * gain[:, None]
+    gxhat = g * gain[:, None]
     term = (
         c * gxhat
         - gxhat.sum(axis=1, keepdims=True)
         - xhat * (gxhat * xhat).sum(axis=1, keepdims=True)
     )
     grad_x = inv_std / c * term
-    grad_gain = (gd * xhat).sum(axis=(0, 2))
-    grad_bias = gd.sum(axis=(0, 2))
-    if squeeze:
-        out, grad_x = out[0], grad_x[0]
+    grad_gain = (g * xhat).sum(axis=(0, 2))
+    grad_bias = g.sum(axis=(0, 2))
     return out, grad_x, grad_gain, grad_bias
 
 
 def ref_layer_norm(x, gain, bias, eps=1e-5):
     """Per-time-step channel normalisation, population variance."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     out = np.zeros_like(x)
     for n in range(x.shape[0]):
         for t in range(x.shape[2]):
@@ -192,7 +176,7 @@ def ref_layer_norm(x, gain, bias, eps=1e-5):
             mu = col.mean()
             var = ((col - mu) ** 2).mean()
             out[n, :, t] = gain * (col - mu) / math.sqrt(var + eps) + bias
-    return out[0] if squeeze else out
+    return out
 
 
 def ref_adam(theta0, grads, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9):
@@ -322,11 +306,12 @@ def gradient_cases():
         lambda a, b: nm.tensor_sum(nm.mul(nm.matmul(a, b), w11)),
         [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
     ))
-    w12 = proj((2, 7))
+    # the "_2d" cases are a single sequence, passed as a batch of one
+    w12 = proj((1, 2, 7))
     cases.append((
         "conv1d_2d",
         lambda x, w, b: nm.tensor_sum(nm.mul(nm.conv1d(x, w, b), w12)),
-        [rng.normal(size=(3, 7)), rng.normal(size=(2, 3, 3)), rng.normal(size=(2,))],
+        [rng.normal(size=(1, 3, 7)), rng.normal(size=(2, 3, 3)), rng.normal(size=(2,))],
     ))
     w13 = proj((2, 4, 6))
     cases.append((
@@ -340,11 +325,11 @@ def gradient_cases():
         lambda x, w, b: nm.tensor_sum(nm.mul(nm.conv1d(x, w, b), w14)),
         [rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 1)), rng.normal(size=(2,))],
     ))
-    w15 = proj((4, 5))
+    w15 = proj((1, 4, 5))
     cases.append((
         "layer_norm_2d",
         lambda x, g, b: nm.tensor_sum(nm.mul(nm.layer_norm(x, g, b), w15)),
-        [rng.normal(size=(4, 5)),
+        [rng.normal(size=(1, 4, 5)),
          rng.uniform(0.5, 1.5, size=(4,)),
          rng.normal(size=(4,))],
     ))

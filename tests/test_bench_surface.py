@@ -1,0 +1,56 @@
+"""The library names the benchmark imports and patches still exist.
+
+``bench/spans.py`` wraps durflow functions, methods and layer calls by
+name, and ``bench/run.py`` reads the machine context through durflow.
+A rename or deletion of any of them would otherwise show only when the
+benchmark runs. These checks run the benchmark's own code in process,
+in well under a second.
+"""
+
+import importlib
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from durflow import numerics as nm
+from durflow.duration import DurationModel, loss
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, BENCH)
+    try:
+        yield importlib.import_module("spans"), importlib.import_module("run")
+    finally:
+        sys.path.remove(BENCH)
+
+
+def test_instrumentation_installs_runs_and_uninstalls(bench_modules):
+    spans, _ = bench_modules
+    originals = {name: getattr(nm, name) for name in spans.NAMED_OPS + spans.ELEMENTWISE_OPS}
+    clock, tracer = spans.StepClock(), spans.Tracer()
+    with spans.instrument(clock, tracer):
+        model = DurationModel("fm", vocab_size=6, seed=0,
+                              encoder_dim=8, hidden=10, noise_dim=4, time_dim=8)
+        opt = nm.Adam(model.params())
+        ids = np.array([[3, 0, 4, 0], [5, 0, 1, 0]])
+        with nm.record() as tape:
+            value = loss(model, ids, np.zeros((2, 4)), np.random.default_rng(0))
+        tape.backward(value)
+        opt.step()
+    names = {s[0] for s in tracer.spans}
+    assert {"encoder", "predictor", "numerics.conv1d.fwd", "numerics.conv1d.bwd",
+            "layer.predictor.conv1.fwd", "numerics.backward", "numerics.adam"} <= names
+    assert clock.rows == 2 and len(clock.marks) == 1
+    for name, fn in originals.items():
+        assert getattr(nm, name) is fn, name
+
+
+def test_machine_context(bench_modules):
+    _, run = bench_modules
+    ctx = run.machine_context()
+    assert ctx["nproc"] >= 1 and ctx["blas_threads"] >= 1

@@ -475,12 +475,6 @@ class TestParamBudgets:
         assert added == 96_432
         assert 80_000 <= added <= 120_000
 
-    def test_spec_count_matches_actual(self):
-        for kind in ("det", "fm"):
-            model = tiny_model(kind)
-            from durflow.nn import param_count
-            assert param_count(model.predictor.specs()) == model.predictor_param_count()
-
 
 class TestParamNames:
     def test_names_follow_layer_assignment_order(self):
@@ -560,6 +554,31 @@ class TestCheckpointRoundTrip:
         a = fm_sample(cond_a, model, opts)
         b = fm_sample(cond_b, loaded, opts)
         assert np.array_equal(a.values.data, b.values.data)
+
+    def test_metadata_without_layers(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_model(tiny_model("fm"), path)
+        assert "layers" not in nn.load_params(path)[1]
+
+    def test_older_checkpoint_with_layers_list_loads_unchanged(self, tmp_path):
+        # checkpoints written before the list was dropped carry one
+        # [kind, in, out, kernel] entry per layer; the reader ignores it
+        model = tiny_model("fm", seed=3)
+        model.trained_steps = 12
+        current = tmp_path / "current.npz"
+        save_model(model, current)
+        older = rewrite_meta(current, tmp_path / "older.npz",
+                             layers=[["embedding", 6, 8, 0], ["conv1d", 8, 8, 3]])
+        assert nn.load_params(older)[1]["layers"][1] == ["conv1d", 8, 8, 3]
+        a, b = load_model(current), load_model(older)
+        assert (b.kind, b.vocab_size, b.seed, b.dims, b.trained_steps) == \
+            (a.kind, a.vocab_size, a.seed, a.dims, a.trained_steps)
+        assert list(b.params()) == list(a.params())
+        for name, p in b.params().items():
+            assert np.array_equal(p.data, a.params()[name].data), name
+        opts = SampleOptions(seed=5)
+        assert np.array_equal(fm_sample(tiny_cond(b), b, opts).values.data,
+                              fm_sample(tiny_cond(a), a, opts).values.data)
 
     @pytest.mark.parametrize("key, value", [
         ("kind", "flow"),

@@ -103,12 +103,14 @@ class TestEncode:
         ids = np.array([[3, 0, 4, 0], [5, 0, 6, 0]])
         batched = e(ids).data
         for n in range(2):
-            single = e(ids[n]).data
-            assert np.allclose(batched[n], single, atol=1e-12)
+            single = e(ids[n][None]).data
+            assert single.shape == (1, 192, 4)
+            assert np.allclose(batched[n], single[0], atol=1e-12)
+            seq = PhoneSequence(ids[n, 0::2]).interleave()
+            assert np.array_equal(encode(seq, e).vectors.data, single[0])
 
     def test_encoder_param_count(self):
         from durflow.nn import param_count
         e = self.make_encoder()
         expected = 10 * 192 + (192 * 192 * 3 + 192) + 2 * 192
         assert param_count(e.params()) == expected
-        assert sum(s.count() for s in e.specs()) == expected

@@ -12,19 +12,19 @@ from _oracles import fd_gradcheck_params, ref_sinusoidal
 class TestEmbeddingForward:
     def test_repeated_ids_give_identical_columns(self):
         table = parameter(np.random.default_rng(0).normal(size=(4, 3)))
-        out = nn.embedding_forward(table, np.array([2, 2]))
-        assert out.data.shape == (3, 2)
-        assert np.array_equal(out.data[:, 0], out.data[:, 1])
+        out = nn.embedding_forward(table, np.array([[2, 2]]))
+        assert out.data.shape == (1, 3, 2)
+        assert np.array_equal(out.data[0, :, 0], out.data[0, :, 1])
 
     def test_one_hot_table_reproduces_codes(self):
         table = parameter(np.eye(5))
         ids = np.array([3, 0, 4])
-        out = nn.embedding_forward(table, ids)
-        assert np.array_equal(out.data, np.eye(5)[ids].T)
+        out = nn.embedding_forward(table, ids[None])
+        assert np.array_equal(out.data[0], np.eye(5)[ids].T)
 
     def test_gradient_scatter_counts(self):
         table = parameter(np.zeros((6, 2)))
-        ids = np.array([1, 1, 1, 4])
+        ids = np.array([[1, 1, 1, 4]])
         with record() as tape:
             loss = nm.tensor_sum(nn.embedding_forward(table, ids))
         tape.backward(loss)
@@ -36,9 +36,15 @@ class TestEmbeddingForward:
     def test_out_of_vocabulary_rejected(self):
         table = parameter(np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            nn.embedding_forward(table, np.array([0, 4]))
+            nn.embedding_forward(table, np.array([[0, 4]]))
         with pytest.raises(ValueError):
-            nn.embedding_forward(table, np.array([-1]))
+            nn.embedding_forward(table, np.array([[-1]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (1, 2, 3)])
+    def test_unbatched_ids_rejected(self, shape):
+        table = parameter(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"batched \(B, T\) token ids"):
+            nn.embedding_forward(table, np.zeros(shape, dtype=int))
 
     def test_batched_lookup_shape(self):
         table = parameter(np.random.default_rng(1).normal(size=(7, 3)))
@@ -48,7 +54,7 @@ class TestEmbeddingForward:
 
 class TestSinusoidal:
     def test_t_zero_is_sin0_cos1(self):
-        v = nn.sinusoidal_time_embedding(0.0, 8).data
+        v = nn.sinusoidal_time_embedding(np.array([0.0]), 8).data[0]
         assert np.array_equal(v[0::2], np.zeros(4))
         assert np.array_equal(v[1::2], np.ones(4))
 
@@ -58,12 +64,15 @@ class TestSinusoidal:
         assert np.allclose(got, ref_sinusoidal(ts, 16), atol=1e-12)
 
     def test_shape_scalar_and_batched(self):
-        assert nn.sinusoidal_time_embedding(0.3, 64).data.shape == (64,)
+        # one time is a batch of one; a bare scalar is refused
+        assert nn.sinusoidal_time_embedding(np.array([0.3]), 64).data.shape == (1, 64)
         assert nn.sinusoidal_time_embedding(np.linspace(0, 1, 5), 64).data.shape == (5, 64)
+        with pytest.raises(ValueError, match=r"\(B,\) array of times"):
+            nn.sinusoidal_time_embedding(0.3, 64)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
-            nn.sinusoidal_time_embedding(0.5, 7)
+            nn.sinusoidal_time_embedding(np.array([0.5]), 7)
 
     def test_injective_on_millisecond_grid(self):
         grid = np.arange(0, 1001) / 1000.0
@@ -78,7 +87,7 @@ class TestTimeEmbedding:
     def test_fixed_length_output(self):
         temb = nn.TimeEmbedding(32, np.random.default_rng(0))
         for t in (0.0, 0.25, 1.0):
-            assert temb(t).data.shape == (32,)
+            assert temb(np.array([t])).data.shape == (1, 32)
 
     def test_gradient_through_mlp(self):
         temb = nn.TimeEmbedding(8, np.random.default_rng(5))
@@ -137,30 +146,15 @@ class TestLayers:
 class TestParamCount:
     def test_empty_model_is_zero(self):
         assert nn.param_count({}) == 0
-        assert nn.param_count([]) == 0
 
-    def test_spec_formulas_match_actual_layers(self):
+    def test_counts_layers_modules_and_dicts_from_their_parameters(self):
         rng = np.random.default_rng(0)
-        layers = [
-            nn.Embedding(24, 192, rng),
-            nn.Conv1d(192, 280, 3, rng),
-            nn.LayerNorm(280),
-            nn.Linear(64, 280, rng),
-            nn.TimeEmbedding(64, rng),
-        ]
-        for layer in layers:
-            assert nn.param_count(layer.params()) == layer.spec().count()
-
-    def test_spec_list_sums(self):
-        specs = [
-            nn.LayerSpec("conv1d", 192, 280, 3),
-            nn.LayerSpec("layer_norm", 280, 280),
-        ]
-        assert nn.param_count(specs) == (280 * 192 * 3 + 280) + 560
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            nn.LayerSpec("attention", 8, 8).count()
+        conv = nn.Conv1d(192, 280, 3, rng)
+        assert nn.param_count(conv) == 280 * 192 * 3 + 280
+        assert nn.param_count(conv.params()) == nn.param_count(conv)
+        assert nn.param_count({"w": np.zeros((2, 3)), "b": parameter(np.zeros(4))}) == 10
+        # a module counts its sub-layers: the time MLP is 64 -> 256 -> 64
+        assert nn.param_count(nn.TimeEmbedding(64, rng)) == 64 * 256 + 256 + 256 * 64 + 64
 
 
 class TestCastCopy:

@@ -30,8 +30,9 @@ def test_gradients_match_finite_differences(name, fn, arrays):
 
 class TestForwardAgainstReference:
     def test_conv1d_2d(self):
+        # a single sequence, as a batch of one
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 9))
+        x = rng.normal(size=(1, 3, 9))
         w = rng.normal(size=(4, 3, 3))
         b = rng.normal(size=(4,))
         got = nm.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
@@ -48,7 +49,7 @@ class TestForwardAgainstReference:
 
     def test_conv1d_pointwise(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 6))
+        x = rng.normal(size=(1, 4, 6))
         w = rng.normal(size=(3, 4, 1))
         b = rng.normal(size=(3,))
         got = nm.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
@@ -64,11 +65,11 @@ class TestForwardAgainstReference:
 
     def test_layer_norm_standardises_each_time_step(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(6, 11)) * 3.0 + 2.0
+        x = rng.normal(size=(1, 6, 11)) * 3.0 + 2.0
         ones = np.ones(6)
         out = nm.layer_norm(Tensor(x), Tensor(ones), Tensor(np.zeros(6))).data
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        assert np.allclose(out.var(axis=0), 1.0, atol=1e-4)
+        assert np.allclose(out.mean(axis=1), 0.0, atol=1e-10)
+        assert np.allclose(out.var(axis=1), 1.0, atol=1e-4)
 
 
 def _backward_with(out_fn, x, upstream):
@@ -86,10 +87,11 @@ class TestBitExactLayouts:
     on it."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("shape", [(5, 9), (3, 5, 9), (2, 4, 3)],
+    # "2d" is a single sequence, passed as a batch of one
+    @pytest.mark.parametrize("shape", [(1, 5, 9), (3, 5, 9), (2, 4, 3)],
                              ids=["2d", "batched", "shorter-than-kernel"])
     def test_conv1d_grads_equal_window_scatter(self, shape, k):
-        rng = np.random.default_rng(10 * k + len(shape))
+        rng = np.random.default_rng(10 * k + shape[0])
         c_in, t_len = shape[-2:]
         xv = rng.normal(size=shape)
         w = parameter(rng.normal(size=(4, c_in, k)))
@@ -104,10 +106,10 @@ class TestBitExactLayouts:
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", [(5, 9), (3, 5, 9)], ids=["2d", "batched"])
+    @pytest.mark.parametrize("shape", [(1, 5, 9), (3, 5, 9)], ids=["2d", "batched"])
     def test_pointwise_conv1d_equals_copied_patches(self, shape, dtype):
         # k=1 takes the channel-major input as its patch matrix, with no copy
-        rng = np.random.default_rng(len(shape))
+        rng = np.random.default_rng(shape[0])
         c_in, t_len = shape[-2:]
         xv = rng.normal(size=shape).astype(dtype)
         w = parameter(rng.normal(size=(4, c_in, 1)).astype(dtype))
@@ -121,7 +123,7 @@ class TestBitExactLayouts:
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("shape", [(6, 9), (3, 7, 5), (2, 280, 17)])
+    @pytest.mark.parametrize("shape", [(1, 6, 9), (3, 7, 5), (2, 280, 17)])
     def test_layer_norm_equals_batch_major_formulas(self, shape):
         rng = np.random.default_rng(shape[-1])
         c = shape[-2]
@@ -226,20 +228,29 @@ class TestTapeSemantics:
 
 class TestValidation:
     def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="odd"):
             nm.conv1d(
-                Tensor(np.zeros((2, 5))),
+                Tensor(np.zeros((1, 2, 5))),
                 Tensor(np.zeros((2, 2, 4))),
                 Tensor(np.zeros(2)),
             )
 
     def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="channel mismatch"):
             nm.conv1d(
-                Tensor(np.zeros((3, 5))),
+                Tensor(np.zeros((1, 3, 5))),
                 Tensor(np.zeros((2, 4, 3))),
                 Tensor(np.zeros(2)),
             )
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5,), (1, 1, 3, 5)])
+    def test_unbatched_input_rejected(self, shape):
+        x = Tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"conv1d expects a batched \(B, C, T\) input"):
+            nm.conv1d(x, Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(2)))
+        with pytest.raises(ValueError,
+                           match=r"layer_norm expects a batched \(B, C, T\) input"):
+            nm.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
@@ -383,7 +394,7 @@ class TestDtypes:
         x = t(2, 3, 5)
         outs = {
             "conv1d": nm.conv1d(x, t(4, 3, 3), t(4)),
-            "conv1d_2d": nm.conv1d(t(3, 5), t(4, 3, 1), t(4)),
+            "conv1d_2d": nm.conv1d(t(1, 3, 5), t(4, 3, 1), t(4)),
             "layer_norm": nm.layer_norm(x, t(3), t(3)),
             "add": nm.add(x, t(3, 1)),
             "mul": nm.mul(x, x),
