@@ -29,8 +29,8 @@ def main():
     losses = train_model(fm, train, 600, batch_size=16, lr=1e-3, seed=0)
     print(f"fm:  600 steps, loss {losses[0]:.3f} -> {losses[-1]:.3f}\n")
 
-    curve = residual_vs_nfe(fm, val, model_id="fm", corpus_id="read")
-    curve = curve.merge(residual_vs_nfe(det, val, model_id="det", corpus_id="read"))
+    curve = residual_vs_nfe(fm, val)
+    curve = curve.merge(residual_vs_nfe(det, val))
 
     print("quantisation residual (mean distance to the nearest frame count)")
     print("nfe:   " + "".join(f"{n:>8d}" for n in curve.nfe_values))

@@ -34,14 +34,13 @@ from durflow.data import (
 from durflow.duration import DurationModel, SampleOptions, load_model, save_model
 from durflow.encoder import FILLER_ID, PAUSE_ID
 from durflow.evaluation import (
-    ResidualCurve, bench_sampling, corpus_frames, declared_modes, dist_stats,
+    MIN_STAT_TOKENS, bench_sampling, corpus_frames, declared_modes, dist_stats,
     frames_by_class, residual_vs_nfe, write_report,
 )
 from durflow.files import atomic_write
 from durflow.training import train_model
 
 MODEL_KINDS = ("det", "fm")
-MIN_STAT_TOKENS = 1000
 
 
 @dataclass
@@ -239,6 +238,15 @@ def cmd_eval(args) -> int:
         if model.kind != kind:
             raise ValueError(f"--{kind} points at a '{model.kind}' checkpoint")
     corpora = [_load_corpus(path) for path in args.corpus]
+    # results are keyed by style, so a second corpus of one style would
+    # overwrite the first's
+    seen = {}
+    for path, corpus in zip(args.corpus, corpora):
+        style = corpus.spec.style
+        if style in seen:
+            raise UsageError(f"--corpus {seen[style]} and {path} are both style "
+                             f"'{style}'; give one corpus per style")
+        seen[style] = path
     echo_config(config, "eval",
                 {"det": args.det, "fm": args.fm,
                  "corpus": ",".join(args.corpus)}, config.out)

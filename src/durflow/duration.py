@@ -144,7 +144,7 @@ class FlowPredictor(nn.Module):
         h = self.norm2(nm.relu(h))
         return self.proj(h)
 
-    def condition(self, cond: Tensor) -> FlowCondition:
+    def condition(self, cond: Tensor) -> tuple:
         """Everything of conv1 that does not depend on x, for one batch of cond.
 
         Convolution is linear in its input channels, so conv1 over
@@ -156,9 +156,12 @@ class FlowPredictor(nn.Module):
         plus the bias term E[o, j] = sum_c W[o, c, j] b[c] convolved with
         ones that, like noise_proj's output, are zero-padded, so the
         term differs at the two sequence edges. K and E are summed in
-        float64, then cast to the parameters' dtype. The cond part
-        and the bias term depend on neither x nor t and are computed
-        here, once.
+        float64, then cast to the parameters' dtype.
+
+        Returns the pair (part, kernel). ``part`` is the (hidden, B*T)
+        channel-major matrix of conv1 over the cond channels plus its
+        bias plus the bias term; ``kernel`` is K as a (hidden, 1, 3)
+        Tensor. Both are taken from the parameters as they are now.
         """
         weight = self.conv1.weight.data
         dtype = weight.dtype
@@ -168,34 +171,11 @@ class FlowPredictor(nn.Module):
         ones = np.ones((1, 1, cond.data.shape[-1]), dtype=dtype)
         edge_part = nm.conv1d(Tensor(ones), Tensor(folded[:, 1:]),
                               Tensor(np.zeros(len(weight), dtype=dtype)))
-        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias)
-        part.data += edge_part.data
-        return FlowCondition(part, Tensor(np.ascontiguousarray(folded[:, :1])))
-
-
-@dataclass
-class FlowCondition:
-    """The x-free part of a FlowPredictor's conv1, for one batch.
-
-    ``part`` (B, hidden, T), channel-major in memory, is conv1 over the
-    cond channels plus its bias plus the edge-aware bias term of the
-    folded noise projection; ``noise_weight`` (hidden, 1, 3) is the
-    folded kernel that each Euler step convolves x with. Both are taken
-    from the parameters as they were when it was made, so it is valid
-    only until they next change.
-    """
-
-    part: Tensor
-    noise_weight: Tensor
-
-    def repeat(self, reps: int) -> FlowCondition:
-        """The condition of ``reps`` copies of the batch stacked rep-major:
-        row r*B + b of the result's part is row b of this one. The
-        copies keep the channel-major memory layout."""
-        if reps == 1:
-            return self
-        tiled = np.tile(self.part.data.transpose(1, 0, 2), (1, reps, 1))
-        return FlowCondition(Tensor(tiled.transpose(1, 0, 2)), self.noise_weight)
+        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias).data
+        part += edge_part.data
+        # conv1d's output is channel-major in memory, so this is a view
+        part = part.transpose(1, 0, 2).reshape(len(weight), -1)
+        return part, Tensor(np.ascontiguousarray(folded[:, :1]))
 
 
 class DurationModel(nn.Module):
@@ -341,43 +321,50 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
 # sampling
 
 
-def fm_sample_batch(model: DurationModel, cond, noise: np.ndarray,
+def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
                     nfe: int) -> np.ndarray:
     """Euler-integrate the learned field for a batch; returns x at t=1.
 
-    cond is the (B, D, T) encoder output, or a FlowCondition of B rows
-    (``model.predictor.condition(cond)``, possibly ``.repeat``-ed) when
-    several noise batches share it; noise is the t=0 state (B, 1, T).
-    Each of the nfe steps evaluates the field at t = i/nfe and advances
-    by 1/nfe.
+    cond is the (B, D, T) encoder output and noise the t=0 state of R
+    realisations of it stacked rep-major, (R*B, 1, T): row r*B + b starts
+    realisation r of sentence b. R is the rows of noise over the rows of
+    cond; any other shape raises ValueError. Each of the nfe steps
+    evaluates the field at t = i/nfe and advances by 1/nfe.
 
     What depends on neither x nor the step is computed once per call:
-    conv1 over the conditioning channels with the folded noise
-    projection's bias term, and the two time rows of every grid point.
-    A step convolves x with the folded one-channel kernel and runs the
-    layers after conv1. Nothing outlives the call, so a change to the
-    parameters shows in the next call.
+    ``FlowPredictor.condition`` of cond, and the two time rows of every
+    grid point. A step convolves x with the folded one-channel kernel,
+    adds the conditioning part to every realisation in place, without a
+    copy per realisation, and runs the layers after conv1. Nothing
+    outlives the call, so a change to the parameters shows in the next
+    call.
 
     The network runs in the dtype of the model's parameters (float32
     for the copy that corpus-level sampling makes): the time rows are
     cast to it once per call and x at every step's input. The state x
     itself stays float64, so the Euler sum accumulates in float64.
     """
+    batch, _, t_len = cond.data.shape
+    x = np.asarray(noise, dtype=np.float64)
+    if not (x.ndim == 3 and x.shape[1:] == (1, t_len)
+            and 0 < batch <= x.shape[0] and x.shape[0] % batch == 0):
+        raise ValueError(f"noise {x.shape} must stack R >= 1 realisations (R*B, 1, T) "
+                         f"of cond {cond.data.shape}")
+    reps = x.shape[0] // batch
     predictor = model.predictor
     dtype = predictor.conv1.weight.data.dtype
-    if not isinstance(cond, FlowCondition):
-        cond = predictor.condition(cond)
+    part, kernel = predictor.condition(cond)  # (hidden, B*T)
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
     rows1 = predictor.time_to_h1(emb).data.astype(dtype, copy=False)  # (nfe, hidden)
     rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False)
     rows2 = rows2[:, None, :, None]  # (nfe, 1, hidden, 1)
-    x = np.asarray(noise, dtype=np.float64)
     dt = 1.0 / nfe
     for i in range(nfe):
         # the first time shift rides on the noise convolution as its bias
-        noise_part = nm.conv1d(Tensor(x.astype(dtype, copy=False)), cond.noise_weight,
-                               Tensor(rows1[i]))
-        h = nm.add(cond.part, noise_part)
+        h = nm.conv1d(Tensor(x.astype(dtype, copy=False)), kernel, Tensor(rows1[i]))
+        # conv1d's output is channel-major in memory, so this is a view
+        per_rep = h.data.transpose(1, 0, 2).reshape(len(part), reps, -1)
+        per_rep += part[:, None, :]
         x = x + dt * predictor._tail(h, Tensor(rows2[i])).data
     return x
 

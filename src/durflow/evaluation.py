@@ -47,7 +47,6 @@ from durflow.duration import (
     to_frames,
     quantisation_residual,
 )
-from durflow.encoder import PAUSE_ID
 from durflow.files import atomic_write
 
 DEFAULT_NFE_LIST = (1, 2, 4, 8, 10, 16, 32)
@@ -58,6 +57,8 @@ SAMPLING_DTYPE = np.float32
 # throughput levels off near this width, and a fixed cap keeps many-rep
 # passes from multiplying peak memory
 MAX_BATCH_COLUMNS = 2048
+# samples every class needs before dist_stats reports it
+MIN_STAT_TOKENS = 1000
 
 
 def worker_count() -> int:
@@ -82,18 +83,17 @@ def _groups_by_length(corpus: DurationCorpus):
 def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) -> list:
     """Log-duration rows for one equal-length sentence group, one dict per rep.
 
-    The group is encoded once, and for an fm model conv1's x-free part
-    is computed once, for all reps. The reps then run stacked, as many
-    per ``fm_sample_batch`` call as fit in MAX_BATCH_COLUMNS (at least
-    one). FM noise comes from a per-(sentence, rep) stream, so neither
-    the grouping nor the other reps ever influence a sample's noise.
+    The group is encoded once for all reps. The reps then run stacked,
+    as many per ``fm_sample_batch`` call as fit in MAX_BATCH_COLUMNS (at
+    least one), each call given the encoder output and its reps' noise.
+    FM noise comes from a per-(sentence, rep) stream, so neither the
+    grouping nor the other reps ever influence a sample's noise.
     """
     ids = np.stack([s.seq.ids for s in group])
     cond = model.encoder(ids)  # (B, D, T)
     if model.kind == "det":
         values = model.predictor(cond).data[:, 0, :].astype(np.float64)
         return [{s.sent_id: values[i] for i, s in enumerate(group)} for _ in reps]
-    cond = model.predictor.condition(cond)
     batch, t_len = ids.shape
     reps = list(reps)
     # as few calls as the column budget allows, their sizes differing by one at most
@@ -108,7 +108,7 @@ def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) ->
             ).standard_normal((1, t_len))
             for rep in chunk for s in group
         ])
-        values = fm_sample_batch(model, cond.repeat(len(chunk)), noise, opts.nfe)[:, 0, :]
+        values = fm_sample_batch(model, cond, noise, opts.nfe)[:, 0, :]
         for r in range(len(chunk)):
             out.append({s.sent_id: values[r * batch + i] for i, s in enumerate(group)})
     return out
@@ -194,9 +194,9 @@ class ResidualCurve:
 
 
 def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
-                    nfe_list=DEFAULT_NFE_LIST, opts: SampleOptions = None,
-                    model_id: str = None, corpus_id: str = None) -> ResidualCurve:
-    """Mean residual over the whole validation set at each NFE count.
+                    nfe_list=DEFAULT_NFE_LIST, opts: SampleOptions = None) -> ResidualCurve:
+    """Mean residual over the whole validation set at each NFE count,
+    keyed by (model kind, corpus style).
 
     The deterministic model is evaluated once and replicated, since its
     output does not depend on the step count. For the flow model, each
@@ -209,8 +209,7 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
     if model.trained_steps == 0:
         raise ValueError("model has not been trained")
     opts = opts or SampleOptions()
-    model_id = model_id or model.kind
-    corpus_id = corpus_id or corpus_val.spec.style
+    model_id, corpus_id = model.kind, corpus_val.spec.style
 
     def pooled_residual(values_by_id):
         vals = np.concatenate([values_by_id[s.sent_id] for s in corpus_val.sentences])
@@ -241,11 +240,10 @@ class DistStats:
     stds: dict
     counts: dict
     mode_freqs: dict  # class -> {mode_value: frequency}
-    pause_std: float = None
 
 
 def dist_stats(durations_by_class: dict, modes_by_class: dict = None,
-               min_tokens: int = 1000) -> DistStats:
+               min_tokens: int = MIN_STAT_TOKENS) -> DistStats:
     """Sample mean/std per class, plus nearest-mode frequencies.
 
     durations_by_class maps class id -> integer array. modes_by_class
@@ -272,8 +270,7 @@ def dist_stats(durations_by_class: dict, modes_by_class: dict = None,
             freqs[cid] = {
                 float(m): float(np.mean(nearest == j)) for j, m in enumerate(modes)
             }
-    pause_std = stds.get(PAUSE_ID)
-    return DistStats(means, stds, counts, freqs, pause_std)
+    return DistStats(means, stds, counts, freqs)
 
 
 def frames_by_class(corpus: DurationCorpus, frames: dict) -> dict:

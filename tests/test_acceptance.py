@@ -106,8 +106,8 @@ def test_criterion_3_residual_vs_nfe(fm_spont, det_spont, spont_val):
     """Quantisation residual is non-increasing in NFE (tolerance 0.02),
     the deterministic model's residual is exactly constant, and ten steps
     should halve the one-step residual."""
-    fm_curve = residual_vs_nfe(fm_spont, spont_val, model_id="fm", corpus_id="spont")
-    det_curve = residual_vs_nfe(det_spont, spont_val, model_id="det", corpus_id="spont")
+    fm_curve = residual_vs_nfe(fm_spont, spont_val)
+    det_curve = residual_vs_nfe(det_spont, spont_val)
 
     det_values = det_curve.residuals[("det", "spont")]
     assert len(set(det_values)) == 1, det_values
@@ -206,8 +206,7 @@ def test_criterion_6_determinism(fm_spont, spont_val, tmp_path):
 
     reports = []
     for run in range(2):
-        curve = residual_vs_nfe(fm_spont, spont_val, nfe_list=(1, 10),
-                                model_id="fm", corpus_id="spont")
+        curve = residual_vs_nfe(fm_spont, spont_val, nfe_list=(1, 10))
         frames = corpus_frames(fm_spont, spont_val, SampleOptions(temperature=1.0))
         pooled = frames_by_class(spont_val, frames)
         stats = dist_stats({BIMODAL_ID: pooled[BIMODAL_ID]},

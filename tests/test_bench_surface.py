@@ -1,10 +1,12 @@
-"""The library names the benchmark imports and patches still exist.
+"""The library names the benchmark imports and patches still exist, and
+the library calls its workloads make still pass their checks.
 
 ``bench/spans.py`` wraps durflow functions, methods and layer calls by
-name, and ``bench/run.py`` reads the machine context through durflow.
-A rename or deletion of any of them would otherwise show only when the
-benchmark runs. These checks run the benchmark's own code in process,
-in well under a second.
+name, ``bench/run.py`` reads the machine context through durflow, and
+``bench/workloads.py`` calls the library and checks what it returns. A
+rename, deletion or changed result of any of them would otherwise show
+only when the benchmark runs. These checks run the benchmark's own code
+in process, in about a second.
 """
 
 import importlib
@@ -24,13 +26,14 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def bench_modules():
     sys.path.insert(0, BENCH)
     try:
-        yield importlib.import_module("spans"), importlib.import_module("run")
+        yield (importlib.import_module("spans"), importlib.import_module("run"),
+               importlib.import_module("workloads"))
     finally:
         sys.path.remove(BENCH)
 
 
 def test_instrumentation_installs_runs_and_uninstalls(bench_modules):
-    spans, _ = bench_modules
+    spans, _, _ = bench_modules
     originals = {name: getattr(nm, name) for name in spans.NAMED_OPS + spans.ELEMENTWISE_OPS}
     clock, tracer = spans.StepClock(), spans.Tracer()
     with spans.instrument(clock, tracer):
@@ -51,6 +54,22 @@ def test_instrumentation_installs_runs_and_uninstalls(bench_modules):
 
 
 def test_machine_context(bench_modules):
-    _, run = bench_modules
+    _, run, _ = bench_modules
     ctx = run.machine_context()
     assert ctx["nproc"] >= 1 and ctx["blas_threads"] >= 1
+
+
+def test_every_workload_runs_its_checked_calls(bench_modules, tmp_path):
+    # set-up and one pass of each workload at the smoke scale: every
+    # output check a workload makes (frames, residuals, digests,
+    # durations.txt) must pass
+    spans, _, workloads = bench_modules
+    seed = 1
+    clock = spans.StepClock()
+    with spans.instrument(clock):
+        setup = workloads.set_up(workloads.SMOKE, seed, str(tmp_path))
+        outcomes = {name: workload(setup, workloads.SMOKE, seed, 0, clock)
+                    for name, workload in workloads.WORKLOADS.items()}
+    for name, outcome in outcomes.items():
+        assert outcome.attempted >= 1, name
+        assert outcome.failed == 0, (name, outcome.failures)

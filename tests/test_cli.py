@@ -405,6 +405,24 @@ def test_eval_writes_reports_and_reruns_identically(tmp_path, capsys,
         assert math.isclose(float(r[3]), float(r[2]) / int(r[1]), abs_tol=2e-3)
 
 
+def test_eval_two_corpora_of_one_style_rejected(tmp_path, capsys, tiny_checkpoints):
+    # results are keyed by style: a second spont corpus would silently
+    # replace the first one's rows
+    paths, corpus_path = tiny_checkpoints
+    other = str(tmp_path / "other.durcorpus")
+    save(generate(CorpusSpec(style="spont", seed=5, num_sentences=40, max_phones=6,
+                             vocab_size=24), "val"), other)
+    out = tmp_path / "e"
+    code, _, err = run(["eval", "--det", paths["det"], "--fm", paths["fm"],
+                        "--corpus", corpus_path, "--corpus", other, "--out", str(out)],
+                       capsys)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "'spont'" in lines[0] and corpus_path in lines[0] and other in lines[0]
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint_named(tmp_path, capsys, tiny_checkpoints):
     paths, corpus_path = tiny_checkpoints
     missing = str(tmp_path / "ghost.npz")

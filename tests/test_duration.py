@@ -349,24 +349,24 @@ class TestFmSampleBatch:
     def test_repeated_condition_matches_separate_batches(self):
         model = tiny_model("fm", seed=2)
         rng = np.random.default_rng(7)
-        cond = model.predictor.condition(model.encoder(rng.integers(0, 6, size=(2, 5))))
+        cond = model.encoder(rng.integers(0, 6, size=(2, 5)))
         noise = rng.standard_normal((3 * 2, 1, 5))
-        stacked = dur.fm_sample_batch(model, cond.repeat(3), noise, 3)
+        stacked = dur.fm_sample_batch(model, cond, noise, 3)
+        assert stacked.shape == (6, 1, 5)
         for r in range(3):
             rows = slice(2 * r, 2 * r + 2)
             single = dur.fm_sample_batch(model, cond, noise[rows], 3)
             assert np.max(np.abs(stacked[rows] - single)) <= 1e-12
-        assert cond.repeat(1) is cond
+        want = reference_euler(model, Tensor(np.concatenate([cond.data] * 3)), noise, 3)
+        assert np.max(np.abs(stacked - want)) <= 1e-12
 
-    def test_shared_condition_matches_encoder_output(self):
+    @pytest.mark.parametrize("shape", [(3, 1, 5), (4, 1, 6), (0, 1, 5), (4, 2, 5), (4, 5)])
+    def test_noise_not_stacking_cond_rejected(self, shape):
         model = tiny_model("fm", seed=2)
-        rng = np.random.default_rng(8)
-        cond = model.encoder(rng.integers(0, 6, size=(2, 5)))
-        shared = model.predictor.condition(cond)
-        for _ in range(2):
-            noise = rng.standard_normal((2, 1, 5))
-            assert np.array_equal(dur.fm_sample_batch(model, shared, noise, 3),
-                                  dur.fm_sample_batch(model, cond, noise, 3))
+        cond = model.encoder(np.zeros((2, 5), dtype=np.int64))
+        with pytest.raises(ValueError) as err:
+            dur.fm_sample_batch(model, cond, np.zeros(shape), 3)
+        assert str(shape) in str(err.value) and "(2, 8, 5)" in str(err.value)
 
     def test_parameter_change_shows_in_next_call(self):
         model = tiny_model("fm", seed=2)

@@ -306,13 +306,6 @@ def test_balanced_bimodal_mode_frequencies():
     assert sum(freqs.values()) == pytest.approx(1.0)
 
 
-def test_pause_std_tracked_separately():
-    st = dist_stats({PAUSE_ID: np.repeat([10, 20], 600), 5: np.full(1200, 4)})
-    assert st.pause_std == pytest.approx(5.0)
-    st2 = dist_stats({5: np.full(1200, 4)})
-    assert st2.pause_std is None
-
-
 def test_declared_modes_reads_mixture_components():
     modes = declared_modes(CorpusSpec(style="spont"))
     assert modes == {BIMODAL_ID: [pytest.approx(2.0), pytest.approx(12.0)]}
