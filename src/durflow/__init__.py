@@ -20,7 +20,6 @@ from durflow.duration import (
     DurationModel,
     LogDurations,
     SampleOptions,
-    fm_sample,
     length_regulate,
     load_model,
     loss,
@@ -28,7 +27,7 @@ from durflow.duration import (
     save_model,
     to_frames,
 )
-from durflow.encoder import PhoneSequence, TextEncoder, encode
+from durflow.encoder import PhoneSequence, TextEncoder
 from durflow.evaluation import (
     bench_sampling,
     corpus_frames,
@@ -52,8 +51,6 @@ __all__ = [
     "bench_sampling",
     "corpus_frames",
     "dist_stats",
-    "encode",
-    "fm_sample",
     "generate",
     "length_regulate",
     "load",

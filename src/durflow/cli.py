@@ -27,10 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from durflow.data import (
-    CorpusFormatError, CorpusSpec, DurationCorpus, generate, load, save,
-    STYLES,
-)
+from durflow.data import CorpusSpec, DurationCorpus, STYLES, generate, load, save
 from durflow.duration import DurationModel, SampleOptions, load_model, save_model
 from durflow.encoder import FILLER_ID, PAUSE_ID
 from durflow.evaluation import (
@@ -66,10 +63,10 @@ class RunConfig:
         for name in ("steps", "batch", "nfe"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise UsageError("lr must be > 0")
-        if self.temperature < 0:
-            raise UsageError("temperature must be >= 0")
+        if not 0 < self.lr < math.inf:
+            raise UsageError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.temperature < math.inf:
+            raise UsageError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.min_duration not in (0, 1):
             raise UsageError("min-duration must be 0 or 1")
 

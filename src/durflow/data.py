@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence
+from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence, interleave_blanks
 from durflow.files import atomic_write
 
 RESERVED_IDS = (BLANK_ID, PAUSE_ID, FILLER_ID)
@@ -47,6 +48,50 @@ def _default_laws(style: str) -> dict:
             "components": [[0.5, math.log(2.0), 0.03], [0.5, math.log(12.0), 0.03]],
         }
     return laws
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite real number; bools are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_law(cid: int, law):
+    """Raise ValueError naming class cid unless law is a well-formed law."""
+    def bad(message):
+        return ValueError(f"class {cid}: {message}")
+
+    if not isinstance(law, dict):
+        raise bad(f"law must be an object, got {law!r}")
+    kind = law.get("kind")
+    if kind == "lognormal":
+        weights, lognormals = [1.0], [(law.get("mu"), law.get("sigma"))]
+    elif kind == "mixture":
+        components = law.get("components")
+        if not (isinstance(components, (list, tuple)) and components and all(
+                isinstance(c, (list, tuple)) and len(c) == 3 for c in components)):
+            raise bad(f"components must be [weight, mu, sigma] triples, got {components!r}")
+        weights, lognormals = [c[0] for c in components], [c[1:] for c in components]
+    elif kind == "discrete":
+        values, weights, lognormals = law.get("values"), law.get("probs"), []
+        if not (isinstance(values, (list, tuple)) and isinstance(weights, (list, tuple))
+                and 0 < len(values) == len(weights)):
+            raise bad(f"values {values!r} and probs {weights!r} must be lists of one length")
+        if not all(_is_int(v) and v >= 0 for v in values):
+            raise bad(f"duration values must be integers >= 0, got {values!r}")
+    else:
+        raise bad(f"unknown law kind {kind!r}")
+    if not (all(_is_real(w) and w >= 0 for w in weights) and abs(sum(weights) - 1.0) <= 1e-9):
+        raise bad(f"weights must be numbers >= 0 that sum to 1, got {weights!r}")
+    for mu, sigma in lognormals:
+        if not _is_real(mu):
+            raise bad(f"mu must be a finite number, got {mu!r}")
+        if not (_is_real(sigma) and sigma > 0):
+            raise bad(f"sigma must be a finite number > 0, got {sigma!r}")
 
 
 @dataclass
@@ -76,37 +121,29 @@ class CorpusSpec:
             self.bimodal_prob = 0.25 if spont else 0.0
         if self.laws is None:
             self.laws = _default_laws(self.style)
+        if not isinstance(self.laws, dict):
+            raise ValueError(f"laws must map class ids to laws, got {self.laws!r}")
         self.laws = {int(k): v for k, v in self.laws.items()}
         self.validate()
 
     def validate(self):
+        """Raise ValueError naming the first field of a wrong type or value."""
+        for name in ("vocab_size", "num_sentences", "min_phones", "max_phones", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if not (1 <= self.min_phones <= self.max_phones):
             raise ValueError("need 1 <= min_phones <= max_phones")
-        for p in (self.pause_prob, self.filler_prob, self.bimodal_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
+        for name in ("pause_prob", "filler_prob", "bimodal_prob"):
+            p = getattr(self, name)
+            if not (_is_real(p) and 0.0 <= p <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
         if not self.phone_class_ids():
             raise ValueError("spec declares no phone classes")
         for cid, law in self.laws.items():
             if not 0 <= cid < self.vocab_size:
                 raise ValueError(f"class id {cid} outside vocab of size {self.vocab_size}")
-            kind = law.get("kind")
-            if kind == "lognormal":
-                if law["sigma"] <= 0:
-                    raise ValueError(f"class {cid}: sigma must be > 0")
-            elif kind == "mixture":
-                weights = [c[0] for c in law["components"]]
-                if abs(sum(weights) - 1.0) > 1e-9:
-                    raise ValueError(f"class {cid}: mixture weights must sum to 1")
-                if any(c[2] <= 0 for c in law["components"]):
-                    raise ValueError(f"class {cid}: sigma must be > 0")
-            elif kind == "discrete":
-                if abs(sum(law["probs"]) - 1.0) > 1e-9:
-                    raise ValueError(f"class {cid}: probabilities must sum to 1")
-                if any(v < 0 for v in law["values"]):
-                    raise ValueError(f"class {cid}: negative duration value")
-            else:
-                raise ValueError(f"class {cid}: unknown law kind {kind!r}")
+            _check_law(cid, law)
 
     def phone_class_ids(self) -> list:
         return sorted(cid for cid in self.laws if cid not in RESERVED_IDS)
@@ -213,7 +250,7 @@ def _generate_sentence(spec: CorpusSpec, index: int) -> Sentence:
         if rng.uniform() < spec.filler_prob:
             tokens.append(FILLER_ID)
 
-    seq = PhoneSequence(np.array(tokens, dtype=np.int64)).interleave()
+    seq = PhoneSequence(interleave_blanks(tokens))
     durations = np.empty(len(seq), dtype=np.int64)
     for pos, tok in enumerate(seq.ids):
         law = spec.laws[int(tok)]
@@ -242,6 +279,11 @@ def generate(spec: CorpusSpec, split: str = "train") -> DurationCorpus:
 # file format
 
 
+# the CorpusSpec fields a corpus header's params JSON holds
+HEADER_PARAMS = ("num_sentences", "min_phones", "max_phones", "pause_prob",
+                 "filler_prob", "bimodal_prob", "laws")
+
+
 class CorpusFormatError(ValueError):
     pass
 
@@ -250,15 +292,8 @@ def save(corpus: DurationCorpus, path):
     """Write the line-oriented corpus format, atomically; identical corpora
     give identical bytes."""
     spec = corpus.spec
-    params = {
-        "num_sentences": spec.num_sentences,
-        "min_phones": spec.min_phones,
-        "max_phones": spec.max_phones,
-        "pause_prob": spec.pause_prob,
-        "filler_prob": spec.filler_prob,
-        "bimodal_prob": spec.bimodal_prob,
-        "laws": {str(k): v for k, v in spec.laws.items()},
-    }
+    params = {key: getattr(spec, key) for key in HEADER_PARAMS}
+    params["laws"] = {str(k): v for k, v in spec.laws.items()}
     blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
     lines = [
         f"#durcorpus v1 style={spec.style} vocab={spec.vocab_size} "
@@ -287,18 +322,14 @@ def load(path) -> DurationCorpus:
         header[key] = value
     try:
         params = json.loads(header["params"])
-        spec = CorpusSpec(
-            style=header["style"],
-            vocab_size=int(header["vocab"]),
-            seed=int(header["seed"]),
-            num_sentences=int(params["num_sentences"]),
-            min_phones=int(params["min_phones"]),
-            max_phones=int(params["max_phones"]),
-            pause_prob=params["pause_prob"],
-            filler_prob=params["filler_prob"],
-            bimodal_prob=params["bimodal_prob"],
-            laws={int(k): v for k, v in params["laws"].items()},
-        )
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
+        null = [key for key in HEADER_PARAMS if params[key] is None]
+        if null:
+            raise ValueError(f"params {', '.join(null)} must not be null")
+        spec = CorpusSpec(style=header["style"], vocab_size=int(header["vocab"]),
+                          seed=int(header["seed"]),
+                          **{key: params[key] for key in HEADER_PARAMS})
         split = header["split"]
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CorpusFormatError(f"{path}: line 1: bad header ({exc})") from exc
@@ -343,7 +374,7 @@ def load(path) -> DurationCorpus:
                 f"{path}: line {lineno}: zero duration on a phone position"
             )
         try:
-            seq = PhoneSequence(ids, interleaved=True)
+            seq = PhoneSequence(ids)
         except ValueError as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
         if sent_id in seen:

@@ -14,7 +14,10 @@ sampling integrates dx/dt = v with Euler steps from t=0 to t=1.
 
 :func:`loss` is the one training objective of both heads, on a batch of
 equal-length sentences; training runs it and the gradient checks test
-it.
+it. :func:`fm_sample_batch` is the one sampler: it takes the encoder
+output of (B, T) token ids, one sequence being a batch of one, and the
+noise to start from, which corpus-level sampling draws from one stream
+per sentence and realisation (:mod:`durflow.evaluation`).
 
 Log-domain targets: positions that may legitimately have zero frames
 (blanks, pauses) use ln(d + 0.01) so the target stays finite; all other
@@ -30,7 +33,7 @@ import numpy as np
 from durflow import numerics as nm
 from durflow import nn
 from durflow.data import round_half_away
-from durflow.encoder import ConditioningSequence, TextEncoder, ENCODER_DIM
+from durflow.encoder import TextEncoder, ENCODER_DIM
 from durflow.nn import CheckpointFormatError
 from durflow.numerics import Tensor
 
@@ -64,8 +67,8 @@ class SampleOptions:
     def __post_init__(self):
         if self.nfe < 1:
             raise ValueError(f"nfe must be >= 1, got {self.nfe}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.min_duration not in (0, 1):
             raise ValueError(f"min_duration must be 0 or 1, got {self.min_duration}")
 
@@ -369,22 +372,6 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     return x
 
 
-def fm_sample(cond: ConditioningSequence, model: DurationModel,
-              opts: SampleOptions) -> LogDurations:
-    """Draw one duration sample for one sequence.
-
-    The initial noise is N(0, temperature^2 I) from a generator seeded
-    with opts.seed; temperature scales only this initial state.
-    """
-    if model.kind != "fm":
-        raise ValueError(f"fm_sample needs an 'fm' model, got '{model.kind}'")
-    t_len = cond.vectors.data.shape[-1]
-    rng = np.random.default_rng(opts.seed)
-    noise = opts.temperature * rng.standard_normal((1, 1, t_len))
-    vectors = nm.reshape(cond.vectors, (1,) + cond.vectors.data.shape[-2:])
-    return LogDurations(fm_sample_batch(model, vectors, noise, opts.nfe)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # quantisation and length regulation
 
@@ -417,12 +404,13 @@ def quantisation_residual(log_dur: LogDurations) -> float:
     return float(residual.sum() / residual.size)
 
 
-def length_regulate(cond: ConditioningSequence, frames) -> Tensor:
-    """Repeat column t of the conditioning frames[t] times, order preserved."""
+def length_regulate(vectors: Tensor, frames) -> Tensor:
+    """Repeat column t of the (D, T) conditioning vectors frames[t] times,
+    order preserved."""
     frames = np.asarray(frames)
-    if frames.ndim != 1 or frames.size != cond.vectors.data.shape[-1]:
+    if frames.ndim != 1 or frames.size != vectors.data.shape[-1]:
         raise ValueError("frames length does not match the sequence")
     if np.any(frames < 0):
         pos = int(np.flatnonzero(frames < 0)[0])
         raise ValueError(f"negative duration at position {pos}")
-    return Tensor(np.repeat(cond.vectors.data, frames.astype(np.int64), axis=-1))
+    return Tensor(np.repeat(vectors.data, frames.astype(np.int64), axis=-1))

@@ -2,8 +2,10 @@
 
 Phones are interleaved with a blank token before encoding, so each
 phone is represented by two encoder vectors (itself and the blank that
-follows it). The encoder body is deliberately small: embedding lookup,
-one width-3 convolution, layer norm, ReLU.
+follows it); a :class:`PhoneSequence` always holds interleaved ids. The
+encoder takes a (B, T) batch of them, one sequence being a batch of
+one. Its body is deliberately small: embedding lookup, one width-3
+convolution, layer norm, ReLU.
 """
 
 from __future__ import annotations
@@ -26,38 +28,24 @@ ENCODER_DIM = 192
 
 @dataclass
 class PhoneSequence:
-    """Token ids over the synthetic alphabet, with an interleaving flag."""
+    """Interleaved token ids over the synthetic alphabet: each phone is
+    followed by a BLANK, so the length is even and every odd position
+    holds BLANK."""
 
     ids: np.ndarray
-    interleaved: bool = False
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.interleaved:
-            if self.ids.size % 2 != 0:
-                raise ValueError("interleaved sequence must have even length")
-            if self.ids.size and not np.all(self.ids[1::2] == BLANK_ID):
-                raise ValueError("interleaved sequence must have BLANK at odd positions")
-
-    def interleave(self) -> "PhoneSequence":
-        return PhoneSequence(interleave_blanks(self.ids), interleaved=True)
+        if self.ids.size % 2 != 0:
+            raise ValueError("interleaved sequence must have even length")
+        if self.ids.size and not np.all(self.ids[1::2] == BLANK_ID):
+            raise ValueError("interleaved sequence must have BLANK at odd positions")
 
     def __len__(self):
         return self.ids.size
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PhoneSequence)
-            and self.interleaved == other.interleaved
-            and np.array_equal(self.ids, other.ids)
-        )
-
-
-@dataclass
-class ConditioningSequence:
-    """Encoder output: vectors of shape (D, T)."""
-
-    vectors: Tensor
+        return isinstance(other, PhoneSequence) and np.array_equal(self.ids, other.ids)
 
 
 def interleave_blanks(ids) -> np.ndarray:
@@ -86,11 +74,3 @@ class TextEncoder(nn.Module):
         h = self.embed(ids)
         return nm.relu(self.norm(self.conv(h)))
 
-
-def encode(seq: PhoneSequence, encoder: TextEncoder) -> ConditioningSequence:
-    """Encode one interleaved phone sequence into (D, T) conditioning
-    vectors: the encoder's batch of one, with the batch axis dropped."""
-    if not seq.interleaved:
-        raise ValueError("sequence must be interleaved before encoding")
-    vectors = encoder(seq.ids[None])
-    return ConditioningSequence(nm.reshape(vectors, vectors.data.shape[1:]))

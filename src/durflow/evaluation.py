@@ -284,12 +284,8 @@ def frames_by_class(corpus: DurationCorpus, frames: dict) -> dict:
 
 
 def reference_by_class(corpus: DurationCorpus) -> dict:
-    """Pool the corpus's own reference durations per class."""
-    buckets = {}
-    for s in corpus.sentences:
-        for tok, d in zip(s.seq.ids, s.durations):
-            buckets.setdefault(int(tok), []).append(int(d))
-    return {cid: np.array(v, dtype=np.int64) for cid, v in buckets.items()}
+    """Pool the corpus's own reference durations per class, as one realisation."""
+    return frames_by_class(corpus, {s.sent_id: [s.durations] for s in corpus.sentences})
 
 
 def declared_modes(spec) -> dict:

@@ -50,6 +50,10 @@ _active_tape = None
 # float64 entries per block of the Adam update: 128 KiB per buffer, so
 # the six buffers that one block touches fit in a core's L2 cache
 _ADAM_BLOCK = 1 << 14
+# Adam's moment decay rates, and the term added to the denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
 
 # added to the variance in layer_norm before the square root
 LAYER_NORM_EPS = 1e-5
@@ -618,7 +622,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction over named parameters.
+    """Adam with bias correction over named parameters, at the decay
+    rates ADAM_BETA1 and ADAM_BETA2 and the denominator term ADAM_EPS.
 
     ``params`` is a dict mapping names to parameter Tensors. The
     optimizer takes over their storage: each parameter's ``data`` and
@@ -630,12 +635,9 @@ class Adam:
     parameter's name.
     """
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9):
+    def __init__(self, params: dict, lr=1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = sum(p.data.size for p in self.params.values())
         self._theta = np.empty(size)
@@ -682,7 +684,7 @@ class Adam:
                 )
         self._check_finite()
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for theta, g, m, v, num, den in self._blocks:
             m *= b1

@@ -192,6 +192,41 @@ def test_config_file_bad_value_is_usage_error(tmp_path, capsys,
     assert "line 1" in err
 
 
+def setting(tmp_path, key, value, source):
+    """The arguments that set key to value by a flag or by a config file."""
+    if source == "flag":
+        return [f"--{key}", value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lr_is_usage_error(tmp_path, capsys, small_corpus_file, value, source):
+    out = tmp_path / "run"
+    code, _, err = run(["train", "--corpus", small_corpus_file, "--out", str(out)]
+                       + setting(tmp_path, "lr", value, source), capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: lr must be finite and > 0, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_non_finite_temperature_is_usage_error(tmp_path, capsys, tiny_checkpoints,
+                                               kind, value, source):
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "s"
+    code, _, err = run(["sample", "--checkpoint", paths[kind], "--corpus", corpus_path,
+                        "--out", str(out)] + setting(tmp_path, "temperature", value, source),
+                       capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: temperature must be finite and >= 0, got {value}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- sample
 
 

@@ -1,19 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from durflow import data as dd
 from durflow.data import (
     BIMODAL_ID,
     CorpusSpec,
     CorpusFormatError,
     DurationCorpus,
-    Sentence,
     generate,
     load,
     save,
     zero_allowed,
 )
-from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence
+from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID
 
 from _oracles import rounded_lognormal_moments
 
@@ -86,7 +86,6 @@ class TestGenerate:
     def test_structure_invariants(self):
         corpus = generate(CorpusSpec(style="spont", num_sentences=50, seed=3))
         for s in corpus.sentences:
-            assert s.seq.interleaved
             assert np.all(s.seq.ids[1::2] == BLANK_ID)
             assert np.all(s.durations >= 0)
             zero_ok = zero_allowed(s.seq.ids)
@@ -163,6 +162,27 @@ class TestZeroAllowed:
     def test_blank_and_pause_only(self):
         ids = np.array([BLANK_ID, PAUSE_ID, FILLER_ID, 3, BIMODAL_ID])
         assert zero_allowed(ids).tolist() == [True, True, False, False, False]
+
+
+def replaced(params, keys, value):
+    """params with the value at the path of keys replaced by value."""
+    node = params
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return params
+
+
+# one header value of the wrong type each: params JSON in, edited JSON out
+MISTYPED_HEADERS = {
+    "law-not-an-object": lambda p: replaced(p, ["laws", "0"], 5),
+    "params-a-list": lambda p: [1, 2],
+    "probability-a-string": lambda p: replaced(p, ["pause_prob"], "x"),
+    "count-a-list": lambda p: replaced(p, ["num_sentences"], [1]),
+    "sigma-a-string": lambda p: replaced(p, ["laws", "3", "sigma"], "a"),
+    "component-of-two-entries": lambda p: replaced(
+        p, ["laws", str(BIMODAL_ID), "components", 0], [0.5, 0.7]),
+}
 
 
 class TestFileFormat:
@@ -290,6 +310,17 @@ class TestFileFormat:
         save(generate(CorpusSpec(style="read", num_sentences=2, seed=0)), path)
         path.write_bytes(path.read_bytes().replace(b"\t", b"\xff", 1))
         with pytest.raises(CorpusFormatError, match="b.durcorpus: not UTF-8"):
+            load(path)
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED_HEADERS))
+    def test_mistyped_header_value_reports_line_1(self, tmp_path, case):
+        path = tmp_path / "h.durcorpus"
+        save(generate(CorpusSpec(style="spont", seed=0), "val"), path)
+        header, rest = path.read_text().split("\n", 1)
+        head, blob = header.split(" params=", 1)
+        blob = json.dumps(MISTYPED_HEADERS[case](json.loads(blob)), separators=(",", ":"))
+        path.write_text(f"{head} params={blob}\n{rest}")
+        with pytest.raises(CorpusFormatError, match="h.durcorpus: line 1: bad header"):
             load(path)
 
     @pytest.mark.parametrize("token, reason", [

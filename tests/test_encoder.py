@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from durflow import encoder as enc
 from durflow.encoder import (
     BLANK_ID,
     PhoneSequence,
     TextEncoder,
-    encode,
     interleave_blanks,
 )
 
@@ -37,21 +35,21 @@ class TestInterleave:
 
 
 class TestPhoneSequence:
-    def test_interleave_method_sets_flag(self):
-        seq = PhoneSequence(np.array([3, 4])).interleave()
-        assert seq.interleaved
+    def test_interleaved_ids_accepted(self):
+        seq = PhoneSequence(interleave_blanks([3, 4]))
+        assert seq.ids.tolist() == [3, BLANK_ID, 4, BLANK_ID]
         assert len(seq) == 4
 
     def test_invalid_interleaved_structure_rejected(self):
         with pytest.raises(ValueError):
-            PhoneSequence(np.array([3, 4]), interleaved=True)
+            PhoneSequence(np.array([3, 4]))
         with pytest.raises(ValueError):
-            PhoneSequence(np.array([3, BLANK_ID, 4]), interleaved=True)
+            PhoneSequence(np.array([3, BLANK_ID, 4]))
 
     def test_equality(self):
-        a = PhoneSequence(np.array([3, 4])).interleave()
-        b = PhoneSequence(np.array([3, 4])).interleave()
-        c = PhoneSequence(np.array([3, 5])).interleave()
+        a = PhoneSequence(interleave_blanks([3, 4]))
+        b = PhoneSequence(interleave_blanks([3, 4]))
+        c = PhoneSequence(interleave_blanks([3, 5]))
         assert a == b
         assert a != c
 
@@ -60,39 +58,35 @@ class TestEncode:
     def make_encoder(self, seed=0):
         return TextEncoder(10, np.random.default_rng(seed))
 
+    def encoded(self, phones, e):
+        """The (D, T) encoder output of one sentence: a batch of one."""
+        return e(interleave_blanks(phones)[None]).data[0]
+
     def test_deterministic(self):
         e = self.make_encoder()
-        seq = PhoneSequence(np.array([3, 4, 5])).interleave()
-        a = encode(seq, e)
-        b = encode(seq, e)
-        assert np.array_equal(a.vectors.data, b.vectors.data)
+        a = self.encoded([3, 4, 5], e)
+        b = self.encoded([3, 4, 5], e)
+        assert np.array_equal(a, b)
 
     def test_output_shape_is_dim_by_double_length(self):
         e = self.make_encoder()
-        seq = PhoneSequence(np.array([3, 4, 5])).interleave()
-        cond = encode(seq, e)
-        assert cond.vectors.data.shape == (192, 6)
-
-    def test_non_interleaved_rejected(self):
-        e = self.make_encoder()
-        with pytest.raises(ValueError):
-            encode(PhoneSequence(np.array([3, 4])), e)
+        assert e(interleave_blanks([3, 4, 5])[None]).data.shape == (1, 192, 6)
 
     def test_permuting_phones_changes_affected_columns(self):
         e = self.make_encoder()
-        a = encode(PhoneSequence(np.array([3, 4, 5, 6])).interleave(), e)
-        b = encode(PhoneSequence(np.array([3, 5, 4, 6])).interleave(), e)
+        a = self.encoded([3, 4, 5, 6], e)
+        b = self.encoded([3, 5, 4, 6], e)
         # phones at positions 1 and 2 swapped -> interleaved columns 2 and 4
-        assert not np.allclose(a.vectors.data[:, 2], b.vectors.data[:, 2])
-        assert not np.allclose(a.vectors.data[:, 4], b.vectors.data[:, 4])
+        assert not np.allclose(a[:, 2], b[:, 2])
+        assert not np.allclose(a[:, 4], b[:, 4])
 
     def test_changing_one_phone_is_local_to_receptive_field(self):
         e = self.make_encoder()
         ids_a = np.array([3, 4, 5, 6, 7, 8])
         ids_b = ids_a.copy()
         ids_b[2] = 9  # interleaved position 4
-        a = encode(PhoneSequence(ids_a).interleave(), e).vectors.data
-        b = encode(PhoneSequence(ids_b).interleave(), e).vectors.data
+        a = self.encoded(ids_a, e)
+        b = self.encoded(ids_b, e)
         changed = np.where(np.any(a != b, axis=0))[0]
         assert changed.size > 0
         # conv kernel width 3 -> only columns 3..5 may differ
@@ -106,8 +100,6 @@ class TestEncode:
             single = e(ids[n][None]).data
             assert single.shape == (1, 192, 4)
             assert np.allclose(batched[n], single[0], atol=1e-12)
-            seq = PhoneSequence(ids[n, 0::2]).interleave()
-            assert np.array_equal(encode(seq, e).vectors.data, single[0])
 
     def test_encoder_param_count(self):
         from durflow.nn import param_count

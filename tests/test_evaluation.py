@@ -1,7 +1,6 @@
 """Evaluation harness: residual curves, distribution stats, reports."""
 
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -190,6 +189,18 @@ def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):
     assert any(
         not np.array_equal(a[sid][0], a[sid][1]) for sid in a
     )
+
+
+def test_temperature_zero_ignores_seed(tiny_fm, tiny_corpus):
+    a = corpus_log_values(tiny_fm, tiny_corpus, SampleOptions(temperature=0.0, seed=1))
+    b = corpus_log_values(tiny_fm, tiny_corpus, SampleOptions(temperature=0.0, seed=2))
+    assert all(np.array_equal(a[sid], b[sid]) for sid in a)
+
+
+def test_different_seeds_differ(tiny_fm, tiny_corpus):
+    a = corpus_log_values(tiny_fm, tiny_corpus, SampleOptions(seed=1))
+    b = corpus_log_values(tiny_fm, tiny_corpus, SampleOptions(seed=2))
+    assert all(not np.array_equal(a[sid], b[sid]) for sid in a)
 
 
 # ---------------------------------------------------------------- precision

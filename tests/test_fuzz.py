@@ -1,12 +1,14 @@
 """Damaged checkpoint and corpus files at the command line.
 
-Each example truncates a valid tiny file, flips one byte of it, or
-drops one of its keys, and runs ``durflow sample`` on the result. The
-command must exit 0 with nothing on stderr, or 1 or 2 with exactly one
-``error:`` line; it never raises, warns or prints a traceback. A file
-that no longer loads must fail with an error naming it (for a
-checkpoint, a CheckpointFormatError), and a truncated checkpoint or one
-missing a key must fail.
+Each example truncates a valid tiny file, flips one byte of it, drops
+one of its keys, or gives one value inside a corpus header's params
+JSON a value of another JSON type, and runs ``durflow sample`` on the
+result. The command must exit 0 with nothing on stderr, or 1 or 2 with
+exactly one ``error:`` line; it never raises, warns or prints a
+traceback. A file that no longer loads must fail with an error naming
+it (for a checkpoint, a CheckpointFormatError). A truncated checkpoint,
+a file missing a key and a corpus with a mistyped header value must
+fail.
 """
 
 import contextlib
@@ -28,6 +30,8 @@ from durflow.duration import DurationModel, load_model, save_model
 
 FUZZ = settings(max_examples=50, deadline=None, derandomize=True)
 CORPUS_HEADER_KEYS = ("style", "vocab", "seed", "split", "params")
+# one value of each JSON type: null, boolean, number, string, array, object
+JSON_VALUES = (None, True, 3, "x", [1, 2], {"k": 1})
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,41 @@ def corpus_keys(content: bytes) -> list:
     return list(CORPUS_HEADER_KEYS) + sorted(f"params.{k}" for k in params)
 
 
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def value_paths(node, path=()):
+    """The key path of every value inside a JSON document but the root."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+def mistype_header_value(content: bytes, where: float, choice: int) -> bytes:
+    """The corpus with one value inside its header's params JSON (a law
+    or a field of one, a probability, a count) replaced by the value of
+    another JSON type that ``choice`` picks."""
+    header, rest = content.decode("utf-8").split("\n", 1)
+    head, blob = header.split(" params=", 1)
+    params = json.loads(blob)
+    paths = list(value_paths(params))
+    path = paths[int(where * len(paths))]
+    node = params
+    for key in path[:-1]:
+        node = node[key]
+    others = [v for v in JSON_VALUES if json_type(v) != json_type(node[path[-1]])]
+    node[path[-1]] = others[choice]
+    blob = json.dumps(params, separators=(",", ":"))
+    return f"{head} params={blob}\n{rest}".encode("utf-8")
+
+
 mutations = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
     st.tuples(st.just("flip"), st.tuples(st.floats(0.0, 1.0, exclude_max=True),
@@ -177,6 +216,17 @@ def test_damaged_corpus(valid_files, mutation):
     check_outcome(code, lines, caught, loads, "val.durcorpus")
     if mutation[0] == "drop":
         assert code == 2
+
+
+@FUZZ
+@given(where=st.floats(0.0, 1.0, exclude_max=True),
+       choice=st.integers(0, len(JSON_VALUES) - 2))
+def test_mistyped_corpus_header(valid_files, where, choice):
+    files = read_files(valid_files)
+    files["val.durcorpus"] = mistype_header_value(files["val.durcorpus"], where, choice)
+    code, lines, caught, loads = sample_on(files)
+    check_outcome(code, lines, caught, loads, "val.durcorpus")
+    assert code == 2
 
 
 def test_undamaged_files_sample(valid_files):

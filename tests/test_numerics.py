@@ -263,7 +263,7 @@ class TestAdam:
         theta0 = rng.normal(size=(9,))
         grads = [rng.normal(size=(9,)) for _ in range(10)]
         p = parameter(theta0.copy())
-        opt = Adam({"w": p}, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9)
+        opt = Adam({"w": p}, lr=1e-3)
         for g in grads:
             p.grad[...] = g
             opt.step()
@@ -301,7 +301,7 @@ class TestAdam:
         theta0 = {k: rng.normal(size=s) for k, s in shapes.items()}
         grads = [{k: rng.normal(size=s) for k, s in shapes.items()} for _ in range(10)]
         params = {k: parameter(v.copy()) for k, v in theta0.items()}
-        opt = Adam(params, lr=1e-3, beta1=0.9, beta2=0.98, eps=1e-9)
+        opt = Adam(params, lr=1e-3)
         for g in grads:
             for k, p in params.items():
                 p.grad[...] = g[k]
