@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from durflow.data import CorpusSpec, DurationCorpus, STYLES, generate, load, save
-from durflow.duration import DurationModel, SampleOptions, load_model, save_model
+from durflow.duration import MODEL_KINDS, DurationModel, SampleOptions, load_model, save_model
 from durflow.encoder import FILLER_ID, PAUSE_ID
 from durflow.evaluation import (
     MIN_STAT_TOKENS, bench_sampling, corpus_frames, declared_modes, dist_stats,
@@ -37,38 +37,39 @@ from durflow.evaluation import (
 from durflow.files import atomic_write
 from durflow.training import train_model
 
-MODEL_KINDS = ("det", "fm")
-
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one command; every field has a default."""
+    """Resolved settings for one command; every field has a default, and
+    the sampling fields take theirs from SampleOptions."""
 
     style: str = "read"
     kind: str = "det"
     steps: int = 3000
     batch: int = 16
     lr: float = 1e-3
-    nfe: int = 10
-    temperature: float = 0.667
-    min_duration: int = 0
-    seed: int = 0
+    nfe: int = SampleOptions.nfe
+    temperature: float = SampleOptions.temperature
+    min_duration: int = SampleOptions.min_duration
+    seed: int = SampleOptions.seed
     out: str = "runs"
 
     def validate(self):
         if self.style not in STYLES:
             raise UsageError(f"style must be one of {'/'.join(STYLES)}, got {self.style!r}")
         if self.kind not in MODEL_KINDS:
-            raise UsageError(f"kind must be det or fm, got {self.kind!r}")
-        for name in ("steps", "batch", "nfe"):
+            raise UsageError(f"kind must be one of {'/'.join(MODEL_KINDS)}, got {self.kind!r}")
+        for name in ("steps", "batch"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
         if not 0 < self.lr < math.inf:
             raise UsageError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0 <= self.temperature < math.inf:
-            raise UsageError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.min_duration not in (0, 1):
-            raise UsageError("min-duration must be 0 or 1")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        try:
+            self.sample_options()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def sample_options(self) -> SampleOptions:
         return SampleOptions(nfe=self.nfe, temperature=self.temperature,

@@ -191,6 +191,15 @@ class DurationCorpus:
     def __len__(self):
         return len(self.sentences)
 
+    def length_groups(self) -> list:
+        """The sentences grouped by exact length, shortest first, in
+        corpus order within each group: the rectangular batches that
+        training and sampling split a corpus into."""
+        groups = {}
+        for s in self.sentences:
+            groups.setdefault(len(s.seq), []).append(s)
+        return [groups[t] for t in sorted(groups)]
+
     def __eq__(self, other):
         return (
             isinstance(other, DurationCorpus)

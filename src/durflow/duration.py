@@ -42,6 +42,7 @@ LOG_FLOOR = 1e-2
 HIDDEN_CHANNELS = 280
 NOISE_CHANNELS = 32
 TIME_DIM = 64
+MODEL_KINDS = ("det", "fm")
 # the keyword arguments of DurationModel that a checkpoint's 'dims' holds
 DIM_KEYS = ("encoder_dim", "hidden", "noise_dim", "time_dim")
 
@@ -187,8 +188,8 @@ class DurationModel(nn.Module):
     def __init__(self, kind: str, vocab_size: int, seed: int = 0,
                  encoder_dim: int = ENCODER_DIM, hidden: int = HIDDEN_CHANNELS,
                  noise_dim: int = NOISE_CHANNELS, time_dim: int = TIME_DIM):
-        if kind not in ("det", "fm"):
-            raise ValueError(f"model kind must be 'det' or 'fm', got {kind!r}")
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
         self.kind = kind
         self.vocab_size = vocab_size
         self.seed = seed
@@ -203,7 +204,7 @@ class DurationModel(nn.Module):
         self.trained_steps = 0
 
     def predictor_param_count(self) -> int:
-        return nn.param_count(self.predictor.params())
+        return nn.param_count(self.predictor)
 
 
 def save_model(model: DurationModel, path):
@@ -230,8 +231,8 @@ def _check_meta(path, meta: dict):
     for key in ("kind", "vocab_size", "seed", "dims", "trained_steps"):
         if key not in meta:
             raise bad(f"lacks '{key}'")
-    if meta["kind"] not in ("det", "fm"):
-        raise bad(f"'kind' must be 'det' or 'fm', got {meta['kind']!r}")
+    if meta["kind"] not in MODEL_KINDS:
+        raise bad(f"'kind' must be one of {MODEL_KINDS}, got {meta['kind']!r}")
     for key, low in (("vocab_size", 1), ("seed", 0), ("trained_steps", 0)):
         if not _is_int(meta[key]) or meta[key] < low:
             raise bad(f"'{key}' must be an integer >= {low}, got {meta[key]!r}")

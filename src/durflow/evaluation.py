@@ -73,13 +73,6 @@ def worker_count() -> int:
 # corpus-level sampling
 
 
-def _groups_by_length(corpus: DurationCorpus):
-    groups = {}
-    for s in corpus.sentences:
-        groups.setdefault(len(s.seq), []).append(s)
-    return [groups[t] for t in sorted(groups)]
-
-
 def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) -> list:
     """Log-duration rows for one equal-length sentence group, one dict per rep.
 
@@ -124,7 +117,7 @@ def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
     """
     nm.keep_freed_memory()
     model = nn.cast_copy(model, SAMPLING_DTYPE)
-    groups = _groups_by_length(corpus)
+    groups = corpus.length_groups()
     workers = worker_count()
     if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -238,7 +231,6 @@ class DistStats:
 
     means: dict
     stds: dict
-    counts: dict
     mode_freqs: dict  # class -> {mode_value: frequency}
 
 
@@ -252,7 +244,7 @@ def dist_stats(durations_by_class: dict, modes_by_class: dict = None,
     Classes below min_tokens samples (or empty) are rejected.
     """
     modes_by_class = modes_by_class or {}
-    means, stds, counts, freqs = {}, {}, {}, {}
+    means, stds, freqs = {}, {}, {}
     for cid, durs in durations_by_class.items():
         durs = np.asarray(durs, dtype=np.float64)
         if durs.size == 0:
@@ -263,14 +255,13 @@ def dist_stats(durations_by_class: dict, modes_by_class: dict = None,
             )
         means[cid] = float(durs.mean())
         stds[cid] = float(durs.std())
-        counts[cid] = int(durs.size)
         if cid in modes_by_class:
             modes = np.asarray(modes_by_class[cid], dtype=np.float64)
             nearest = np.argmin(np.abs(durs[:, None] - modes[None, :]), axis=1)
             freqs[cid] = {
                 float(m): float(np.mean(nearest == j)) for j, m in enumerate(modes)
             }
-    return DistStats(means, stds, counts, freqs)
+    return DistStats(means, stds, freqs)
 
 
 def frames_by_class(corpus: DurationCorpus, frames: dict) -> dict:

@@ -1,8 +1,11 @@
 """Layers, parameter counts and checkpoint IO.
 
-Layers are thin containers around :mod:`durflow.numerics` Tensors.
-Construction takes a ``numpy.random.Generator`` so that the same seed
-always yields bit-identical initial parameters. Weight matrices are
+Layers are thin containers around :mod:`durflow.numerics` Tensors,
+all of them :class:`Module` subclasses under one parameter rule: a
+layer's parameters are its Tensor attributes and those of its
+sub-layers, so a layer holds no Tensor attribute that is not a
+parameter. Construction takes a ``numpy.random.Generator`` so that the
+same seed always yields bit-identical initial parameters. Weight matrices are
 drawn uniform in +-sqrt(1/fan_in), embedding tables from N(0, 0.02),
 biases start at zero and layer norms at identity.
 """
@@ -32,11 +35,9 @@ class CheckpointFormatError(ValueError):
     names the file and, where one is at fault, the key or parameter."""
 
 
-def param_count(model) -> int:
-    """Total number of scalar parameters in a layer, a model or a dict
-    of named parameters."""
-    params = model.params() if hasattr(model, "params") else model
-    return sum(int(np.size(p.data if isinstance(p, Tensor) else p)) for p in params.values())
+def param_count(layer) -> int:
+    """Total number of scalar parameters in a layer or model."""
+    return sum(p.data.size for p in layer.params().values())
 
 
 # ---------------------------------------------------------------------------
@@ -44,24 +45,27 @@ def param_count(model) -> int:
 
 
 class Module:
-    """A layer built from other layers.
+    """A layer: its parameters are its Tensor attributes, and those of
+    the layers it is built from.
 
-    Its sub-layers are the attributes that have ``params``, in the order
-    ``__init__`` assigns them. That order fixes the parameter names
-    ``<attribute>.<name>`` and their order, on which the optimiser's flat
-    buffer and the checkpoint keys depend.
+    ``params()`` lists, in the order ``__init__`` assigns the attributes,
+    each Tensor attribute under its own name and each sub-layer's
+    parameters as ``<attribute>.<name>``. That order fixes the parameter
+    names and their order, on which the optimiser's flat buffer and the
+    checkpoint keys depend.
     """
 
-    def _sublayers(self):
-        return [(name, v) for name, v in vars(self).items() if hasattr(v, "params")]
-
     def params(self) -> dict:
-        return {f"{name}.{key}": p
-                for name, layer in self._sublayers()
-                for key, p in layer.params().items()}
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[name] = value
+            elif isinstance(value, Module):
+                out.update((f"{name}.{key}", p) for key, p in value.params().items())
+        return out
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         lim = np.sqrt(1.0 / in_dim)
         self.weight = parameter(rng.uniform(-lim, lim, size=(in_dim, out_dim)))
@@ -70,11 +74,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return nm.add(nm.matmul(x, self.weight), self.bias)
 
-    def params(self) -> dict:
-        return {"weight": self.weight, "bias": self.bias}
 
-
-class Conv1d:
+class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
                  rng: np.random.Generator):
         lim = np.sqrt(1.0 / (in_channels * kernel_width))
@@ -86,11 +87,8 @@ class Conv1d:
     def __call__(self, x: Tensor) -> Tensor:
         return nm.conv1d(x, self.weight, self.bias)
 
-    def params(self) -> dict:
-        return {"weight": self.weight, "bias": self.bias}
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, channels: int):
         self.gain = parameter(np.ones(channels))
         self.bias = parameter(None, shape=(channels,))
@@ -98,19 +96,14 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)
 
-    def params(self) -> dict:
-        return {"gain": self.gain, "bias": self.bias}
 
-
-class Embedding:
+class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.table = parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
 
     def __call__(self, ids) -> Tensor:
         return embedding_forward(self.table, ids)
 
-    def params(self) -> dict:
-        return {"table": self.table}
 
 
 def embedding_forward(table: Tensor, ids) -> Tensor:
@@ -168,8 +161,8 @@ class TimeEmbedding(Module):
 
 
 def cast_copy(layer, dtype):
-    """A forward-only copy of a layer or module whose parameters hold
-    their data as ``dtype``.
+    """A forward-only copy of a layer whose parameters hold their data
+    as ``dtype``.
 
     Each parameter is converted straight from the original's data, and
     everything else is shared with the original. The copy has no
@@ -179,7 +172,7 @@ def cast_copy(layer, dtype):
     for name, value in vars(layer).items():
         if isinstance(value, Tensor):
             setattr(out, name, Tensor(value.data.astype(dtype)))
-        elif hasattr(value, "params"):
+        elif isinstance(value, Module):
             setattr(out, name, cast_copy(value, dtype))
     return out
 

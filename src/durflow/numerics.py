@@ -99,45 +99,11 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        """A view of the same data with no gradient tracking."""
-        return Tensor(self.data, requires_grad=False)
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def parameter(data, shape=None) -> Tensor:

@@ -1,6 +1,6 @@
 """Training loops for both duration model kinds.
 
-Sentences are bucketed by exact length so every batch is rectangular
+Sentences are grouped by exact length so every batch is rectangular
 and needs no padding; batch order is reshuffled each epoch from a
 dedicated generator, so a (corpus, seed, steps) triple always produces
 the same loss trajectory bit for bit.
@@ -22,21 +22,16 @@ BATCH_STREAM = 11
 NOISE_STREAM = 12
 
 
-def _prepare(corpus: DurationCorpus):
-    """Group sentence (ids, log-target) pairs by sequence length."""
-    buckets = {}
-    for s in corpus.sentences:
-        ids = s.seq.ids
-        targets = log_targets(s.durations, zero_allowed(ids))
-        buckets.setdefault(ids.size, []).append((ids, targets))
-    return buckets
+def _prepare(corpus: DurationCorpus) -> list:
+    """The corpus's length groups as lists of (ids, log-target) pairs."""
+    return [[(s.seq.ids, log_targets(s.durations, zero_allowed(s.seq.ids))) for s in group]
+            for group in corpus.length_groups()]
 
 
-def _batch_plan(buckets, batch_size, rng):
-    """One epoch of batches: shuffle within buckets, then shuffle batches."""
+def _batch_plan(groups, batch_size, rng):
+    """One epoch of batches: shuffle within groups, then shuffle batches."""
     batches = []
-    for length in sorted(buckets):
-        group = buckets[length]
+    for group in groups:
         order = rng.permutation(len(group))
         for lo in range(0, len(group), batch_size):
             chunk = [group[i] for i in order[lo:lo + batch_size]]
@@ -58,7 +53,7 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     aborts with a diagnostic rather than training onward.
     """
     nm.keep_freed_memory()
-    buckets = _prepare(corpus)
+    groups = _prepare(corpus)
     batch_rng = np.random.default_rng(np.random.SeedSequence([seed, BATCH_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, NOISE_STREAM]))
     opt = Adam(model.params(), lr=lr)
@@ -69,7 +64,7 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
             writer.write("step,loss\n")
         step = 0
         while step < steps:
-            for ids, targets in _batch_plan(buckets, batch_size, batch_rng):
+            for ids, targets in _batch_plan(groups, batch_size, batch_rng):
                 if step >= steps:
                     break
                 loss_value = _train_step(model, ids, targets, noise_rng, opt)

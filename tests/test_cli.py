@@ -227,6 +227,20 @@ def test_non_finite_temperature_is_usage_error(tmp_path, capsys, tiny_checkpoint
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, tiny_checkpoints, command, source):
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "run"
+    inputs = {"train": ["--corpus", corpus_path],
+              "sample": ["--checkpoint", paths["fm"], "--corpus", corpus_path]}[command]
+    code, _, err = run([command, "--out", str(out)] + inputs
+                       + setting(tmp_path, "seed", "-1", source), capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- sample
 
 

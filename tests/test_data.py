@@ -158,6 +158,19 @@ class TestGenerate:
             DurationCorpus(sentences, spec, split="val")
 
 
+class TestLengthGroups:
+    def test_ascending_lengths_each_sentence_once_in_corpus_order(self):
+        corpus = generate(CorpusSpec(style="spont", seed=5, num_sentences=60, max_phones=6))
+        groups = corpus.length_groups()
+        lengths = [len(group[0].seq) for group in groups]
+        assert len(groups) > 1 and lengths == sorted(set(lengths))
+        for group, length in zip(groups, lengths):
+            # exactly the sentences of that length, in corpus order
+            assert [id(s) for s in group] == [
+                id(s) for s in corpus.sentences if len(s.seq) == length]
+        assert sum(map(len, groups)) == len(corpus)
+
+
 class TestZeroAllowed:
     def test_blank_and_pause_only(self):
         ids = np.array([BLANK_ID, PAUSE_ID, FILLER_ID, 3, BIMODAL_ID])

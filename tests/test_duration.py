@@ -472,7 +472,10 @@ class TestParamNames:
                       "predictor.time_to_h2"):
             first = "gain" if "norm" in layer else "weight"
             expected += [f"{layer}.{first}", f"{layer}.bias"]
-        assert list(tiny_model("fm").params()) == expected
+        model = tiny_model("fm")
+        assert list(model.params()) == expected
+        # the float32 sampling copy keeps the names and their order
+        assert list(nn.cast_copy(model, np.float32).params()) == expected
 
 
 def rewrite_meta(src, dst, **changes):

@@ -105,4 +105,4 @@ class TestEncode:
         from durflow.nn import param_count
         e = self.make_encoder()
         expected = 10 * 192 + (192 * 192 * 3 + 192) + 2 * 192
-        assert param_count(e.params()) == expected
+        assert param_count(e) == expected

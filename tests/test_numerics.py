@@ -209,22 +209,6 @@ class TestTapeSemantics:
             tape.backward(loss)
         assert np.allclose(a.grad, 2 * 2.0 * a.data)
 
-    def test_detach_blocks_gradient(self):
-        a = parameter(np.array([1.5, -0.5]))
-        with record() as tape:
-            loss = nm.tensor_sum(nm.mul(a.detach(), a.detach()))
-        tape.backward(loss)
-        assert np.all(a.grad == 0.0)
-
-    def test_operator_sugar(self):
-        a = parameter(np.array([1.0, 2.0]))
-        b = Tensor(np.array([3.0, 4.0]))
-        with record() as tape:
-            loss = nm.tensor_sum((a + b) * a - b * 2.0)
-        tape.backward(loss)
-        # d/da sum(a^2 + ab - 2b) = 2a + b
-        assert np.allclose(a.grad, 2 * a.data + b.data)
-
 
 class TestValidation:
     def test_even_kernel_rejected(self):

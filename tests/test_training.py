@@ -36,7 +36,7 @@ def test_targets_use_log_domain_rules():
     buckets = _prepare(corpus)
     s = corpus.sentences[0]
     ids, targets = next(
-        (i, t) for group in buckets.values() for i, t in group
+        (i, t) for group in buckets for i, t in group
         if np.array_equal(i, s.seq.ids)
     )
     for tok, dur, tgt in zip(ids, s.durations, targets):
