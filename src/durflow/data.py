@@ -361,6 +361,8 @@ def load(path) -> DurationCorpus:
             durs = np.array([int(x) for x in fields[2].split()], dtype=np.int64)
         except ValueError as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if ids.size == 0:
+            raise CorpusFormatError(f"{path}: line {lineno}: sentence has no tokens")
         if ids.size != durs.size:
             raise CorpusFormatError(
                 f"{path}: line {lineno}: {ids.size} ids but {durs.size} durations"

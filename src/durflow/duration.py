@@ -15,9 +15,10 @@ sampling integrates dx/dt = v with Euler steps from t=0 to t=1.
 :func:`loss` is the one training objective of both heads, on a batch of
 equal-length sentences; training runs it and the gradient checks test
 it. :func:`fm_sample_batch` is the one sampler: it takes the encoder
-output of (B, T) token ids, one sequence being a batch of one, and the
-noise to start from, which corpus-level sampling draws from one stream
-per sentence and realisation (:mod:`durflow.evaluation`).
+output of (B, T) token ids, one sequence being a batch of one, or of
+sentences of unequal length packed back to back along T with their
+lengths, and the noise to start from, which corpus-level sampling draws
+from one stream per sentence and realisation (:mod:`durflow.evaluation`).
 
 Log-domain targets: positions that may legitimately have zero frames
 (blanks, pauses) use ln(d + 0.01) so the target stays finite; all other
@@ -137,18 +138,12 @@ class FlowPredictor(nn.Module):
         emb = self.time(t_arr)  # (B, time_dim)
         h = self.conv1(nm.concat([cond, self.noise_proj(x)], axis=1))
         h = nm.add(h, nm.unsqueeze(self.time_to_h1(emb), 2))
-        return self._tail(h, nm.unsqueeze(self.time_to_h2(emb), 2))
-
-    def _tail(self, h: Tensor, e2: Tensor) -> Tensor:
-        """The network after the first block's time shift: h is conv1's
-        output plus that shift (B, hidden, T), e2 the second block's
-        shift, broadcastable to it."""
         h = self.norm1(nm.relu(h))
-        h = nm.add(self.conv2(h), e2)
+        h = nm.add(self.conv2(h), nm.unsqueeze(self.time_to_h2(emb), 2))
         h = self.norm2(nm.relu(h))
         return self.proj(h)
 
-    def condition(self, cond: Tensor) -> tuple:
+    def condition(self, cond: Tensor, lengths=None) -> tuple:
         """Everything of conv1 that does not depend on x, for one batch of cond.
 
         Convolution is linear in its input channels, so conv1 over
@@ -159,10 +154,12 @@ class FlowPredictor(nn.Module):
         x convolved with the one-channel kernel K[o, j] = sum_c W[o, c, j] P[c],
         plus the bias term E[o, j] = sum_c W[o, c, j] b[c] convolved with
         ones that, like noise_proj's output, are zero-padded, so the
-        term differs at the two sequence edges. K and E are summed in
-        float64, then cast to the parameters' dtype.
+        term differs at the two edges of every sequence. K and E are
+        summed in float64, then cast to the parameters' dtype.
 
-        Returns the pair (part, kernel). ``part`` is the (hidden, B*T)
+        ``lengths`` are the lengths of the sequences packed along T, as
+        ``nm.conv1d`` takes them (None: one sequence per row). Returns
+        the pair (part, kernel). ``part`` is the (hidden, B*T)
         channel-major matrix of conv1 over the cond channels plus its
         bias plus the bias term; ``kernel`` is K as a (hidden, 1, 3)
         Tensor. Both are taken from the parameters as they are now.
@@ -174,8 +171,9 @@ class FlowPredictor(nn.Module):
         folded = (proj.astype(np.float64) @ weight[:, self.cond_dim:]).astype(dtype)
         ones = np.ones((1, 1, cond.data.shape[-1]), dtype=dtype)
         edge_part = nm.conv1d(Tensor(ones), Tensor(folded[:, 1:]),
-                              Tensor(np.zeros(len(weight), dtype=dtype)))
-        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias).data
+                              Tensor(np.zeros(len(weight), dtype=dtype)), lengths)
+        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias,
+                         lengths).data
         part += edge_part.data
         # conv1d's output is channel-major in memory, so this is a view
         part = part.transpose(1, 0, 2).reshape(len(weight), -1)
@@ -326,22 +324,26 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
 
 
 def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
-                    nfe: int) -> np.ndarray:
+                    nfe: int, lengths=None) -> np.ndarray:
     """Euler-integrate the learned field for a batch; returns x at t=1.
 
     cond is the (B, D, T) encoder output and noise the t=0 state of R
     realisations of it stacked rep-major, (R*B, 1, T): row r*B + b starts
-    realisation r of sentence b. R is the rows of noise over the rows of
-    cond; any other shape raises ValueError. Each of the nfe steps
-    evaluates the field at t = i/nfe and advances by 1/nfe.
+    realisation r of row b. R is the rows of noise over the rows of
+    cond; any other shape raises ValueError. ``lengths``, when given,
+    are the lengths of sentences packed back to back along T, the same
+    in every row; each sentence then runs as if it were sampled alone
+    (None: each row is one sentence). Each of the nfe steps evaluates
+    the field at t = i/nfe and advances by 1/nfe.
 
     What depends on neither x nor the step is computed once per call:
     ``FlowPredictor.condition`` of cond, and the two time rows of every
-    grid point. A step convolves x with the folded one-channel kernel,
+    grid point, the second with conv2's bias added. A step convolves x
+    with the folded one-channel kernel, the first time row as its bias,
     adds the conditioning part to every realisation in place, without a
-    copy per realisation, and runs the layers after conv1. Nothing
-    outlives the call, so a change to the parameters shows in the next
-    call.
+    copy per realisation, and runs relu -> norm1 -> conv2, with bias the
+    second time row -> relu -> norm2 -> proj. Nothing outlives the
+    call, so a change to the parameters shows in the next call.
 
     The network runs in the dtype of the model's parameters (float32
     for the copy that corpus-level sampling makes): the time rows are
@@ -356,20 +358,24 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
                          f"of cond {cond.data.shape}")
     reps = x.shape[0] // batch
     predictor = model.predictor
+    conv2 = predictor.conv2
     dtype = predictor.conv1.weight.data.dtype
-    part, kernel = predictor.condition(cond)  # (hidden, B*T)
+    part, kernel = predictor.condition(cond, lengths)  # (hidden, B*T)
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
     rows1 = predictor.time_to_h1(emb).data.astype(dtype, copy=False)  # (nfe, hidden)
-    rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False)
-    rows2 = rows2[:, None, :, None]  # (nfe, 1, hidden, 1)
+    rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False) + conv2.bias.data
     dt = 1.0 / nfe
     for i in range(nfe):
-        # the first time shift rides on the noise convolution as its bias
-        h = nm.conv1d(Tensor(x.astype(dtype, copy=False)), kernel, Tensor(rows1[i]))
+        # each time shift rides on its block's convolution as the bias
+        h = nm.conv1d(Tensor(x.astype(dtype, copy=False)), kernel, Tensor(rows1[i]),
+                      lengths)
         # conv1d's output is channel-major in memory, so this is a view
         per_rep = h.data.transpose(1, 0, 2).reshape(len(part), reps, -1)
         per_rep += part[:, None, :]
-        x = x + dt * predictor._tail(h, Tensor(rows2[i])).data
+        h = predictor.norm1(nm.relu(h))
+        h = nm.conv1d(h, conv2.weight, Tensor(rows2[i]), lengths)
+        h = predictor.norm2(nm.relu(h))
+        x = x + dt * predictor.proj(h).data
     return x
 
 

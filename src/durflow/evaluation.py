@@ -10,13 +10,15 @@ Three experiment families:
 
 Corpus-level sampling derives one random stream per (sentence, rep)
 from the option seed, so the noise a sample starts from depends neither
-on batching nor on how work is spread over threads. The realisations
-of a length group run stacked in one Euler batch of at most
-MAX_BATCH_COLUMNS columns; the batch width changes how BLAS blocks its
-products, so a stacked realisation can differ from a one-realisation
-pass in its last float32 bits (see the README for the measured
-parity). The DURFLOW_THREADS environment variable caps the worker count
-(default 1).
+on batching nor on how work is spread over threads. Each length group
+is encoded once; the flow model then samples sentences of every length
+packed back to back along one time axis, with no padding, every
+realisation stacked on that layout, in Euler batches of at most
+MAX_BATCH_COLUMNS columns. The batch width changes how BLAS
+blocks its products, so a sample can differ from a one-sentence,
+one-realisation pass in its last float32 bits (see the README for the
+measured parity). The DURFLOW_THREADS environment variable caps the
+worker count (default 1); the workers share out the Euler batches.
 
 Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
 a copy of the model made at the start of each pass, while the Euler
@@ -52,10 +54,10 @@ from durflow.files import atomic_write
 DEFAULT_NFE_LIST = (1, 2, 4, 8, 10, 16, 32)
 # the dtype corpus-level sampling runs the network in
 SAMPLING_DTYPE = np.float32
-# columns (stacked sentences x reps x positions) per fm_sample_batch call
-# at most, unless one rep of a length group alone is wider: float32 GEMM
-# throughput levels off near this width, and a fixed cap keeps many-rep
-# passes from multiplying peak memory
+# columns (packed sentence positions x stacked reps) per fm_sample_batch
+# call at most, unless one (sentence, rep) pair alone is wider: float32
+# GEMM throughput levels off near this width, and a fixed cap keeps
+# many-rep passes from multiplying peak memory
 MAX_BATCH_COLUMNS = 2048
 # samples every class needs before dist_stats reports it
 MIN_STAT_TOKENS = 1000
@@ -73,63 +75,103 @@ def worker_count() -> int:
 # corpus-level sampling
 
 
-def _group_log_values(model: DurationModel, group, opts: SampleOptions, reps) -> list:
-    """Log-duration rows for one equal-length sentence group, one dict per rep.
+def _sample_calls(sentences, reps: int) -> list:
+    """Split the (sentence, rep) pairs into fm_sample_batch calls.
 
-    The group is encoded once for all reps. The reps then run stacked,
-    as many per ``fm_sample_batch`` call as fit in MAX_BATCH_COLUMNS (at
-    least one), each call given the encoder output and its reps' noise.
-    FM noise comes from a per-(sentence, rep) stream, so neither the
-    grouping nor the other reps ever influence a sample's noise.
+    Each call is a pair (sentences, rep positions). Sentences are packed
+    in the order given, as many per call as keep columns x reps within
+    MAX_BATCH_COLUMNS, at least one, with every rep in the same call. A
+    sentence whose columns x reps alone exceed the budget runs alone,
+    its reps split into as few calls as the budget allows, their sizes
+    differing by one at most. So no call is wider than the budget
+    unless one (sentence, rep) pair alone is.
     """
-    ids = np.stack([s.seq.ids for s in group])
-    cond = model.encoder(ids)  # (B, D, T)
-    if model.kind == "det":
-        values = model.predictor(cond).data[:, 0, :].astype(np.float64)
-        return [{s.sent_id: values[i] for i, s in enumerate(group)} for _ in reps]
-    batch, t_len = ids.shape
-    reps = list(reps)
-    # as few calls as the column budget allows, their sizes differing by one at most
-    calls = -(-len(reps) // max(1, MAX_BATCH_COLUMNS // (batch * t_len)))
-    out = []
-    for k in range(calls):
-        chunk = reps[k * len(reps) // calls:(k + 1) * len(reps) // calls]
-        noise = np.stack([
+    calls, packed, width = [], [], 0
+    for s in sentences:
+        t_len = len(s.seq)
+        if t_len * reps > MAX_BATCH_COLUMNS:
+            parts = -(-reps // max(1, MAX_BATCH_COLUMNS // t_len))
+            calls += [([s], range(k * reps // parts, (k + 1) * reps // parts))
+                      for k in range(parts)]
+            continue
+        if (width + t_len) * reps > MAX_BATCH_COLUMNS:
+            calls.append((packed, range(reps)))
+            packed, width = [], 0
+        packed.append(s)
+        width += t_len
+    if packed:
+        calls.append((packed, range(reps)))
+    return calls
+
+
+def _packed_log_values(model: DurationModel, sentences, positions, conds: dict,
+                       opts: SampleOptions, reps) -> list:
+    """One fm_sample_batch call over sentences packed back to back.
+
+    ``conds`` maps sent_id to the (D, T) encoder output of a sentence,
+    ``positions`` index ``reps``. Returns (position, sent_id, values)
+    triples. FM noise comes from a per-(sentence, rep) stream, so neither
+    the packing nor the other reps ever influence a sample's noise.
+    """
+    lengths = [len(s.seq) for s in sentences]
+    cond = np.concatenate([conds[s.sent_id] for s in sentences], axis=1)[None]
+    noise = np.stack([
+        np.concatenate([
             opts.temperature
             * np.random.default_rng(
-                np.random.SeedSequence([opts.seed, s.sent_id, rep])
+                np.random.SeedSequence([opts.seed, s.sent_id, reps[k]])
             ).standard_normal((1, t_len))
-            for rep in chunk for s in group
-        ])
-        values = fm_sample_batch(model, cond, noise, opts.nfe)[:, 0, :]
-        for r in range(len(chunk)):
-            out.append({s.sent_id: values[r * batch + i] for i, s in enumerate(group)})
-    return out
+            for s, t_len in zip(sentences, lengths)
+        ], axis=1)
+        for k in positions
+    ])  # (R, 1, N)
+    values = fm_sample_batch(model, nm.Tensor(cond), noise, opts.nfe, lengths)[:, 0, :]
+    ends = np.cumsum(lengths)
+    return [(k, s.sent_id, row[end - t_len:end])
+            for k, row in zip(positions, values)
+            for s, t_len, end in zip(sentences, lengths, ends)]
 
 
 def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
                        opts: SampleOptions, reps) -> list:
     """One sent_id -> log-duration dict per rep in reps, over every sentence.
 
-    The passes run on a SAMPLING_DTYPE copy of the model, made here and
-    dropped on return, so a change to the model's parameters shows in
-    the next call.
+    Each length group is encoded once for all reps. A det model then
+    predicts each group in one pass, the same for every rep. An fm
+    model samples the sentences of every length packed back to back,
+    as ``_sample_calls`` splits them. The passes run on a
+    SAMPLING_DTYPE copy of the model, made here and dropped on return,
+    so a change to the model's parameters shows in the next call.
     """
     nm.keep_freed_memory()
     model = nn.cast_copy(model, SAMPLING_DTYPE)
     groups = corpus.length_groups()
-    workers = worker_count()
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda g: _group_log_values(model, g, opts, reps), groups
-            ))
-    else:
-        chunks = [_group_log_values(model, g, opts, reps) for g in groups]
     out = [{} for _ in reps]
-    for chunk in chunks:
-        for values, part in zip(out, chunk):
-            values.update(part)
+    conds = {}
+    for group in groups:
+        cond = model.encoder(np.stack([s.seq.ids for s in group]))  # (B, D, T)
+        if model.kind == "det":
+            values = model.predictor(cond).data[:, 0, :].astype(np.float64)
+            for per_rep in out:
+                per_rep.update((s.sent_id, values[i]) for i, s in enumerate(group))
+        else:
+            conds.update((s.sent_id, cond.data[i]) for i, s in enumerate(group))
+    if model.kind == "det":
+        return out
+
+    def sample(call):
+        return _packed_log_values(model, *call, conds, opts, reps)
+
+    calls = _sample_calls([s for group in groups for s in group], len(reps))
+    workers = worker_count()
+    if workers > 1 and len(calls) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(sample, calls))
+    else:
+        results = [sample(call) for call in calls]
+    for triples in results:
+        for k, sent_id, values in triples:
+            out[k][sent_id] = values
     return out
 
 
@@ -144,7 +186,7 @@ def corpus_frames(model: DurationModel, corpus: DurationCorpus,
     """Map sent_id -> list of integer duration arrays, one per realisation.
 
     Realisation r starts from the noise of ``corpus_log_values(..., rep=r)``;
-    the realisations of each length group run stacked.
+    the realisations run stacked on the packed sentences.
     """
     per_rep = _corpus_log_values(model, corpus, opts, range(reps))
     return {

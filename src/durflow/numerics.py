@@ -28,9 +28,12 @@ Conventions:
   never enters the graph simply keeps a zero gradient; an :class:`Adam`
   optimizer moves their data and gradients into its flat buffers,
 * ``conv1d`` and ``layer_norm`` take batched (B, C, T) input only; a
-  single sequence is a batch of one. They compute on channel-major
-  (C, B*T) matrices and return (B, C, T) views of that memory, so a
-  chain of them transposes nothing in between,
+  single sequence is a batch of one. Sequences of unequal length are
+  packed back to back along T, with no padding, and ``conv1d`` is told
+  their lengths, so that no tap crosses from one into the next;
+  ``layer_norm`` works per step and needs no lengths. Both compute on
+  channel-major (C, B*T) matrices and return (B, C, T) views of that
+  memory, so a chain of them transposes nothing in between,
 * every gradient buffer is C-contiguous in the layout of its tensor's
   data. numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it
@@ -427,18 +430,40 @@ def _check_batched(op: str, x: Tensor):
         )
 
 
-def _zero_outside(cols: np.ndarray, j: int, pad: int, batch: int, t_len: int):
-    """Zero the (C, B*T) columns at which tap ``j`` leaves the sequence.
+def _segment_lengths(op: str, lengths, batch: int, t_len: int) -> np.ndarray:
+    """The lengths of the sequences along the B*T flat columns: ``lengths``
+    (segments of T packed back to back, alike in every row) repeated B
+    times, or one sequence per row when ``lengths`` is None."""
+    if lengths is None:
+        return np.full(batch, t_len)
+    seg = np.asarray(lengths)
+    if not (seg.ndim == 1 and seg.dtype.kind in "iu" and np.all(seg >= 1)
+            and seg.sum() == t_len):
+        raise ValueError(f"{op} segment lengths {lengths!r} must be integers >= 1 "
+                         f"that sum to T = {t_len}")
+    return np.tile(seg, batch)
 
-    Tap j pairs output step t with input step t + j - pad of the same
-    sequence; the columns of the steps t without such a partner are
-    set to zero in place.
+
+def _outside_columns(seg: np.ndarray, shift: int) -> np.ndarray:
+    """Flat columns whose step t + shift lies outside their own sequence.
+
+    ``seg`` holds the lengths of the sequences laid back to back along
+    the columns. A negative shift leaves a sequence at its first -shift
+    steps, a positive one at its last shift steps; a sequence shorter
+    than |shift| has all its steps outside.
     """
-    lo = min(t_len, max(0, pad - j))
-    hi = max(lo, min(t_len, t_len + pad - j))
-    steps = cols.reshape(cols.shape[0], batch, t_len)
-    steps[:, :, :lo] = 0.0
-    steps[:, :, hi:] = 0.0
+    ends = np.cumsum(seg)
+    offsets = np.arange(abs(shift))
+    if shift < 0:
+        cols = (ends - seg)[:, None] + offsets
+    else:
+        cols = (ends - 1)[:, None] - offsets
+    return cols[offsets < seg[:, None]]
+
+
+def _zero_outside(cols: np.ndarray, outside: np.ndarray):
+    """Zero, in place, the columns of a (C, B*T) matrix listed in ``outside``."""
+    cols[:, outside] = 0.0
 
 
 def _shifted(dst: np.ndarray, src: np.ndarray, shift: int, add: bool):
@@ -456,7 +481,7 @@ def _shifted(dst: np.ndarray, src: np.ndarray, shift: int, add: bool):
         dst[:, hi:] = 0.0
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """1-D convolution over the time axis with same zero padding.
 
     Parameters
@@ -467,6 +492,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         Kernel of shape (C_out, C_in, k); k must be odd.
     bias : Tensor
         Shape (C_out,).
+    lengths : sequence of int, optional
+        Sequences packed back to back along T, the same in every row:
+        their lengths, each >= 1, summing to T. A tap that would cross
+        from one sequence into the next reads zero, as it does past
+        either end of T. None means one sequence per row, the segment
+        list [T] * B.
 
     The batch is flattened to B*T columns of a channel-major matrix.
     The forward pass fills a (C_in*k, B*T) patch matrix with k shifted
@@ -474,8 +505,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     sequence, and performs one dgemm; for k=1 the channel-major input
     itself is that matrix, with no copy. The backward pass is
     two dgemms, after which each input step sums its taps' shifted
-    slices in tap order. The output is (B, C_out, T); its memory is
-    channel-major.
+    slices in tap order. The forward and backward passes zero the same
+    columns. The output is (B, C_out, T); its memory is channel-major.
     """
     _check_batched("conv1d", x)
     c_out, c_in, k = weight.data.shape
@@ -486,6 +517,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(
             f"conv1d channel mismatch: input has {x_channels}, weight wants {c_in}"
         )
+    seg = _segment_lengths("conv1d", lengths, batch, t_len)
     pad = (k - 1) // 2
     n = batch * t_len
     xc = _channel_major(x.data)
@@ -493,11 +525,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         # one tap with no shift: the channel-major input is the patch matrix
         patches = xc
     else:
-        # patches[i, j, b*T + t] = x[b, i, t + j - pad], zero outside sequence b
+        # the columns at which tap j leaves its sequence
+        outside = [_outside_columns(seg, j - pad) for j in range(k)]
+        # patches[i, j, m] = x[i, m + j - pad] within m's sequence, else zero
         patches = np.empty((c_in, k, n), dtype=xc.dtype)
         for j in range(k):
             _shifted(patches[:, j], xc, j - pad, add=False)
-            _zero_outside(patches[:, j], j, pad, batch, t_len)
+            _zero_outside(patches[:, j], outside[j])
         patches = patches.reshape(c_in * k, n)
     w2 = weight.data.reshape(c_out, c_in * k)
     out2 = w2 @ patches
@@ -519,7 +553,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                     # input step then sums its taps in the same order as a
                     # window scatter into a zeroed buffer would
                     for j in range(k):
-                        _zero_outside(gp[:, j], j, pad, batch, t_len)
+                        _zero_outside(gp[:, j], outside[j])
                     gx = np.empty((c_in, n), dtype=gp.dtype)
                     for j in range(k):
                         _shifted(gx, gp[:, j], pad - j, add=j > 0)

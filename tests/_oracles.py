@@ -368,6 +368,13 @@ def gradient_cases():
          rng.normal(size=(1, 4, 1)) * 0.5,
          rng.normal(size=(1,)) * 0.1],
     ))
+    # three sequences of lengths 3, 1 and 4 packed back to back in each row
+    w17 = proj((2, 4, 8))
+    cases.append((
+        "conv1d_segments",
+        lambda x, w, b: nm.tensor_sum(nm.mul(nm.conv1d(x, w, b, [3, 1, 4]), w17)),
+        [rng.normal(size=(2, 3, 8)), rng.normal(size=(4, 3, 3)), rng.normal(size=(4,))],
+    ))
     return cases
 
 

@@ -391,6 +391,21 @@ def test_sample_bad_parameter_array_is_runtime_error(tmp_path, capsys,
     assert not (tmp_path / "s" / "durations.txt").exists()
 
 
+def test_sample_sentence_without_tokens_is_runtime_error(tmp_path, capsys,
+                                                        tiny_checkpoints):
+    paths, corpus_path = tiny_checkpoints
+    with open(corpus_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    broken = tmp_path / "empty-line.durcorpus"
+    broken.write_text("\n".join(lines[:3] + ["999\t\t"] + lines[3:]) + "\n",
+                      encoding="utf-8")
+    code, _, err = run(["sample", "--checkpoint", paths["fm"], "--corpus",
+                        str(broken), "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "empty-line.durcorpus: line 4: sentence has no tokens" in err
+
+
 def test_sample_failing_midway_keeps_old_durations(tmp_path, capsys,
                                                    tiny_checkpoints, monkeypatch):
     paths, corpus_path = tiny_checkpoints

@@ -298,36 +298,59 @@ def frames_of(x):
     return to_frames(LogDurations(x.reshape(-1)))
 
 
+# sentences of unequal length packed back to back along T, length 1 included
+PACKED = [pytest.param((4, 1, 11), id="4+1+11"), pytest.param((1, 1, 3, 1), id="1+1+3+1")]
+
+
+def packed_sample_and_reference(model, rng, batch, t_len, nfe):
+    """fm_sample_batch over batch rows of random ids, and reference_euler
+    run on every sentence alone. t_len is one sentence per row, or a
+    tuple of sentence lengths packed along T in every row."""
+    lengths = (t_len,) if isinstance(t_len, int) else t_len
+    ends = np.cumsum(lengths)
+    ids = rng.integers(0, 6, size=(batch, ends[-1]))
+    noise = rng.standard_normal((batch, 1, ends[-1]))
+    cond = Tensor(np.concatenate(
+        [model.encoder(ids[:, end - n:end]).data for n, end in zip(lengths, ends)], axis=2))
+    got = dur.fm_sample_batch(model, cond, noise, nfe,
+                              None if isinstance(t_len, int) else lengths)
+    want = np.concatenate([
+        np.concatenate([
+            reference_euler(model, model.encoder(ids[b:b + 1, end - n:end]),
+                            noise[b:b + 1, :, end - n:end], nfe)
+            for n, end in zip(lengths, ends)], axis=2)
+        for b in range(batch)])
+    return got, want
+
+
 class TestFmSampleBatch:
     """The per-call precompute (conv1 split at the conditioning channels,
-    time rows once per grid) against the plain forward pass."""
+    time rows once per grid) against the plain forward pass, on one
+    sentence per row and on sentences packed back to back."""
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("t_len", [1, 4, 11])
+    @pytest.mark.parametrize("t_len", [1, 4, 11, *PACKED])
     @pytest.mark.parametrize("nfe", [1, 4])
     def test_matches_reference_loop(self, batch, t_len, nfe):
         model = tiny_model("fm", seed=2)
-        rng = np.random.default_rng(batch * 100 + t_len * 10 + nfe)
-        cond = model.encoder(rng.integers(0, 6, size=(batch, t_len)))
-        noise = rng.standard_normal((batch, 1, t_len))
-        got = dur.fm_sample_batch(model, cond, noise, nfe)
-        want = reference_euler(model, cond, noise, nfe)
-        assert got.shape == (batch, 1, t_len)
+        rng = np.random.default_rng(batch * 100 + np.sum(t_len) * 10 + nfe)
+        got, want = packed_sample_and_reference(model, rng, batch, t_len, nfe)
+        assert got.shape == (batch, 1, np.sum(t_len))
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(frames_of(got), frames_of(want))
 
-    @pytest.mark.parametrize("t_len", [1, 2, 4])
+    @pytest.mark.parametrize("t_len", [1, 2, 4, *PACKED])
     def test_noise_projection_bias_folds_at_the_edges(self, t_len):
         # every model starts with noise_proj.bias at zero; once it is not,
-        # the folded bias term differs at the first and last position
+        # the folded bias term differs at the first and last position of
+        # every sentence
         model = tiny_model("fm", seed=2)
-        rng = np.random.default_rng(20 + t_len)
-        cond = model.encoder(rng.integers(0, 6, size=(3, t_len)))
-        noise = rng.standard_normal((3, 1, t_len))
-        zero_bias = dur.fm_sample_batch(model, cond, noise, 4)
+        zero_bias, _ = packed_sample_and_reference(
+            model, np.random.default_rng(20 + np.sum(t_len)), 3, t_len, 4)
+        rng = np.random.default_rng(20 + np.sum(t_len))
         model.predictor.noise_proj.bias.data[...] = rng.normal(size=4)
-        got = dur.fm_sample_batch(model, cond, noise, 4)
-        want = reference_euler(model, cond, noise, 4)
+        got, want = packed_sample_and_reference(
+            model, np.random.default_rng(20 + np.sum(t_len)), 3, t_len, 4)
         assert not np.allclose(got, zero_bias)
         assert np.max(np.abs(got - want)) <= 1e-12
 

@@ -144,40 +144,49 @@ def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus, monkeypatch, threa
 
 
 def test_reps_split_under_the_column_budget(tiny_fm, tiny_corpus, monkeypatch):
-    # all reps of a length group run stacked in one fm_sample_batch call
-    # per chunk that fits the column budget; a small budget splits them
+    # sentences of every length run packed in one fm_sample_batch call, all
+    # reps stacked, as far as the column budget allows: 200 columns pack a
+    # few sentences per call, 40 split each sentence's reps, and a budget
+    # below the longest sentence leaves pairs that are alone wider
     opts = SampleOptions(nfe=3, seed=4)
     reps = 7
-    unsplit = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
     calls = []
 
-    def spy(model, cond, noise, nfe):
-        calls.append(noise.shape)
-        return fm_sample_batch(model, cond, noise, nfe)
+    def spy(model, cond, noise, nfe, lengths):
+        calls.append((noise, lengths))
+        return fm_sample_batch(model, cond, noise, nfe, lengths)
 
-    budget = 40
-    monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", budget)
     monkeypatch.setattr(evaluation, "fm_sample_batch", spy)
-    split = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
-    assert list(split) == list(unsplit)
-    for sent_id, frames in split.items():
-        assert len(frames) == reps
-        for rep in range(reps):
-            assert np.array_equal(frames[rep], unsplit[sent_id][rep])
-    lengths = {}
-    for s in tiny_corpus.sentences:
-        lengths[len(s.seq)] = lengths.get(len(s.seq), 0) + 1
-    want = []
-    for t_len, batch in sorted(lengths.items()):
-        per_call = max(1, budget // (batch * t_len))
-        chunks = -(-reps // per_call)
-        want += [t_len] * chunks
-    assert [shape[2] for shape in calls] == want
-    assert len(calls) > len(lengths)
-    for rows, _, t_len in calls:
-        assert rows * t_len <= budget or rows == lengths[t_len]
-        assert rows % lengths[t_len] == 0
-    assert sum(rows for rows, _, _ in calls) == reps * len(tiny_corpus.sentences)
+    monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", 10**9)
+    unsplit = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
+    assert len(calls) == 1
+    longest = max(len(s.seq) for s in tiny_corpus.sentences)
+    want_noise = sorted(
+        (opts.temperature * np.random.default_rng(
+            np.random.SeedSequence([opts.seed, s.sent_id, rep])
+        ).standard_normal(len(s.seq))).tobytes()
+        for s in tiny_corpus.sentences for rep in range(reps))
+    for budget in (200, 40, longest - 1):
+        calls.clear()
+        monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", budget)
+        split = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
+        assert list(split) == list(unsplit)
+        for sent_id, frames in split.items():
+            assert len(frames) == reps
+            for rep in range(reps):
+                assert np.array_equal(frames[rep], unsplit[sent_id][rep])
+        assert len(calls) > 1
+        assert (max(len(lengths) for _, lengths in calls) > 1) == (budget == 200)
+        got_noise = []
+        for noise, lengths in calls:
+            rows, _, width = noise.shape
+            assert width == sum(lengths)
+            assert rows * width <= budget or (rows, len(lengths)) == (1, 1)
+            ends = np.cumsum(lengths)
+            got_noise += [row[0, end - t_len:end].tobytes() for row in noise
+                          for t_len, end in zip(lengths, ends)]
+        # every (sentence, rep) pair sampled once, from its own stream
+        assert sorted(got_noise) == want_noise
 
 
 def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):

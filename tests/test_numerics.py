@@ -72,6 +72,55 @@ class TestForwardAgainstReference:
         assert np.allclose(out.var(axis=1), 1.0, atol=1e-4)
 
 
+class TestPackedSegments:
+    """Sequences packed back to back along T, with their lengths given,
+    convolve as if each ran alone."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("lengths", [(4, 1, 6), (1, 1, 1), (2, 7, 1, 3)],
+                             ids=["4+1+6", "1+1+1", "2+7+1+3"])
+    def test_packed_equals_per_segment_convs(self, lengths, k):
+        rng = np.random.default_rng(sum(lengths) + k)
+        ends = np.cumsum(lengths)
+        xv = rng.normal(size=(2, 3, ends[-1]))
+        upstream = rng.normal(size=(2, 4, ends[-1]))
+        wv, bv = rng.normal(size=(4, 3, k)), rng.normal(size=(4,))
+
+        def run(x_part, g_part, seg):
+            x, w, b = Tensor(x_part, requires_grad=True), parameter(wv), parameter(bv)
+            out = _backward_with(lambda t: nm.conv1d(t, w, b, seg), x, g_part)
+            return out.data, x.grad, w.grad, b.grad
+
+        got = run(xv, upstream, lengths)
+        parts = [run(xv[..., e - n:e], upstream[..., e - n:e], None)
+                 for n, e in zip(lengths, ends)]
+        want = (np.concatenate([p[0] for p in parts], axis=2),
+                np.concatenate([p[1] for p in parts], axis=2),
+                sum(p[2] for p in parts), sum(p[3] for p in parts))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12
+
+    def test_one_segment_per_row_is_the_default(self):
+        # lengths [T] on a (B, C, T) batch is the segment list [T] * B
+        rng = np.random.default_rng(5)
+        xv, upstream = rng.normal(size=(3, 2, 7)), rng.normal(size=(3, 4, 7))
+        wv, bv = rng.normal(size=(4, 2, 3)), rng.normal(size=(4,))
+        runs = []
+        for seg in (None, [7]):
+            x, w, b = Tensor(xv, requires_grad=True), parameter(wv), parameter(bv)
+            out = _backward_with(lambda t: nm.conv1d(t, w, b, seg), x, upstream)
+            runs.append((out.data, x.grad, w.grad, b.grad))
+        for default, given in zip(*runs):
+            assert np.array_equal(default, given)
+
+    @pytest.mark.parametrize("lengths", [[3, 2], [0, 6], [2.5, 3.5], [7, -1], [[3, 3]]])
+    def test_lengths_not_partitioning_t_rejected(self, lengths):
+        x = Tensor(np.zeros((1, 2, 6)))
+        with pytest.raises(ValueError, match="segment lengths"):
+            nm.conv1d(x, Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), lengths)
+
+
 def _backward_with(out_fn, x, upstream):
     """Run out_fn(x) on a tape and backpropagate ``upstream`` into it."""
     with record() as tape:
