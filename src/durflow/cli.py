@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from durflow import numerics as nm
 from durflow.data import CorpusSpec, DurationCorpus, STYLES, generate, load, save
 from durflow.duration import MODEL_KINDS, DurationModel, SampleOptions, load_model, save_model
 from durflow.encoder import FILLER_ID, PAUSE_ID
@@ -124,9 +125,10 @@ def resolve_config(args) -> tuple:
     return config, frozenset(settings)
 
 
-# thread settings that change results in their last bits (OpenBLAS splits
-# its products by thread) or how work is spread; config.txt records them
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "DURFLOW_THREADS")
+# thread settings that change training results in their last bits
+# (OpenBLAS splits its products by thread); config.txt records them, and
+# the thread count OpenBLAS actually runs on as blas_threads
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
@@ -135,6 +137,8 @@ def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
     lines += [f"{f.name}={getattr(config, f.name)}" for f in fields(RunConfig)]
     lines += [f"{key}={value}" for key, value in sorted(inputs.items())]
     lines += [f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES]
+    threads = nm.blas_threads()
+    lines.append(f"blas_threads={'unknown' if threads is None else threads}")
     with atomic_write(os.path.join(out_dir, "config.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -17,8 +17,17 @@ realisation stacked on that layout, in Euler batches of at most
 MAX_BATCH_COLUMNS columns. The batch width changes how BLAS
 blocks its products, so a sample can differ from a one-sentence,
 one-realisation pass in its last float32 bits (see the README for the
-measured parity). The DURFLOW_THREADS environment variable caps the
-worker count (default 1); the workers share out the Euler batches.
+measured parity).
+
+A sampling pass trades BLAS threads for Python threads one for one:
+it pins OpenBLAS to a single thread for the whole pass and shares the
+length groups, then the Euler batches, over as many workers as
+OpenBLAS had threads, restoring the count when the pass ends. Half of
+an Euler step is single-threaded numpy (layer norms, ReLUs, patch
+copies), which a second BLAS thread cannot help but a second worker
+can. How the batches are laid out depends only on the corpus, the
+reps and MAX_BATCH_COLUMNS, and every product runs on one thread, so
+samples do not depend on the thread count.
 
 Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
 a copy of the model made at the start of each pass, while the Euler
@@ -55,16 +64,26 @@ DEFAULT_NFE_LIST = (1, 2, 4, 8, 10, 16, 32)
 # the dtype corpus-level sampling runs the network in
 SAMPLING_DTYPE = np.float32
 # columns (packed sentence positions x stacked reps) per fm_sample_batch
-# call at most, unless one (sentence, rep) pair alone is wider: float32
-# GEMM throughput levels off near this width, and a fixed cap keeps
-# many-rep passes from multiplying peak memory
-MAX_BATCH_COLUMNS = 2048
+# call at most, unless one (sentence, rep) pair alone is wider. On one
+# BLAS thread a float32 Euler step costs about the same per column from
+# 256 to 2048 columns (10.4, 9.3, 9.5 and 10.7 us per column-step at
+# 256, 512, 1024 and 2048, NFE 10, on a 2-vCPU x86 guest), so the cap
+# mainly sets how many calls the workers can share: a one-realisation
+# pass over spont val (about 2,050 columns) makes two full calls and a
+# sliver, where 2048 made one full call and left the second worker
+# idle. A fixed cap keeps many-rep passes from multiplying peak memory.
+MAX_BATCH_COLUMNS = 1024
 # samples every class needs before dist_stats reports it
 MIN_STAT_TOKENS = 1000
 
 
 def worker_count() -> int:
-    """Worker cap from DURFLOW_THREADS; at least 1."""
+    """DURFLOW_THREADS as a count of at least 1.
+
+    Sampling no longer reads it: its worker count is the OpenBLAS
+    thread count (``numerics.one_blas_thread``). It is kept only for
+    the benchmark's oversubscription check, which imports it.
+    """
     try:
         return max(1, int(os.environ.get("DURFLOW_THREADS", "1")))
     except ValueError:
@@ -132,6 +151,14 @@ def _packed_log_values(model: DurationModel, sentences, positions, conds: dict,
             for s, t_len, end in zip(sentences, lengths, ends)]
 
 
+def _map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``workers`` threads."""
+    if workers == 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
                        opts: SampleOptions, reps) -> list:
     """One sent_id -> log-duration dict per rep in reps, over every sentence.
@@ -142,37 +169,42 @@ def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
     as ``_sample_calls`` splits them. The passes run on a
     SAMPLING_DTYPE copy of the model, made here and dropped on return,
     so a change to the model's parameters shows in the next call.
+
+    The whole pass runs with OpenBLAS on one thread, and the length
+    groups, then the fm calls, are shared out over as many worker
+    threads as OpenBLAS had; the count is restored on return.
     """
     nm.keep_freed_memory()
-    model = nn.cast_copy(model, SAMPLING_DTYPE)
-    groups = corpus.length_groups()
-    out = [{} for _ in reps]
-    conds = {}
-    for group in groups:
-        cond = model.encoder(np.stack([s.seq.ids for s in group]))  # (B, D, T)
+    with nm.one_blas_thread() as workers:
+        model = nn.cast_copy(model, SAMPLING_DTYPE)
+        groups = corpus.length_groups()
+
+        def forward(group):
+            """det: the group's log-durations; fm: its encoder output."""
+            cond = model.encoder(np.stack([s.seq.ids for s in group]))  # (B, D, T)
+            if model.kind == "det":
+                return model.predictor(cond).data[:, 0, :].astype(np.float64)
+            return cond.data
+
+        per_group = _map(forward, groups, workers)
+        out = [{} for _ in reps]
         if model.kind == "det":
-            values = model.predictor(cond).data[:, 0, :].astype(np.float64)
-            for per_rep in out:
-                per_rep.update((s.sent_id, values[i]) for i, s in enumerate(group))
-        else:
-            conds.update((s.sent_id, cond.data[i]) for i, s in enumerate(group))
-    if model.kind == "det":
+            for group, values in zip(groups, per_group):
+                for per_rep in out:
+                    per_rep.update((s.sent_id, values[i]) for i, s in enumerate(group))
+            return out
+
+        conds = {s.sent_id: cond[i]
+                 for group, cond in zip(groups, per_group) for i, s in enumerate(group)}
+
+        def sample(call):
+            return _packed_log_values(model, *call, conds, opts, reps)
+
+        calls = _sample_calls([s for group in groups for s in group], len(reps))
+        for triples in _map(sample, calls, workers):
+            for k, sent_id, values in triples:
+                out[k][sent_id] = values
         return out
-
-    def sample(call):
-        return _packed_log_values(model, *call, conds, opts, reps)
-
-    calls = _sample_calls([s for group in groups for s in group], len(reps))
-    workers = worker_count()
-    if workers > 1 and len(calls) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sample, calls))
-    else:
-        results = [sample(call) for call in calls]
-    for triples in results:
-        for k, sent_id, values in triples:
-            out[k][sent_id] = values
-    return out
 
 
 def corpus_log_values(model: DurationModel, corpus: DurationCorpus,

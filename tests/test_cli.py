@@ -3,12 +3,15 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from durflow import cli
+from durflow import numerics as nm
 from durflow.cli import main
 from durflow.data import CorpusSpec, generate, save
 from durflow.duration import DurationModel, save_model
@@ -162,14 +165,20 @@ def test_config_file_overrides_defaults_and_flags_win(tmp_path, capsys,
 
 
 def test_config_echo_records_thread_settings(tmp_path, capsys, monkeypatch):
+    # the variables as set, and the count OpenBLAS really runs on, which
+    # can differ once numpy is loaded; DURFLOW_THREADS changes nothing
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("DURFLOW_THREADS", "2")
-    code, _, _ = run(["gen", "--seed", "3", "--out", str(tmp_path)], capsys)
-    assert code == 0
-    lines = (tmp_path / "config.txt").read_text().splitlines()
-    assert lines[-3:] == ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=unset",
-                          "DURFLOW_THREADS=2"]
+    for threads, echoed in ((3, "3"), (None, "unknown")):
+        monkeypatch.setattr(nm, "blas_threads", lambda: threads)
+        out = tmp_path / echoed
+        code, _, _ = run(["gen", "--seed", "3", "--out", str(out)], capsys)
+        assert code == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert lines[-3:] == ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=unset",
+                              f"blas_threads={echoed}"]
+        assert not any(line.startswith("DURFLOW_THREADS") for line in lines)
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path, capsys,
@@ -287,6 +296,39 @@ def test_sample_fm_seeded_run_reproduces(tmp_path, capsys, tiny_checkpoints):
                           corpus_path, "--nfe", "4", "--seed", "9",
                           "--out", str(out)], capsys)
         assert code == 0
+        outs.append((out / "durations.txt").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_sample_bits_do_not_depend_on_blas_threads(tmp_path):
+    # sampling pins OpenBLAS to one thread and spreads its calls over one
+    # worker per thread the process was given, so durations.txt is the
+    # same at either count. Default widths, so that OpenBLAS would split
+    # these products over its threads, and a field scaled up four times,
+    # so that log-durations reach about 20 and a last-bit difference
+    # between thread counts moves integer frames: sampled on the threads
+    # OpenBLAS was given, 1,087 of these 2,604 frames differed
+    spec = CorpusSpec(style="spont", seed=4, num_sentences=40)
+    corpus = generate(spec, "train")
+    corpus_path = tmp_path / "c.durcorpus"
+    save(corpus, corpus_path)
+    model = DurationModel("fm", spec.vocab_size, seed=0)
+    train_model(model, corpus, 2, batch_size=16)
+    model.predictor.proj.weight.data *= 4.0
+    model.predictor.proj.bias.data *= 4.0
+    save_model(model, tmp_path / "fm.npz")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "durflow.cli", "sample", "--checkpoint",
+                        str(tmp_path / "fm.npz"), "--corpus", str(corpus_path),
+                        "--nfe", "4", "--reps", "3", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        # OpenBLAS caps the variable at the cores it finds
+        echoed = (out / "config.txt").read_text().splitlines()[-1].split("=")[1]
+        assert echoed == "unknown" or 1 <= int(echoed) <= int(threads)
         outs.append((out / "durations.txt").read_bytes())
     assert outs[0] == outs[1]
 

@@ -1,6 +1,9 @@
 """Evaluation harness: residual curves, distribution stats, reports."""
 
+import contextlib
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,10 +32,10 @@ from durflow.evaluation import (
     frames_by_class,
     reference_by_class,
     residual_vs_nfe,
-    worker_count,
     write_report,
 )
 from durflow.training import train_model
+from test_numerics import FakeOpenBLAS
 
 
 @pytest.fixture(scope="module")
@@ -112,27 +115,75 @@ def test_merge_combines_entries():
         a.merge(ResidualCurve((1, 4)))
 
 
-def test_thread_fanout_matches_single_thread(tiny_det, tiny_corpus, monkeypatch):
-    opts = SampleOptions()
-    monkeypatch.setenv("DURFLOW_THREADS", "1")
-    assert worker_count() == 1
-    single = corpus_log_values(tiny_det, tiny_corpus, opts)
-    monkeypatch.setenv("DURFLOW_THREADS", "3")
-    assert worker_count() == 3
-    fanned = corpus_log_values(tiny_det, tiny_corpus, opts)
-    assert single.keys() == fanned.keys()
-    for k in single:
-        assert np.array_equal(single[k], fanned[k])
+@contextlib.contextmanager
+def blas_threads_found(count):
+    """Stands in for numerics.one_blas_thread, as if OpenBLAS had count threads."""
+    yield count
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["threads-unset", "threads-2"])
-def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus, monkeypatch, threads):
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_log_values_do_not_depend_on_worker_count(tiny_det, tiny_fm, tiny_corpus,
+                                                  monkeypatch, kind):
+    # the call layout depends on the corpus, the reps and the column
+    # budget only, and every product runs on one BLAS thread, so how
+    # many workers share the groups and calls changes no bit
+    model = {"det": tiny_det, "fm": tiny_fm}[kind]
+    opts = SampleOptions(nfe=3, seed=4)
+    monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", 60)
+    threads = set()
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        return fm_sample_batch(*args)
+
+    monkeypatch.setattr(evaluation, "fm_sample_batch", spy)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers interleave as finely as they can
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nm, "one_blas_thread", lambda: blas_threads_found(workers))
+            results[workers] = evaluation._corpus_log_values(model, tiny_corpus, opts,
+                                                             range(3))
+            if kind == "fm":
+                # one worker samples on the caller's thread, more on pool threads
+                assert (threading.main_thread() in threads) == (workers == 1)
+                threads.clear()
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3):
+        for single, fanned in zip(results[1], results[workers]):
+            assert single.keys() == fanned.keys()
+            for k in single:
+                assert np.array_equal(single[k], fanned[k])
+
+
+@pytest.mark.parametrize("library", ["found", "fake-3"])
+def test_blas_threads_restored_after_a_worker_raises(tiny_fm, tiny_corpus, monkeypatch,
+                                                     library):
+    if library == "fake-3":
+        fake = FakeOpenBLAS(3)
+        monkeypatch.setattr(nm, "_openblas", fake.functions)
+    before = nm.blas_threads()
+    monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", 60)
+    raised_on = []
+
+    def failing(*args):
+        raised_on.append(threading.current_thread())
+        raise RuntimeError("Euler call failed")
+
+    monkeypatch.setattr(evaluation, "fm_sample_batch", failing)
+    with pytest.raises(RuntimeError, match="Euler call failed"):
+        corpus_frames(tiny_fm, tiny_corpus, SampleOptions(nfe=3), reps=3)
+    assert nm.blas_threads() == before
+    if library == "fake-3":
+        assert fake.sets == [1, 3]
+        assert threading.main_thread() not in raised_on
+
+
+def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus):
     # corpus_frames encodes each group once for all reps; every rep must
     # still equal a pass of its own
-    if threads is None:
-        monkeypatch.delenv("DURFLOW_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DURFLOW_THREADS", threads)
     opts = SampleOptions(nfe=3, seed=4)
     frames = corpus_frames(tiny_fm, tiny_corpus, opts, reps=3)
     assert list(frames) == [s.sent_id for s in tiny_corpus.sentences]
@@ -141,6 +192,26 @@ def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus, monkeypatch, threa
         for s in tiny_corpus.sentences:
             assert np.array_equal(frames[s.sent_id][rep],
                                   to_frames(LogDurations(values[s.sent_id])))
+
+
+def test_training_after_a_sampling_pass_is_unchanged():
+    # the pass pins OpenBLAS to one thread and must hand back the count
+    # training had: at a different count the products split differently
+    # and the trajectory changes in its last bits. Default widths, so
+    # that OpenBLAS splits these products over its threads at all
+    corpus = generate(CorpusSpec(style="spont", seed=2, num_sentences=40), "train")
+
+    def train():
+        model = DurationModel("fm", corpus.spec.vocab_size, seed=1)
+        losses = train_model(model, corpus, 4, batch_size=16)
+        return model, losses
+
+    model, losses = train()
+    corpus_log_values(model, corpus, SampleOptions(nfe=2))
+    again, again_losses = train()
+    assert np.array_equal(again_losses, losses)
+    for name, param in model.params().items():
+        assert np.array_equal(again.params()[name].data, param.data), name
 
 
 def test_reps_split_under_the_column_budget(tiny_fm, tiny_corpus, monkeypatch):

@@ -466,3 +466,42 @@ class TestDtypes:
             loss = nm.tensor_sum(nm.conv1d(x, w, b))
         tape.backward(loss)
         assert {x.grad.dtype, w.grad.dtype, b.grad.dtype} == {np.dtype(np.float32)}
+
+
+class FakeOpenBLAS:
+    """get/set thread-count functions over one counter, recording each set."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def functions(self):
+        def set_(n):
+            self.sets.append(n)
+            self.threads = n
+        return (lambda: self.threads), set_
+
+
+class TestBlasThreads:
+    def test_pins_one_thread_and_restores_the_count(self, monkeypatch):
+        fake = FakeOpenBLAS(3)
+        monkeypatch.setattr(nm, "_openblas", fake.functions)
+        with nm.one_blas_thread() as workers:
+            assert workers == 3 and nm.blas_threads() == 1
+        assert nm.blas_threads() == 3
+        with pytest.raises(KeyError):
+            with nm.one_blas_thread():
+                raise KeyError("inside")
+        assert fake.sets == [1, 3, 1, 3]
+
+    def test_without_openblas_yields_one(self, monkeypatch):
+        monkeypatch.setattr(nm, "_openblas", lambda: None)
+        assert nm.blas_threads() is None
+        with nm.one_blas_thread() as workers:
+            assert workers == 1
+
+    def test_the_library_numpy_loaded_is_left_as_found(self):
+        before = nm.blas_threads()
+        with nm.one_blas_thread() as workers:
+            assert workers == (before or 1)
+            assert nm.blas_threads() == (None if before is None else 1)
+        assert nm.blas_threads() == before
