@@ -7,11 +7,12 @@ Subcommands:
   sample  draw duration realisations for every sentence of a corpus
   eval    produce residual.csv, dist.csv and bench.csv for two checkpoints
 
-Settings resolve in three layers: built-in defaults, then a --config
-file (flat key=value lines), then explicit flags. The resolved
-configuration is echoed to the output directory, with the thread
-settings that results depend on, so a run can be reproduced from its
-artifacts alone.
+Each command reads only the settings COMMAND_SETTINGS names for it: its
+flags, its --config keys (flat key=value lines) and its config.txt lines.
+They resolve as built-in defaults, then the config file, then flags. The
+resolved settings are echoed to the output directory with the command's
+inputs and the thread settings that results depend on, so a run can be
+reproduced from its artifacts alone.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Failures print
 a single "error: ..." line on standard error.
@@ -36,19 +37,19 @@ from durflow.evaluation import (
     frames_by_class, residual_vs_nfe, write_report,
 )
 from durflow.files import atomic_write
-from durflow.training import train_model
+from durflow.training import BATCH_SIZE, LEARNING_RATE, train_model
 
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one command; every field has a default, and
-    the sampling fields take theirs from SampleOptions."""
+    """Resolved settings for one command; every field has a default, training
+    and sampling fields take theirs from training and SampleOptions."""
 
     style: str = "read"
     kind: str = "det"
     steps: int = 3000
-    batch: int = 16
-    lr: float = 1e-3
+    batch: int = BATCH_SIZE
+    lr: float = LEARNING_RATE
     nfe: int = SampleOptions.nfe
     temperature: float = SampleOptions.temperature
     min_duration: int = SampleOptions.min_duration
@@ -81,18 +82,28 @@ class UsageError(ValueError):
     """Bad option or config value; maps to exit code 1."""
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the RunConfig fields each command reads, in the order config.txt lists them
+COMMAND_SETTINGS = {
+    "gen": ("style", "seed", "out"),
+    "train": ("kind", "steps", "batch", "lr", "seed", "out"),
+    "sample": ("kind", "nfe", "temperature", "min_duration", "seed", "out"),
+    "eval": ("nfe", "temperature", "min_duration", "seed", "out"),
+}
+_CASTS = {f.name: {"str": str, "int": int, "float": float}[f.type]
+          for f in fields(RunConfig)}
 
 
-def read_config_file(path) -> dict:
-    """Parse flat key=value lines; # starts a comment; later keys win."""
+def read_config_file(path, command: str) -> dict:
+    """Parse flat key=value lines that set the command's settings; #
+    starts a comment; later keys win."""
     overrides = {}
-    casts = {"str": str, "int": int, "float": float}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,10 +111,10 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}: line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise UsageError(f"{path}: line {lineno}: unknown setting {key!r}")
+        if key not in COMMAND_SETTINGS[command]:
+            raise UsageError(f"{path}: line {lineno}: {command} reads no setting {key!r}")
         try:
-            overrides[key] = casts[_FIELD_TYPES[key]](value)
+            overrides[key] = _CASTS[key](value)
         except ValueError:
             raise UsageError(
                 f"{path}: line {lineno}: bad value {value!r} for {key}"
@@ -114,10 +125,10 @@ def read_config_file(path) -> dict:
 def resolve_config(args) -> tuple:
     """Defaults, then config file, then explicit flags. Returns (config, provided)."""
     settings = {}
-    if getattr(args, "config", None):
-        settings.update(read_config_file(args.config))
-    for name in _FIELD_TYPES:
-        value = getattr(args, name, None)
+    if args.config:
+        settings.update(read_config_file(args.config, args.command))
+    for name in COMMAND_SETTINGS[args.command]:
+        value = getattr(args, name)
         if value is not None:
             settings[name] = value
     config = RunConfig(**settings)
@@ -134,7 +145,7 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     lines = [f"command={command}"]
-    lines += [f"{f.name}={getattr(config, f.name)}" for f in fields(RunConfig)]
+    lines += [f"{name}={getattr(config, name)}" for name in COMMAND_SETTINGS[command]]
     lines += [f"{key}={value}" for key, value in sorted(inputs.items())]
     lines += [f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES]
     threads = nm.blas_threads()
@@ -200,6 +211,7 @@ def cmd_sample(args) -> int:
         raise ValueError(
             f"checkpoint holds a '{model.kind}' model but kind={config.kind} requested"
         )
+    config.kind = model.kind
     corpus = _load_corpus(args.corpus)
     reps = args.reps if args.reps is not None else (5 if model.kind == "fm" else 1)
     if reps < 1:
@@ -289,53 +301,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub):
+def _add_command(commands, name: str, run, help: str):
+    """A subcommand with one flag per setting it reads, and --config."""
+    sub = commands.add_parser(name, help=help)
+    for setting in COMMAND_SETTINGS[name]:
+        sub.add_argument("--" + setting.replace("_", "-"), dest=setting,
+                         type=_CASTS[setting])
     sub.add_argument("--config", help="flat key=value settings file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
+    sub.set_defaults(run=run)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="durflow", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    gen = commands.add_parser("gen", help="generate a synthetic corpus")
-    gen.add_argument("--style", choices=STYLES)
-    _add_common(gen)
-    gen.set_defaults(run=cmd_gen)
+    _add_command(commands, "gen", cmd_gen, "generate a synthetic corpus")
 
-    train = commands.add_parser("train", help="train a duration model")
+    train = _add_command(commands, "train", cmd_train, "train a duration model")
     train.add_argument("--corpus", required=True, help="corpus file from gen")
-    train.add_argument("--kind", choices=MODEL_KINDS)
-    train.add_argument("--steps", type=int)
-    train.add_argument("--batch", type=int)
-    train.add_argument("--lr", type=float)
-    _add_common(train)
-    train.set_defaults(run=cmd_train)
 
-    sample = commands.add_parser("sample", help="sample durations for a corpus")
+    sample = _add_command(commands, "sample", cmd_sample,
+                          "sample durations for a corpus")
     sample.add_argument("--checkpoint", required=True)
     sample.add_argument("--corpus", required=True)
-    sample.add_argument("--kind", choices=MODEL_KINDS)
-    sample.add_argument("--nfe", type=int)
-    sample.add_argument("--temperature", type=float)
-    sample.add_argument("--min-duration", dest="min_duration", type=int,
-                        choices=(0, 1))
     sample.add_argument("--reps", type=int)
-    _add_common(sample)
-    sample.set_defaults(run=cmd_sample)
 
-    ev = commands.add_parser("eval", help="write the three report CSVs")
+    ev = _add_command(commands, "eval", cmd_eval, "write the three report CSVs")
     ev.add_argument("--det", required=True, help="det checkpoint path")
     ev.add_argument("--fm", required=True, help="fm checkpoint path")
     ev.add_argument("--corpus", required=True, action="append",
                     help="validation corpus file; repeatable")
-    ev.add_argument("--nfe", type=int)
-    ev.add_argument("--temperature", type=float)
-    ev.add_argument("--min-duration", dest="min_duration", type=int,
-                    choices=(0, 1))
-    _add_common(ev)
-    ev.set_defaults(run=cmd_eval)
     return parser
 
 

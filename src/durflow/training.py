@@ -18,6 +18,9 @@ from durflow.data import DurationCorpus, zero_allowed
 from durflow.files import atomic_write
 from durflow.numerics import Adam, record
 
+# defaults of both train_model and `durflow train`
+BATCH_SIZE = 16
+LEARNING_RATE = 1e-3
 BATCH_STREAM = 11
 NOISE_STREAM = 12
 
@@ -43,7 +46,7 @@ def _batch_plan(groups, batch_size, rng):
 
 
 def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
-                batch_size: int = 8, lr: float = 1e-3, seed: int = 0,
+                batch_size: int = BATCH_SIZE, lr: float = LEARNING_RATE, seed: int = 0,
                 loss_path=None) -> np.ndarray:
     """Run Adam for `steps` updates; returns the per-step loss trajectory.
 

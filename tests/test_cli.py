@@ -204,7 +204,7 @@ def test_config_file_bad_value_is_usage_error(tmp_path, capsys,
 def setting(tmp_path, key, value, source):
     """The arguments that set key to value by a flag or by a config file."""
     if source == "flag":
-        return [f"--{key}", value]
+        return [f"--{key.replace('_', '-')}", value]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}={value}\n")
     return ["--config", str(cfg)]
@@ -247,6 +247,120 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, tiny_checkpoints, comman
                        + setting(tmp_path, "seed", "-1", source), capsys)
     assert code == 1
     assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not out.exists()
+
+
+def inputs(command, paths, corpus_path):
+    """The input flags of one command, on the tiny checkpoints' corpus."""
+    return {"gen": [],
+            "train": ["--corpus", corpus_path],
+            "sample": ["--checkpoint", paths["fm"], "--corpus", corpus_path],
+            "eval": ["--det", paths["det"], "--fm", paths["fm"],
+                     "--corpus", corpus_path]}[command]
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "sample", "eval"])
+def test_config_echo_holds_only_the_command_settings(tmp_path, capsys, monkeypatch,
+                                                     tiny_checkpoints, command):
+    paths, corpus_path = tiny_checkpoints
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(nm, "blas_threads", lambda: 1)
+    out = str(tmp_path / "run")
+    flags = {"gen": ["--style", "spont"],
+             "train": ["--kind", "fm", "--steps", "2", "--batch", "4", "--lr", "0.01"],
+             "sample": ["--nfe", "2", "--temperature", "0.5", "--min-duration", "1",
+                        "--reps", "1"],
+             "eval": ["--nfe", "2", "--temperature", "0.5", "--min-duration", "1"]}
+    code, _, err = run([command, "--seed", "4", "--out", out] + flags[command]
+                       + inputs(command, paths, corpus_path), capsys)
+    assert code == 0, err
+    expected = {
+        "gen": ["style=spont", "seed=4", f"out={out}"],
+        "train": ["kind=fm", "steps=2", "batch=4", "lr=0.01", "seed=4", f"out={out}",
+                  f"corpus={corpus_path}"],
+        "sample": ["kind=fm", "nfe=2", "temperature=0.5", "min_duration=1", "seed=4",
+                   f"out={out}", f"checkpoint={paths['fm']}", f"corpus={corpus_path}",
+                   "reps=1"],
+        "eval": ["nfe=2", "temperature=0.5", "min_duration=1", "seed=4", f"out={out}",
+                 f"corpus={corpus_path}", f"det={paths['det']}", f"fm={paths['fm']}"],
+    }[command]
+    lines = (tmp_path / "run" / "config.txt").read_text().splitlines()
+    assert lines == ([f"command={command}"] + expected
+                     + ["OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=unset", "blas_threads=1"])
+
+
+def test_config_echo_records_settings_as_used(tmp_path, capsys, tiny_checkpoints):
+    # sample records the kind of the checkpoint it loaded, and train on a
+    # spont corpus records no style it never read
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "s"
+    code, _, _ = run(["sample", "--checkpoint", paths["fm"], "--corpus", corpus_path,
+                      "--nfe", "2", "--reps", "1", "--out", str(out)], capsys)
+    assert code == 0
+    assert "kind=fm" in (out / "config.txt").read_text().splitlines()
+    out = tmp_path / "t"
+    code, _, _ = run(["train", "--corpus", corpus_path, "--steps", "2",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    lines = (out / "config.txt").read_text().splitlines()
+    assert not any(line.startswith("style=") for line in lines)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("sample", "steps", "7"), ("train", "nfe", "3"), ("gen", "lr", "0.01"),
+    ("eval", "kind", "det"),
+])
+def test_config_key_of_another_command_is_usage_error(tmp_path, capsys,
+                                                      tiny_checkpoints, command, key,
+                                                      value):
+    paths, corpus_path = tiny_checkpoints
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\n{key}={value}\n")
+    out = tmp_path / "run"
+    code, _, err = run([command, "--config", str(cfg), "--out", str(out)]
+                       + inputs(command, paths, corpus_path), capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(cfg) in lines[0] and "line 2" in lines[0]
+    assert repr(key) in lines[0] and command in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value, message", [
+    pytest.param("gen", "style", "operatic",
+                 "style must be one of read/spont, got 'operatic'", id="gen-style"),
+    pytest.param("train", "kind", "gbm", "kind must be one of det/fm, got 'gbm'",
+                 id="train-kind"),
+    pytest.param("sample", "kind", "gbm", "kind must be one of det/fm, got 'gbm'",
+                 id="sample-kind"),
+    pytest.param("sample", "min_duration", "2", "min_duration must be 0 or 1, got 2",
+                 id="sample-min_duration"),
+    pytest.param("eval", "min_duration", "2", "min_duration must be 0 or 1, got 2",
+                 id="eval-min_duration"),
+])
+def test_bad_choice_is_one_usage_error_from_either_source(tmp_path, capsys,
+                                                          tiny_checkpoints, command,
+                                                          key, value, message, source):
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "run"
+    code, _, err = run([command, "--out", str(out)] + inputs(command, paths, corpus_path)
+                       + setting(tmp_path, key, value, source), capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=\xff\xfe1\n")
+    out = tmp_path / "run"
+    code, _, err = run(["gen", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(cfg) in lines[0]
     assert not out.exists()
 
 
