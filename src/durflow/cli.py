@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -91,11 +92,13 @@ COMMAND_SETTINGS = {
 }
 _CASTS = {f.name: {"str": str, "int": int, "float": float}[f.type]
           for f in fields(RunConfig)}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def read_config_file(path, command: str) -> dict:
-    """Parse flat key=value lines that set the command's settings; #
-    starts a comment; later keys win."""
+    """Parse flat key=value lines that set the command's settings; later
+    keys win. A # at the start of a line or after whitespace starts a
+    comment, so a value such as a path may hold a #."""
     overrides = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,7 +108,7 @@ def read_config_file(path, command: str) -> dict:
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -154,18 +157,6 @@ def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_corpus(path) -> DurationCorpus:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"corpus file not found: {path}")
-    return load(path)
-
-
-def _load_checkpoint(path) -> DurationModel:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    return load_model(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -189,7 +180,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config, _ = resolve_config(args)
-    corpus = _load_corpus(args.corpus)
+    corpus = load(args.corpus)
     echo_config(config, "train", {"corpus": args.corpus}, config.out)
     model = DurationModel(config.kind, corpus.spec.vocab_size, seed=config.seed)
     loss_path = os.path.join(config.out, f"loss-{config.kind}.csv")
@@ -206,13 +197,13 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     config, provided = resolve_config(args)
-    model = _load_checkpoint(args.checkpoint)
+    model = load_model(args.checkpoint)
     if "kind" in provided and config.kind != model.kind:
         raise ValueError(
             f"checkpoint holds a '{model.kind}' model but kind={config.kind} requested"
         )
     config.kind = model.kind
-    corpus = _load_corpus(args.corpus)
+    corpus = load(args.corpus)
     reps = args.reps if args.reps is not None else (5 if model.kind == "fm" else 1)
     if reps < 1:
         raise UsageError("reps must be >= 1")
@@ -247,11 +238,11 @@ def _eval_reps(corpus: DurationCorpus) -> int:
 
 def cmd_eval(args) -> int:
     config, _ = resolve_config(args)
-    models = {"det": _load_checkpoint(args.det), "fm": _load_checkpoint(args.fm)}
+    models = {"det": load_model(args.det), "fm": load_model(args.fm)}
     for kind, model in models.items():
         if model.kind != kind:
             raise ValueError(f"--{kind} points at a '{model.kind}' checkpoint")
-    corpora = [_load_corpus(path) for path in args.corpus]
+    corpora = [load(path) for path in args.corpus]
     # results are keyed by style, so a second corpus of one style would
     # overwrite the first's
     seen = {}
@@ -346,7 +337,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from durflow import numerics as nm
 from durflow import nn
-from durflow.data import round_half_away
+from durflow.data import _is_int, round_half_away
 from durflow.encoder import TextEncoder, ENCODER_DIM
 from durflow.nn import CheckpointFormatError
 from durflow.numerics import Tensor
@@ -216,10 +216,6 @@ def save_model(model: DurationModel, path):
     nn.save_params(path, model.params(), meta)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_meta(path, meta: dict):
     """Raise CheckpointFormatError naming the file and key of any
     malformed metadata."""
@@ -333,8 +329,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     cond; any other shape raises ValueError. ``lengths``, when given,
     are the lengths of sentences packed back to back along T, the same
     in every row; each sentence then runs as if it were sampled alone
-    (None: each row is one sentence). Each of the nfe steps evaluates
-    the field at t = i/nfe and advances by 1/nfe.
+    (None: each row is one sentence). Each of the nfe >= 1 steps
+    evaluates the field at t = i/nfe and advances by 1/nfe.
 
     What depends on neither x nor the step is computed once per call:
     ``FlowPredictor.condition`` of cond, and the two time rows of every
@@ -356,6 +352,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
             and 0 < batch <= x.shape[0] and x.shape[0] % batch == 0):
         raise ValueError(f"noise {x.shape} must stack R >= 1 realisations (R*B, 1, T) "
                          f"of cond {cond.data.shape}")
+    if nfe < 1:
+        raise ValueError(f"nfe must be >= 1, got {nfe}")
     reps = x.shape[0] // batch
     predictor = model.predictor
     conv2 = predictor.conv2
@@ -390,23 +388,25 @@ def _check_finite(values: np.ndarray, what: str):
         raise ValueError(f"non-finite {what} at position {pos}")
 
 
-def to_frames(log_dur: LogDurations, min_duration: int = 0) -> np.ndarray:
-    """Integer frame counts: max(min_duration, round(exp(v))), half away from zero."""
+def _linear(log_dur: LogDurations) -> np.ndarray:
+    """exp of the log-durations, each side checked finite."""
     values = np.asarray(log_dur.values.data)
     _check_finite(values, "log-duration")
     linear = np.exp(values)
     _check_finite(linear, "duration")
-    return np.maximum(round_half_away(linear), int(min_duration)).astype(np.int64)
+    return linear
+
+
+def to_frames(log_dur: LogDurations, min_duration: int = 0) -> np.ndarray:
+    """Integer frame counts: max(min_duration, round(exp(v))), half away from zero."""
+    return np.maximum(round_half_away(_linear(log_dur)), int(min_duration)).astype(np.int64)
 
 
 def quantisation_residual(log_dur: LogDurations) -> float:
     """Mean distance from exp(v) to its nearest integer over all positions."""
-    values = np.asarray(log_dur.values.data)
-    if values.size == 0:
+    if log_dur.values.data.size == 0:
         raise ValueError("no positions to average over")
-    _check_finite(values, "log-duration")
-    linear = np.exp(values)
-    _check_finite(linear, "duration")
+    linear = _linear(log_dur)
     residual = np.abs(linear - round_half_away(linear))
     return float(residual.sum() / residual.size)
 

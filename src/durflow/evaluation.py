@@ -208,17 +208,18 @@ def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
 
 
 def corpus_log_values(model: DurationModel, corpus: DurationCorpus,
-                      opts: SampleOptions, rep: int = 0) -> dict:
+                      opts: SampleOptions) -> dict:
     """Map sent_id -> log-duration array for every corpus sentence."""
-    return _corpus_log_values(model, corpus, opts, (rep,))[0]
+    return _corpus_log_values(model, corpus, opts, (0,))[0]
 
 
 def corpus_frames(model: DurationModel, corpus: DurationCorpus,
                   opts: SampleOptions, reps: int = 1) -> dict:
     """Map sent_id -> list of integer duration arrays, one per realisation.
 
-    Realisation r starts from the noise of ``corpus_log_values(..., rep=r)``;
-    the realisations run stacked on the packed sentences.
+    Realisation r of a sentence starts from the noise stream of its
+    (sentence, r) pair, so realisation 0 is ``corpus_log_values``'s
+    sample; the realisations run stacked on the packed sentences.
     """
     per_rep = _corpus_log_values(model, corpus, opts, range(reps))
     return {

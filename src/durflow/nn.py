@@ -69,7 +69,7 @@ class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         lim = np.sqrt(1.0 / in_dim)
         self.weight = parameter(rng.uniform(-lim, lim, size=(in_dim, out_dim)))
-        self.bias = parameter(None, shape=(out_dim,))
+        self.bias = parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.add(nm.matmul(x, self.weight), self.bias)
@@ -82,7 +82,7 @@ class Conv1d(Module):
         self.weight = parameter(
             rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
         )
-        self.bias = parameter(None, shape=(out_channels,))
+        self.bias = parameter(np.zeros(out_channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.conv1d(x, self.weight, self.bias)
@@ -91,7 +91,7 @@ class Conv1d(Module):
 class LayerNorm(Module):
     def __init__(self, channels: int):
         self.gain = parameter(np.ones(channels))
-        self.bias = parameter(None, shape=(channels,))
+        self.bias = parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)
@@ -102,24 +102,20 @@ class Embedding(Module):
         self.table = parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
 
     def __call__(self, ids) -> Tensor:
-        return embedding_forward(self.table, ids)
+        """Look up token embeddings, channels first.
 
-
-
-def embedding_forward(table: Tensor, ids) -> Tensor:
-    """Look up token embeddings, channels first.
-
-    ids of shape (B, T) give (B, E, T); one sequence is a batch of one.
-    The gradient scatters only into the selected table rows.
-    """
-    ids = np.asarray(ids)
-    if ids.ndim != 2:
-        raise ValueError(f"embedding expects batched (B, T) token ids, got shape {ids.shape}")
-    vocab = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        bad = ids[(ids < 0) | (ids >= vocab)][0]
-        raise ValueError(f"token id {bad} outside vocabulary of size {vocab}")
-    return nm.permute(nm.take_rows(table, ids), (0, 2, 1))
+        ids of shape (B, T) give (B, E, T); one sequence is a batch of one.
+        The gradient scatters only into the selected table rows.
+        """
+        ids = np.asarray(ids)
+        if ids.ndim != 2:
+            raise ValueError(
+                f"embedding expects batched (B, T) token ids, got shape {ids.shape}")
+        vocab = self.table.data.shape[0]
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+            bad = ids[(ids < 0) | (ids >= vocab)][0]
+            raise ValueError(f"token id {bad} outside vocabulary of size {vocab}")
+        return nm.permute(nm.take_rows(self.table, ids), (0, 2, 1))
 
 
 def sinusoidal_time_embedding(t, dim: int) -> Tensor:

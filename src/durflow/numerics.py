@@ -180,10 +180,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, shape=None) -> Tensor:
+def parameter(data) -> Tensor:
     """Build a trainable Tensor with a persistent zero gradient buffer."""
-    if data is None:
-        data = np.zeros(shape, dtype=np.float64)
     t = Tensor(data, requires_grad=True)
     t.grad = np.zeros_like(t.data)
     return t
@@ -532,11 +530,6 @@ def _outside_columns(seg: np.ndarray, shift: int) -> np.ndarray:
     return cols[offsets < seg[:, None]]
 
 
-def _zero_outside(cols: np.ndarray, outside: np.ndarray):
-    """Zero, in place, the columns of a (C, B*T) matrix listed in ``outside``."""
-    cols[:, outside] = 0.0
-
-
 def _shifted(dst: np.ndarray, src: np.ndarray, shift: int, add: bool):
     """dst[:, m] (+)= src[:, m + shift] over the columns where both exist.
 
@@ -602,7 +595,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
         patches = np.empty((c_in, k, n), dtype=xc.dtype)
         for j in range(k):
             _shifted(patches[:, j], xc, j - pad, add=False)
-            _zero_outside(patches[:, j], outside[j])
+            patches[:, j, outside[j]] = 0.0
         patches = patches.reshape(c_in * k, n)
     w2 = weight.data.reshape(c_out, c_in * k)
     out2 = w2 @ patches
@@ -624,7 +617,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
                     # input step then sums its taps in the same order as a
                     # window scatter into a zeroed buffer would
                     for j in range(k):
-                        _zero_outside(gp[:, j], outside[j])
+                        gp[:, j, outside[j]] = 0.0
                     gx = np.empty((c_in, n), dtype=gp.dtype)
                     for j in range(k):
                         _shifted(gx, gp[:, j], pad - j, add=j > 0)

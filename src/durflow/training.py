@@ -53,7 +53,7 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     Optionally streams a `step,loss` CSV into a temporary file beside
     loss_path that replaces loss_path once every step has run, so an
     aborted run leaves the previous file, or none. A non-finite loss
-    aborts with a diagnostic rather than training onward.
+    aborts with a diagnostic before its step changes any parameter.
     """
     nm.keep_freed_memory()
     groups = _prepare(corpus)
@@ -70,22 +70,16 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
             for ids, targets in _batch_plan(groups, batch_size, batch_rng):
                 if step >= steps:
                     break
-                loss_value = _train_step(model, ids, targets, noise_rng, opt)
+                with record() as tape:
+                    batch_loss = loss(model, ids, targets, noise_rng)
+                loss_value = batch_loss.item()
                 if not np.isfinite(loss_value):
-                    raise FloatingPointError(
-                        f"loss became non-finite at step {step}"
-                    )
+                    raise FloatingPointError(f"loss became non-finite at step {step}")
+                tape.backward(batch_loss)
+                opt.step()
                 losses[step] = loss_value
                 if writer:
                     writer.write(f"{step},{loss_value!r}\n")
                 step += 1
     model.trained_steps += steps
     return losses
-
-
-def _train_step(model, ids, targets, noise_rng, opt) -> float:
-    with record() as tape:
-        batch_loss = loss(model, ids, targets, noise_rng)
-    tape.backward(batch_loss)
-    opt.step()
-    return batch_loss.item()

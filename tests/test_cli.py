@@ -135,6 +135,24 @@ def test_train_same_seed_reproduces_loss_file(tmp_path, capsys,
     assert a != c
 
 
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_corpus_too_large_for_memory_is_runtime_error(tmp_path, capsys,
+                                                      small_corpus_file, command):
+    # a header vocabulary of 10^16 makes the reader's per-class table
+    # fail to allocate
+    with open(small_corpus_file, encoding="utf-8") as fh:
+        text = fh.read()
+    huge = tmp_path / "huge.durcorpus"
+    huge.write_text(text.replace(" vocab=24 ", " vocab=10000000000000000 ", 1))
+    checkpoint = str(tmp_path / "fm.npz")
+    save_model(DurationModel("fm", 24, **tiny_kwargs()), checkpoint)
+    args = {"train": [], "sample": ["--checkpoint", checkpoint]}[command]
+    code, _, err = run([command, *args, "--corpus", str(huge),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_train_missing_corpus_is_runtime_error(tmp_path, capsys):
     code, _, err = run(["train", "--corpus", str(tmp_path / "nope.durcorpus"),
                         "--out", str(tmp_path / "run")], capsys)
@@ -162,6 +180,18 @@ def test_config_file_overrides_defaults_and_flags_win(tmp_path, capsys,
     assert len(read_losses(out2 / "loss-det.csv")) == 9
     echoed = (out2 / "config.txt").read_text()
     assert "steps=9" in echoed and "batch=4" in echoed
+
+
+def test_config_file_hash_inside_a_value_is_kept(tmp_path, capsys):
+    # a # starts a comment only at the start of a line or after
+    # whitespace, so a path that holds one is read whole
+    out = tmp_path / "h#x"
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"# corpus for seed 1\nseed=1\nout={out}  # note\n")
+    code, _, _ = run(["gen", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert (out / "train.durcorpus").is_file()
+    assert not (tmp_path / "h").exists()
 
 
 def test_config_echo_records_thread_settings(tmp_path, capsys, monkeypatch):

@@ -376,6 +376,13 @@ class TestFmSampleBatch:
             dur.fm_sample_batch(model, cond, np.zeros(shape), 3)
         assert str(shape) in str(err.value) and "(2, 8, 5)" in str(err.value)
 
+    @pytest.mark.parametrize("nfe", [0, -1])
+    def test_nfe_below_one_rejected(self, nfe):
+        model = tiny_model("fm", seed=2)
+        cond = model.encoder(np.zeros((1, 5), dtype=np.int64))
+        with pytest.raises(ValueError, match=f"nfe must be >= 1, got {nfe}"):
+            dur.fm_sample_batch(model, cond, np.zeros((1, 1, 5)), nfe)
+
     def test_parameter_change_shows_in_next_call(self):
         model = tiny_model("fm", seed=2)
         rng = np.random.default_rng(9)

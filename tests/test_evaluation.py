@@ -188,7 +188,7 @@ def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus):
     frames = corpus_frames(tiny_fm, tiny_corpus, opts, reps=3)
     assert list(frames) == [s.sent_id for s in tiny_corpus.sentences]
     for rep in range(3):
-        values = corpus_log_values(tiny_fm, tiny_corpus, opts, rep=rep)
+        values = evaluation._corpus_log_values(tiny_fm, tiny_corpus, opts, (rep,))[0]
         for s in tiny_corpus.sentences:
             assert np.array_equal(frames[s.sent_id][rep],
                                   to_frames(LogDurations(values[s.sent_id])))

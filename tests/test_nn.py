@@ -16,46 +16,53 @@ def min_pairwise_distance(rows) -> float:
                for i in range(len(rows) - 1))
 
 
+def embedding(table) -> nn.Embedding:
+    """An Embedding layer whose table parameter holds ``table``."""
+    layer = nn.Embedding(*np.shape(table), np.random.default_rng(0))
+    layer.table = parameter(table)
+    return layer
+
+
 class TestEmbeddingForward:
     def test_repeated_ids_give_identical_columns(self):
-        table = parameter(np.random.default_rng(0).normal(size=(4, 3)))
-        out = nn.embedding_forward(table, np.array([[2, 2]]))
+        embed = embedding(np.random.default_rng(0).normal(size=(4, 3)))
+        out = embed(np.array([[2, 2]]))
         assert out.data.shape == (1, 3, 2)
         assert np.array_equal(out.data[0, :, 0], out.data[0, :, 1])
 
     def test_one_hot_table_reproduces_codes(self):
-        table = parameter(np.eye(5))
+        embed = embedding(np.eye(5))
         ids = np.array([3, 0, 4])
-        out = nn.embedding_forward(table, ids[None])
+        out = embed(ids[None])
         assert np.array_equal(out.data[0], np.eye(5)[ids].T)
 
     def test_gradient_scatter_counts(self):
-        table = parameter(np.zeros((6, 2)))
+        embed = embedding(np.zeros((6, 2)))
         ids = np.array([[1, 1, 1, 4]])
         with record() as tape:
-            loss = nm.tensor_sum(nn.embedding_forward(table, ids))
+            loss = nm.tensor_sum(embed(ids))
         tape.backward(loss)
         expected = np.zeros((6, 2))
         expected[1] = 3.0
         expected[4] = 1.0
-        assert np.array_equal(table.grad, expected)
+        assert np.array_equal(embed.table.grad, expected)
 
     def test_out_of_vocabulary_rejected(self):
-        table = parameter(np.zeros((4, 2)))
+        embed = embedding(np.zeros((4, 2)))
         with pytest.raises(ValueError):
-            nn.embedding_forward(table, np.array([[0, 4]]))
+            embed(np.array([[0, 4]]))
         with pytest.raises(ValueError):
-            nn.embedding_forward(table, np.array([[-1]]))
+            embed(np.array([[-1]]))
 
     @pytest.mark.parametrize("shape", [(3,), (), (1, 2, 3)])
     def test_unbatched_ids_rejected(self, shape):
-        table = parameter(np.zeros((4, 2)))
+        embed = embedding(np.zeros((4, 2)))
         with pytest.raises(ValueError, match=r"batched \(B, T\) token ids"):
-            nn.embedding_forward(table, np.zeros(shape, dtype=int))
+            embed(np.zeros(shape, dtype=int))
 
     def test_batched_lookup_shape(self):
-        table = parameter(np.random.default_rng(1).normal(size=(7, 3)))
-        out = nn.embedding_forward(table, np.zeros((2, 5), dtype=int))
+        embed = embedding(np.random.default_rng(1).normal(size=(7, 3)))
+        out = embed(np.zeros((2, 5), dtype=int))
         assert out.data.shape == (2, 3, 5)
 
 

@@ -124,6 +124,19 @@ def test_non_finite_loss_aborts_with_diagnostic():
         train_model(model, small_corpus(), steps=5, batch_size=8, seed=0)
 
 
+def test_non_finite_loss_stops_before_its_update():
+    # the loop checks the loss before the backward pass, so its own
+    # diagnostic fires, not Adam's gradient check, and no parameter moves
+    model = small_model("det")
+    model.params()["encoder.embed.table"].data[0, 0] = np.nan
+    before = {name: p.data.copy() for name, p in model.params().items()}
+    with pytest.raises(FloatingPointError, match="loss became non-finite at step 0"):
+        train_model(model, small_corpus(), steps=5, batch_size=8, seed=0)
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, before[name], equal_nan=True), name
+    assert model.trained_steps == 0
+
+
 def test_trained_steps_accumulates():
     model = small_model("det")
     corpus = small_corpus()
