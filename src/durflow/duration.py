@@ -67,8 +67,8 @@ class SampleOptions:
     min_duration: int = 0
 
     def __post_init__(self):
-        if self.nfe < 1:
-            raise ValueError(f"nfe must be >= 1, got {self.nfe}")
+        if not _is_int(self.nfe) or self.nfe < 1:
+            raise ValueError(f"nfe must be an integer >= 1, got {self.nfe!r}")
         if not 0 <= self.temperature < np.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.min_duration not in (0, 1):
@@ -152,32 +152,31 @@ class FlowPredictor(nn.Module):
         pointwise noise_proj (weight P, bias b) folds into the second
         part: with W conv1's kernel slice for the noise channels, it is
         x convolved with the one-channel kernel K[o, j] = sum_c W[o, c, j] P[c],
-        plus the bias term E[o, j] = sum_c W[o, c, j] b[c] convolved with
-        ones that, like noise_proj's output, are zero-padded, so the
-        term differs at the two edges of every sequence. K and E are
-        summed in float64, then cast to the parameters' dtype.
+        plus W convolved with the constant input b, which like
+        noise_proj's output is zero-padded: a constant row with edge
+        corrections at the first and last column of every sequence
+        (``_edge_terms``).
 
         ``lengths`` are the lengths of the sequences packed along T, as
         ``nm.conv1d`` takes them (None: one sequence per row). Returns
         the pair (part, kernel). ``part`` is the (hidden, B*T)
         channel-major matrix of conv1 over the cond channels plus its
-        bias plus the bias term; ``kernel`` is K as a (hidden, 1, 3)
-        Tensor. Both are taken from the parameters as they are now.
+        bias plus the bias term; ``kernel`` is K as a (hidden, 3)
+        array. Both are taken from the parameters as they are now.
         """
         weight = self.conv1.weight.data
-        dtype = weight.dtype
-        proj = np.stack([self.noise_proj.weight.data[:, 0, 0], self.noise_proj.bias.data])
-        # (hidden, 2, 3): row 0 of each output channel is K, row 1 is E
-        folded = (proj.astype(np.float64) @ weight[:, self.cond_dim:]).astype(dtype)
-        ones = np.ones((1, 1, cond.data.shape[-1]), dtype=dtype)
-        edge_part = nm.conv1d(Tensor(ones), Tensor(folded[:, 1:]),
-                              Tensor(np.zeros(len(weight), dtype=dtype)), lengths)
-        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]), self.conv1.bias,
-                         lengths).data
-        part += edge_part.data
+        noise_weight = weight[:, self.cond_dim:]
+        kernel = self.noise_proj.weight.data[:, 0, 0] @ noise_weight
+        edge = _edge_terms(noise_weight, self.noise_proj.bias.data)
+        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]),
+                         Tensor(self.conv1.bias.data + edge[:, 0]), lengths).data
         # conv1d's output is channel-major in memory, so this is a view
         part = part.transpose(1, 0, 2).reshape(len(weight), -1)
-        return part, Tensor(np.ascontiguousarray(folded[:, :1]))
+        batch, _, t_len = cond.data.shape
+        first, last = nm.segment_edges(lengths, batch, t_len)
+        part[:, first] += edge[:, 1:2]
+        part[:, last] += edge[:, 2:3]
+        return part, kernel
 
 
 class DurationModel(nn.Module):
@@ -319,6 +318,32 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
 # sampling
 
 
+def _edge_terms(weight: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """A width-3 convolution of a constant input, zero-padded per sequence.
+
+    ``weight`` is a (C_out, C_in, 3) kernel and ``value`` the (C_in,)
+    input every step holds. Convolved, it gives the per-tap sums
+    c_j = sum_i weight[:, i, j] value[i] at every step of a sequence,
+    less c_0 at its first step and c_2 at its last, where those taps
+    read the padding; a sequence of length 1 keeps only c_1. Returns
+    the (C_out, 3) columns [c_0 + c_1 + c_2, -c_0, -c_2], the weights
+    of an all-ones row, a row that is one at each sequence's first step
+    and a row that is one at its last.
+    """
+    taps = value @ weight  # (C_out, 3)
+    return np.stack([taps.sum(axis=1), -taps[:, 0], -taps[:, 2]], axis=1)
+
+
+def _fill_taps(taps: np.ndarray, first, last):
+    """Fill taps[0] and taps[2] with taps[1] shifted one column right and
+    left, zero where the shift leaves a sequence: taps[j][..., m] is
+    taps[1][..., m + j - 1], as a width-3 convolution reads it."""
+    taps[0][..., 1:] = taps[1][..., :-1]
+    taps[0][..., first] = 0.0
+    taps[2][..., :-1] = taps[1][..., 1:]
+    taps[2][..., last] = 0.0
+
+
 def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
                     nfe: int, lengths=None) -> np.ndarray:
     """Euler-integrate the learned field for a batch; returns x at t=1.
@@ -332,14 +357,33 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     (None: each row is one sentence). Each of the nfe >= 1 steps
     evaluates the field at t = i/nfe and advances by 1/nfe.
 
-    What depends on neither x nor the step is computed once per call:
-    ``FlowPredictor.condition`` of cond, and the two time rows of every
-    grid point, the second with conv2's bias added. A step convolves x
-    with the folded one-channel kernel, the first time row as its bias,
-    adds the conditioning part to every realisation in place, without a
-    copy per realisation, and runs relu -> norm1 -> conv2, with bias the
-    second time row -> relu -> norm2 -> proj. Nothing outlives the
-    call, so a change to the parameters shows in the next call.
+    The field is ``FlowPredictor.__call__`` run forward only on
+    channel-major (hidden, R*B*T) buffers that are allocated once per
+    call. What depends on neither x nor the step is computed once per
+    call too: ``FlowPredictor.condition`` of cond, the two time rows
+    of every grid point, the first and last column of every sentence,
+    and these folds (gains by scaling, biases by matrix products):
+
+    * norm1's gain scales conv2's kernel, whose taps are laid out to
+      match a tap-major (3, hidden, N) patch matrix. norm1's bias,
+      convolved, is ``_edge_terms``: its three columns join the kernel,
+      and the patch matrix has an all-ones row and one row each
+      marking the first and the last column of every sentence, so the
+      bias and its edge corrections ride in conv2's product. The
+      ones-row column also carries conv2's bias and the step's second
+      time row.
+    * norm2's gain scales proj's weight and its bias joins proj's bias,
+      so proj takes norm2's centred input and scales its output by
+      norm2's per-column inverse standard deviations.
+
+    A step convolves x with the folded noise kernel, the first time row
+    riding on the product as a fourth tap over a ones row, adds the
+    conditioning part to every realisation in place, then ReLU,
+    normalises norm1 (``nm.centre_columns``, as ``nm.layer_norm`` does)
+    straight into the patch matrix's centre tap, fills the two shifted
+    taps from it, runs conv2 -> ReLU -> norm2's centring -> proj. The
+    ReLUs run in place. Nothing outlives the call, so a change to the
+    parameters shows in the next call.
 
     The network runs in the dtype of the model's parameters (float32
     for the copy that corpus-level sampling makes): the time rows are
@@ -347,7 +391,7 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     itself stays float64, so the Euler sum accumulates in float64.
     """
     batch, _, t_len = cond.data.shape
-    x = np.asarray(noise, dtype=np.float64)
+    x = np.array(noise, dtype=np.float64)
     if not (x.ndim == 3 and x.shape[1:] == (1, t_len)
             and 0 < batch <= x.shape[0] and x.shape[0] % batch == 0):
         raise ValueError(f"noise {x.shape} must stack R >= 1 realisations (R*B, 1, T) "
@@ -356,24 +400,61 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
         raise ValueError(f"nfe must be >= 1, got {nfe}")
     reps = x.shape[0] // batch
     predictor = model.predictor
-    conv2 = predictor.conv2
-    dtype = predictor.conv1.weight.data.dtype
-    part, kernel = predictor.condition(cond, lengths)  # (hidden, B*T)
+    part, kernel = predictor.condition(cond, lengths)  # (hidden, B*T), (hidden, 3)
+    hidden, dtype = part.shape[0], part.dtype
+    n = x.size
+    first, last = nm.segment_edges(lengths, x.shape[0], t_len)
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
     rows1 = predictor.time_to_h1(emb).data.astype(dtype, copy=False)  # (nfe, hidden)
-    rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False) + conv2.bias.data
+    rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False)
+
+    # conv1 over x: the taps of K, then the step's time row over a ones row
+    kernel1 = np.empty((hidden, 4), dtype=dtype)
+    kernel1[:, :3] = kernel
+    x_taps = np.empty((4, n), dtype=dtype)
+    x_taps[3] = 1.0
+    # conv2 with norm1 folded in: its taps, then the edge terms of
+    # norm1's bias over the ones, first-column and last-column rows
+    conv2, norm1, norm2 = predictor.conv2, predictor.norm1, predictor.norm2
+    kernel2 = np.empty((hidden, 3 * hidden + 3), dtype=dtype)
+    np.multiply(conv2.weight.data.transpose(0, 2, 1), norm1.gain.data,
+                out=kernel2[:, :3 * hidden].reshape(hidden, 3, hidden))
+    kernel2[:, 3 * hidden:] = _edge_terms(conv2.weight.data, norm1.bias.data)
+    rows2 += conv2.bias.data + kernel2[:, 3 * hidden]
+    patches = np.zeros((3 * hidden + 3, n), dtype=dtype)
+    taps = patches[:3 * hidden].reshape(3, hidden, n)
+    patches[3 * hidden] = 1.0
+    patches[3 * hidden + 1, first] = 1.0
+    patches[3 * hidden + 2, last] = 1.0
+    # proj with norm2's gain and bias folded in
+    proj = predictor.proj.weight.data[0, :, 0]
+    proj_weight = proj * norm2.gain.data
+    proj_bias = proj @ norm2.bias.data + predictor.proj.bias.data[0]
+
+    h = np.empty((hidden, n), dtype=dtype)
+    # the realisations of h, for adding the conditioning part to each
+    per_rep = h.reshape(hidden, reps, -1)
+    flat_x = x.reshape(-1)
     dt = 1.0 / nfe
     for i in range(nfe):
-        # each time shift rides on its block's convolution as the bias
-        h = nm.conv1d(Tensor(x.astype(dtype, copy=False)), kernel, Tensor(rows1[i]),
-                      lengths)
-        # conv1d's output is channel-major in memory, so this is a view
-        per_rep = h.data.transpose(1, 0, 2).reshape(len(part), reps, -1)
+        x_taps[1] = flat_x
+        _fill_taps(x_taps, first, last)
+        kernel1[:, 3] = rows1[i]
+        np.matmul(kernel1, x_taps, out=h)
         per_rep += part[:, None, :]
-        h = predictor.norm1(nm.relu(h))
-        h = nm.conv1d(h, conv2.weight, Tensor(rows2[i]), lengths)
-        h = predictor.norm2(nm.relu(h))
-        x = x + dt * predictor.proj(h).data
+        np.maximum(h, 0.0, out=h)
+        # taps[0] is scratch until _fill_taps writes it
+        inv_std = nm.centre_columns(h, taps[1], taps[0])
+        taps[1] *= inv_std
+        _fill_taps(taps, first, last)
+        kernel2[:, 3 * hidden] = rows2[i]
+        np.matmul(kernel2, patches, out=h)
+        np.maximum(h, 0.0, out=h)
+        inv_std = nm.centre_columns(h, h, taps[0])
+        v = proj_weight @ h
+        v *= inv_std
+        v += proj_bias
+        flat_x += dt * v
     return x
 
 

@@ -22,12 +22,12 @@ measured parity).
 A sampling pass trades BLAS threads for Python threads one for one:
 it pins OpenBLAS to a single thread for the whole pass and shares the
 length groups, then the Euler batches, over as many workers as
-OpenBLAS had threads, restoring the count when the pass ends. Half of
-an Euler step is single-threaded numpy (layer norms, ReLUs, patch
-copies), which a second BLAS thread cannot help but a second worker
-can. How the batches are laid out depends only on the corpus, the
-reps and MAX_BATCH_COLUMNS, and every product runs on one thread, so
-samples do not depend on the thread count.
+OpenBLAS had threads, restoring the count when the pass ends. About
+a third of an Euler step is single-threaded numpy (layer-norm
+centring, ReLUs, tap copies), which a second BLAS thread cannot help
+but a second worker can. How the batches are laid out depends only on
+the corpus, the reps and MAX_BATCH_COLUMNS, and every product runs on
+one thread, so samples do not depend on the thread count.
 
 Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
 a copy of the model made at the start of each pass, while the Euler
@@ -221,6 +221,8 @@ def corpus_frames(model: DurationModel, corpus: DurationCorpus,
     (sentence, r) pair, so realisation 0 is ``corpus_log_values``'s
     sample; the realisations run stacked on the packed sentences.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     per_rep = _corpus_log_values(model, corpus, opts, range(reps))
     return {
         s.sent_id: [to_frames(LogDurations(values[s.sent_id]), opts.min_duration)
@@ -375,8 +377,10 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
     One untimed warm-up pass per NFE count runs before any timing. Each
     repetition times one pass per NFE count, in an order rotated by one
     every repetition. Rows are dicts with keys model, nfe, median_ms,
-    ms_per_nfe (median_ms divided by nfe).
+    ms_per_nfe (median_ms divided by nfe). ``repetitions`` must be >= 1.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     opts = opts or SampleOptions()
     nfe_list = tuple(int(n) for n in nfe_list)
     for nfe in nfe_list:

@@ -530,6 +530,17 @@ def _outside_columns(seg: np.ndarray, shift: int) -> np.ndarray:
     return cols[offsets < seg[:, None]]
 
 
+def segment_edges(lengths, batch: int, t_len: int) -> tuple:
+    """The first and the last flat column of every sequence, as two arrays.
+
+    The columns are the B*T of a channel-major (C, B*T) matrix, and
+    ``lengths`` are as ``conv1d`` takes them. A sequence of length 1
+    has the same column in both.
+    """
+    seg = _segment_lengths("segment_edges", lengths, batch, t_len)
+    return _outside_columns(seg, -1), _outside_columns(seg, 1)
+
+
 def _shifted(dst: np.ndarray, src: np.ndarray, shift: int, add: bool):
     """dst[:, m] (+)= src[:, m + shift] over the columns where both exist.
 
@@ -634,6 +645,22 @@ def _sum_batch_time(a2: np.ndarray, batch: int, t_len: int) -> np.ndarray:
     return np.ascontiguousarray(per_seq.T).sum(axis=0)
 
 
+def centre_columns(xc: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Centre each column of the (C, N) matrix ``xc`` into ``out``; return
+    the (N,) inverse standard deviations, 1 / sqrt(var + LAYER_NORM_EPS).
+
+    ``out`` times the returned row is layer_norm's normalised input.
+    ``out`` may be ``xc`` itself; ``scratch``, of the same shape, is
+    overwritten with the squared deviations.
+    """
+    mu = xc.mean(axis=0)
+    np.subtract(xc, mu, out=out)
+    np.square(out, out=scratch)
+    var = scratch.sum(axis=0)
+    var /= len(xc)
+    return 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise each time step across channels, then apply gain and bias.
 
@@ -646,14 +673,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     _check_batched("layer_norm", x)
     batch, c, t_len = x.data.shape
     xc = _channel_major(x.data)
-    mu = xc.mean(axis=0)
-    # the centred input serves the variance (as numpy's var computes it)
-    # and, scaled in place, becomes xhat
-    xhat = xc - mu
-    out2 = np.square(xhat)
-    var = out2.sum(axis=0)
-    var /= c
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat, out2 = np.empty_like(xc), np.empty_like(xc)
+    inv_std = centre_columns(xc, xhat, out2)
     xhat *= inv_std
     np.multiply(gain.data[:, None], xhat, out=out2)
     out2 += bias.data[:, None]

@@ -259,6 +259,14 @@ class TestSampleOptions:
         with pytest.raises(ValueError):
             SampleOptions(min_duration=2)
 
+    @pytest.mark.parametrize("nfe", [2.5, 10.0, True, "10", None])
+    def test_non_integer_nfe_rejected(self, nfe):
+        with pytest.raises(ValueError, match=f"nfe must be an integer >= 1, got {nfe!r}"):
+            SampleOptions(nfe=nfe)
+
+    def test_numpy_integer_nfe_accepted(self):
+        assert SampleOptions(nfe=np.int64(4)).nfe == 4
+
     @pytest.mark.parametrize("temperature", [np.nan, np.inf])
     def test_non_finite_temperature_rejected(self, temperature):
         with pytest.raises(ValueError, match="temperature must be finite"):
@@ -302,24 +310,25 @@ def frames_of(x):
 PACKED = [pytest.param((4, 1, 11), id="4+1+11"), pytest.param((1, 1, 3, 1), id="1+1+3+1")]
 
 
-def packed_sample_and_reference(model, rng, batch, t_len, nfe):
-    """fm_sample_batch over batch rows of random ids, and reference_euler
-    run on every sentence alone. t_len is one sentence per row, or a
-    tuple of sentence lengths packed along T in every row."""
+def packed_sample_and_reference(model, rng, batch, t_len, nfe, reps=1):
+    """fm_sample_batch over batch rows of random ids, reps realisations
+    stacked, and reference_euler run on every sentence and realisation
+    alone. t_len is one sentence per row, or a tuple of sentence lengths
+    packed along T in every row."""
     lengths = (t_len,) if isinstance(t_len, int) else t_len
     ends = np.cumsum(lengths)
     ids = rng.integers(0, 6, size=(batch, ends[-1]))
-    noise = rng.standard_normal((batch, 1, ends[-1]))
+    noise = rng.standard_normal((reps * batch, 1, ends[-1]))
     cond = Tensor(np.concatenate(
         [model.encoder(ids[:, end - n:end]).data for n, end in zip(lengths, ends)], axis=2))
     got = dur.fm_sample_batch(model, cond, noise, nfe,
                               None if isinstance(t_len, int) else lengths)
     want = np.concatenate([
         np.concatenate([
-            reference_euler(model, model.encoder(ids[b:b + 1, end - n:end]),
-                            noise[b:b + 1, :, end - n:end], nfe)
+            reference_euler(model, model.encoder(ids[k % batch:k % batch + 1, end - n:end]),
+                            noise[k:k + 1, :, end - n:end], nfe)
             for n, end in zip(lengths, ends)], axis=2)
-        for b in range(batch)])
+        for k in range(reps * batch)])
     return got, want
 
 
@@ -353,6 +362,30 @@ class TestFmSampleBatch:
             model, np.random.default_rng(20 + np.sum(t_len)), 3, t_len, 4)
         assert not np.allclose(got, zero_bias)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("t_len", PACKED)
+    def test_norm_folds_at_the_edges(self, t_len):
+        # every model starts with identity layer norms and zero biases;
+        # once they are not, norm1's bias folds into conv2 with edge
+        # corrections at the first and last position of every sentence,
+        # and norm2's gain and bias into proj
+        model = tiny_model("fm", seed=2)
+        seed = 40 + np.sum(t_len)
+        identity, _ = packed_sample_and_reference(
+            model, np.random.default_rng(seed), 3, t_len, 4, reps=2)
+        pred = model.predictor
+        rng = np.random.default_rng(seed)
+        for norm in (pred.norm1, pred.norm2):
+            norm.gain.data[...] = 1.0 + 0.5 * rng.standard_normal(norm.gain.data.shape)
+            norm.bias.data[...] = rng.standard_normal(norm.bias.data.shape)
+        for p in (pred.conv2.bias, pred.proj.bias):
+            p.data[...] = rng.standard_normal(p.data.shape)
+        got, want = packed_sample_and_reference(
+            model, np.random.default_rng(seed), 3, t_len, 4, reps=2)
+        assert got.shape == (6, 1, np.sum(t_len))
+        assert not np.allclose(got, identity)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(frames_of(got), frames_of(want))
 
     def test_repeated_condition_matches_separate_batches(self):
         model = tiny_model("fm", seed=2)
@@ -391,6 +424,8 @@ class TestFmSampleBatch:
         before = dur.fm_sample_batch(model, cond, noise, 4)
         pred = model.predictor
         for p in (pred.conv1.weight, pred.noise_proj.weight, pred.noise_proj.bias,
+                  pred.conv2.weight, pred.conv2.bias, pred.norm1.gain, pred.norm1.bias,
+                  pred.norm2.gain, pred.norm2.bias, pred.proj.weight, pred.proj.bias,
                   pred.time.lin1.weight, pred.time.lin2.weight,
                   pred.time_to_h1.weight, pred.time_to_h2.weight):
             p.data[...] += 0.5 * rng.standard_normal(p.data.shape)

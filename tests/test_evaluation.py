@@ -194,6 +194,12 @@ def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus):
                                   to_frames(LogDurations(values[s.sent_id])))
 
 
+@pytest.mark.parametrize("reps", [0, -2])
+def test_corpus_frames_rejects_reps_below_one(tiny_fm, tiny_corpus, reps):
+    with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+        corpus_frames(tiny_fm, tiny_corpus, SampleOptions(nfe=1), reps=reps)
+
+
 def test_training_after_a_sampling_pass_is_unchanged():
     # the pass pins OpenBLAS to one thread and must hand back the count
     # training had: at a different count the products split differently
@@ -428,6 +434,15 @@ def test_bench_rows_are_well_formed(tiny_fm, tiny_corpus):
         assert r["model"] == "fm"
         assert r["median_ms"] > 0 and np.isfinite(r["median_ms"])
         assert r["ms_per_nfe"] == pytest.approx(r["median_ms"] / r["nfe"])
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_bench_rejects_repetitions_below_one(tiny_fm, tiny_corpus, monkeypatch, repetitions):
+    passes = []
+    monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match=f"repetitions must be >= 1, got {repetitions}"):
+        bench_sampling(tiny_fm, tiny_corpus, nfe_list=(1, 2), repetitions=repetitions)
+    assert passes == []
 
 
 def test_bench_interleaves_nfe_passes(tiny_fm, tiny_corpus, monkeypatch):
