@@ -194,7 +194,7 @@ class DurationCorpus:
     def length_groups(self) -> list:
         """The sentences grouped by exact length, shortest first, in
         corpus order within each group: the rectangular batches that
-        training and sampling split a corpus into."""
+        training splits a corpus into."""
         groups = {}
         for s in self.sentences:
             groups.setdefault(len(s.seq), []).append(s)

@@ -102,10 +102,10 @@ class DetPredictor(nn.Module):
         self.norm2 = nn.LayerNorm(hidden)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
 
-    def __call__(self, cond: Tensor) -> Tensor:
-        """cond (B, D, T) -> (B, 1, T)."""
-        h = self.norm1(nm.relu(self.conv1(cond)))
-        h = self.norm2(nm.relu(self.conv2(h)))
+    def __call__(self, cond: Tensor, lengths=None) -> Tensor:
+        """cond (B, D, T) -> (B, 1, T); ``lengths`` as ``nm.conv1d`` takes them."""
+        h = self.norm1(nm.relu(nm.conv1d(cond, self.conv1.weight, self.conv1.bias, lengths)))
+        h = self.norm2(nm.relu(nm.conv1d(h, self.conv2.weight, self.conv2.bias, lengths)))
         return self.proj(h)
 
 

@@ -4,8 +4,9 @@ Phones are interleaved with a blank token before encoding, so each
 phone is represented by two encoder vectors (itself and the blank that
 follows it); a :class:`PhoneSequence` always holds interleaved ids. The
 encoder takes a (B, T) batch of them, one sequence being a batch of
-one. Its body is deliberately small: embedding lookup, one width-3
-convolution, layer norm, ReLU.
+one, or a list of sequences of any lengths, which it encodes packed back
+to back in one row, each as if alone. Its body is deliberately small:
+embedding lookup, one width-3 convolution, layer norm, ReLU.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ class TextEncoder(nn.Module):
         self.norm = nn.LayerNorm(dim)
 
     def __call__(self, ids) -> Tensor:
-        """ids (B, T) -> (B, D, T); one sequence is a batch of one."""
-        h = self.embed(ids)
-        return nm.relu(self.norm(self.conv(h)))
+        """ids (B, T) -> (B, D, T); one sequence is a batch of one. A list
+        of 1-D id arrays -> (1, D, N), the sequences packed along N."""
+        if isinstance(ids, list):
+            h = self.embed(np.concatenate(ids)[None])
+            h = nm.conv1d(h, self.conv.weight, self.conv.bias, [len(row) for row in ids])
+        else:
+            h = self.conv(self.embed(ids))
+        return nm.relu(self.norm(h))
 

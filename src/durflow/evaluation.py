@@ -10,24 +10,24 @@ Three experiment families:
 
 Corpus-level sampling derives one random stream per (sentence, rep)
 from the option seed, so the noise a sample starts from depends neither
-on batching nor on how work is spread over threads. Each length group
-is encoded once; the flow model then samples sentences of every length
-packed back to back along one time axis, with no padding, every
-realisation stacked on that layout, in Euler batches of at most
-MAX_BATCH_COLUMNS columns. The batch width changes how BLAS
-blocks its products, so a sample can differ from a one-sentence,
-one-realisation pass in its last float32 bits (see the README for the
-measured parity).
+on batching nor on how work is spread over threads. A pass is a list
+of calls over sentences of every length packed back to back along one
+time axis, with no padding, at most MAX_BATCH_COLUMNS columns each.
+Each call encodes its sentences; a det model then predicts them once
+for every rep, and the flow model samples every realisation stacked on
+that layout. The call width changes how BLAS blocks its products, so a
+value can differ from a one-sentence, one-realisation pass in its last
+float32 bits (see the README for the measured parity).
 
 A sampling pass trades BLAS threads for Python threads one for one:
 it pins OpenBLAS to a single thread for the whole pass and shares the
-length groups, then the Euler batches, over as many workers as
-OpenBLAS had threads, restoring the count when the pass ends. About
-a third of an Euler step is single-threaded numpy (layer-norm
-centring, ReLUs, tap copies), which a second BLAS thread cannot help
-but a second worker can. How the batches are laid out depends only on
-the corpus, the reps and MAX_BATCH_COLUMNS, and every product runs on
-one thread, so samples do not depend on the thread count.
+calls over as many workers as OpenBLAS had threads, restoring the
+count when the pass ends. About a third of an Euler step is
+single-threaded numpy (layer-norm centring, ReLUs, tap copies), which
+a second BLAS thread cannot help but a second worker can. How the
+calls are laid out depends only on the corpus, the reps and
+MAX_BATCH_COLUMNS, and every product runs on one thread, so samples do
+not depend on the thread count.
 
 Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
 a copy of the model made at the start of each pass, while the Euler
@@ -95,7 +95,7 @@ def worker_count() -> int:
 
 
 def _sample_calls(sentences, reps: int) -> list:
-    """Split the (sentence, rep) pairs into fm_sample_batch calls.
+    """Split the (sentence, rep) pairs into the calls of a pass.
 
     Each call is a pair (sentences, rep positions). Sentences are packed
     in the order given, as many per call as keep columns x reps within
@@ -123,28 +123,29 @@ def _sample_calls(sentences, reps: int) -> list:
     return calls
 
 
-def _packed_log_values(model: DurationModel, sentences, positions, conds: dict,
+def _packed_log_values(model: DurationModel, sentences, positions,
                        opts: SampleOptions, reps) -> list:
-    """One fm_sample_batch call over sentences packed back to back.
+    """Encode the sentences packed back to back in one row, then predict
+    (det) or sample (fm) them.
 
-    ``conds`` maps sent_id to the (D, T) encoder output of a sentence,
     ``positions`` index ``reps``. Returns (position, sent_id, values)
-    triples. FM noise comes from a per-(sentence, rep) stream, so neither
-    the packing nor the other reps ever influence a sample's noise.
+    triples. A det prediction is the values of every rep. FM noise
+    comes from a per-(sentence, rep) stream, so neither the packing nor
+    the other reps ever influence a sample's noise.
     """
     lengths = [len(s.seq) for s in sentences]
-    cond = np.concatenate([conds[s.sent_id] for s in sentences], axis=1)[None]
-    noise = np.stack([
-        np.concatenate([
-            opts.temperature
-            * np.random.default_rng(
+    cond = model.encoder([s.seq.ids for s in sentences])  # (1, D, N)
+    if model.kind == "det":
+        positions = range(len(reps))
+        values = [model.predictor(cond, lengths).data[0, 0].astype(np.float64)] * len(reps)
+    else:
+        noise = opts.temperature * np.stack([
+            np.concatenate([np.random.default_rng(
                 np.random.SeedSequence([opts.seed, s.sent_id, reps[k]])
-            ).standard_normal((1, t_len))
-            for s, t_len in zip(sentences, lengths)
-        ], axis=1)
-        for k in positions
-    ])  # (R, 1, N)
-    values = fm_sample_batch(model, nm.Tensor(cond), noise, opts.nfe, lengths)[:, 0, :]
+            ).standard_normal(t_len) for s, t_len in zip(sentences, lengths)])
+            for k in positions
+        ])[:, None]  # (R, 1, N)
+        values = fm_sample_batch(model, cond, noise, opts.nfe, lengths)[:, 0, :]
     ends = np.cumsum(lengths)
     return [(k, s.sent_id, row[end - t_len:end])
             for k, row in zip(positions, values)
@@ -163,45 +164,26 @@ def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
                        opts: SampleOptions, reps) -> list:
     """One sent_id -> log-duration dict per rep in reps, over every sentence.
 
-    Each length group is encoded once for all reps. A det model then
-    predicts each group in one pass, the same for every rep. An fm
-    model samples the sentences of every length packed back to back,
-    as ``_sample_calls`` splits them. The passes run on a
-    SAMPLING_DTYPE copy of the model, made here and dropped on return,
-    so a change to the model's parameters shows in the next call.
+    The sentences, shortest first and in corpus order within a length,
+    are split into calls by ``_sample_calls``: an fm model's with every
+    rep, a det model's with one realisation that every rep shares. Each
+    call encodes its own sentences and predicts or samples them
+    (``_packed_log_values``). The calls run on a SAMPLING_DTYPE copy of
+    the model, made here and dropped on return, so a change to the
+    model's parameters shows in the next call.
 
-    The whole pass runs with OpenBLAS on one thread, and the length
-    groups, then the fm calls, are shared out over as many worker
-    threads as OpenBLAS had; the count is restored on return.
+    The whole pass runs with OpenBLAS on one thread, and the calls are
+    shared out over as many worker threads as OpenBLAS had; the count
+    is restored on return.
     """
     nm.keep_freed_memory()
     with nm.one_blas_thread() as workers:
         model = nn.cast_copy(model, SAMPLING_DTYPE)
-        groups = corpus.length_groups()
-
-        def forward(group):
-            """det: the group's log-durations; fm: its encoder output."""
-            cond = model.encoder(np.stack([s.seq.ids for s in group]))  # (B, D, T)
-            if model.kind == "det":
-                return model.predictor(cond).data[:, 0, :].astype(np.float64)
-            return cond.data
-
-        per_group = _map(forward, groups, workers)
+        sentences = sorted(corpus.sentences, key=lambda s: len(s.seq))
+        calls = _sample_calls(sentences, len(reps) if model.kind == "fm" else 1)
         out = [{} for _ in reps]
-        if model.kind == "det":
-            for group, values in zip(groups, per_group):
-                for per_rep in out:
-                    per_rep.update((s.sent_id, values[i]) for i, s in enumerate(group))
-            return out
-
-        conds = {s.sent_id: cond[i]
-                 for group, cond in zip(groups, per_group) for i, s in enumerate(group)}
-
-        def sample(call):
-            return _packed_log_values(model, *call, conds, opts, reps)
-
-        calls = _sample_calls([s for group in groups for s in group], len(reps))
-        for triples in _map(sample, calls, workers):
+        for triples in _map(lambda call: _packed_log_values(model, *call, opts, reps),
+                            calls, workers):
             for k, sent_id, values in triples:
                 out[k][sent_id] = values
         return out
@@ -278,6 +260,9 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
         raise ValueError("nfe_list must be strictly ascending")
     if model.trained_steps == 0:
         raise ValueError("model has not been trained")
+    if not corpus_val.sentences:
+        raise ValueError(f"the {corpus_val.spec.style} {corpus_val.split} corpus of seed "
+                         f"{corpus_val.spec.seed} has no sentences to evaluate")
     opts = opts or SampleOptions()
     model_id, corpus_id = model.kind, corpus_val.spec.style
 

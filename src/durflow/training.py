@@ -53,8 +53,12 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     Optionally streams a `step,loss` CSV into a temporary file beside
     loss_path that replaces loss_path once every step has run, so an
     aborted run leaves the previous file, or none. A non-finite loss
-    aborts with a diagnostic before its step changes any parameter.
+    aborts with a diagnostic before its step changes any parameter; a
+    corpus with no sentences raises ValueError before any step.
     """
+    if not corpus.sentences:
+        raise ValueError(f"the {corpus.spec.style} {corpus.split} corpus of seed "
+                         f"{corpus.spec.seed} has no sentences to train on")
     nm.keep_freed_memory()
     groups = _prepare(corpus)
     batch_rng = np.random.default_rng(np.random.SeedSequence([seed, BATCH_STREAM]))

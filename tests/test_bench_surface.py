@@ -16,8 +16,11 @@ import sys
 import numpy as np
 import pytest
 
+from durflow import evaluation
 from durflow import numerics as nm
-from durflow.duration import DurationModel, loss
+from durflow.data import CorpusSpec, generate
+from durflow.duration import DurationModel, SampleOptions, loss
+from test_evaluation import blas_threads_found
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -51,6 +54,29 @@ def test_instrumentation_installs_runs_and_uninstalls(bench_modules):
     assert clock.rows == 2 and len(clock.marks) == 1
     for name, fn in originals.items():
         assert getattr(nm, name) is fn, name
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_sampling_pass_runs_traced(bench_modules, monkeypatch, kind):
+    # every benchmark run wraps TextEncoder.__call__ as (self, ids), and a
+    # traced run every layer's __call__ as (self, x): a sampling pass of
+    # either kind must run under both
+    spans, _, _ = bench_modules
+    # one worker, so every span opens and closes on the caller's thread
+    monkeypatch.setattr(nm, "one_blas_thread", lambda: blas_threads_found(1))
+    spec = CorpusSpec(style="spont", seed=1, num_sentences=6, min_phones=2, max_phones=4)
+    corpus = generate(spec, "train")
+    clock, tracer = spans.StepClock(), spans.Tracer()
+    with spans.instrument(clock, tracer):
+        model = DurationModel(kind, spec.vocab_size, seed=0,
+                              encoder_dim=8, hidden=10, noise_dim=4, time_dim=8)
+        frames = evaluation.corpus_frames(model, corpus, SampleOptions(nfe=2), reps=2)
+    assert frames.keys() == {s.sent_id for s in corpus.sentences}
+    for s in corpus.sentences:
+        assert [f.shape for f in frames[s.sent_id]] == [(len(s.seq),)] * 2
+    names = {s[0] for s in tracer.spans}
+    assert {"evaluation.corpus_frames", "encoder", "numerics.conv1d.fwd",
+            "numerics.layer_norm.fwd"} <= names
 
 
 def test_machine_context(bench_modules):

@@ -160,6 +160,22 @@ def test_train_missing_corpus_is_runtime_error(tmp_path, capsys):
     assert "error:" in err and "nope.durcorpus" in err
 
 
+@pytest.fixture()
+def empty_corpus_file(tmp_path):
+    """A corpus file with its header and no sentences."""
+    path = tmp_path / "empty.durcorpus"
+    save(generate(CorpusSpec(style="spont", seed=3, num_sentences=0), "train"), path)
+    return str(path)
+
+
+def test_train_empty_corpus_is_runtime_error(tmp_path, capsys, empty_corpus_file):
+    code, _, err = run(["train", "--corpus", empty_corpus_file, "--steps", "5",
+                        "--out", str(tmp_path / "run")], capsys)
+    assert code == 2
+    assert err == "error: the spont train corpus of seed 3 has no sentences to train on\n"
+    assert not (tmp_path / "run" / "model-fm.npz").exists()
+
+
 # ---------------------------------------------------------------- config file
 
 
@@ -681,6 +697,29 @@ def test_eval_missing_checkpoint_named(tmp_path, capsys, tiny_checkpoints):
                        capsys)
     assert code == 2
     assert "ghost.npz" in err
+
+
+def test_eval_empty_corpus_is_runtime_error(tmp_path, capsys, tiny_checkpoints,
+                                            empty_corpus_file):
+    paths, _ = tiny_checkpoints
+    code, _, err = run(["eval", "--det", paths["det"], "--fm", paths["fm"],
+                        "--corpus", empty_corpus_file, "--out", str(tmp_path / "e")],
+                       capsys)
+    assert code == 2
+    assert err == "error: the spont train corpus of seed 3 has no sentences to evaluate\n"
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_sample_empty_corpus_writes_header_only(tmp_path, capsys, tiny_checkpoints,
+                                                empty_corpus_file, kind):
+    paths, _ = tiny_checkpoints
+    code, _, err = run(["sample", "--checkpoint", paths[kind], "--corpus", empty_corpus_file,
+                        "--out", str(tmp_path / "s")], capsys)
+    assert code == 0 and err == ""
+    lines = (tmp_path / "s" / "durations.txt").read_text().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"#durations model={kind} ")
+    assert lines[0].endswith(" sentences=0")
 
 
 def test_eval_swapped_checkpoints_rejected(tmp_path, capsys, tiny_checkpoints):

@@ -435,6 +435,31 @@ class TestFmSampleBatch:
         assert np.max(np.abs(after - want)) <= 1e-12
 
 
+class TestPackedForward:
+    """Sentences packed back to back in one row, as corpus-level sampling
+    runs them, against each sentence's own forward pass."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_encoder_and_det_predictor_match_per_sentence(self, lengths, seed):
+        model = tiny_model("det")
+        rng = np.random.default_rng(seed)
+        for name, p in model.params().items():
+            # every parameter random, layer-norm gains about one
+            offset = 1.0 if name.endswith("gain") else 0.0
+            p.data[...] = offset + 0.5 * rng.standard_normal(p.data.shape)
+        rows = [rng.integers(0, 6, size=n) for n in lengths]
+        cond = model.encoder(rows)
+        pred = model.predictor(cond, lengths).data
+        assert cond.data.shape == (1, 8, sum(lengths)) and pred.shape == (1, 1, sum(lengths))
+        for row, n, end in zip(rows, lengths, np.cumsum(lengths)):
+            alone = model.encoder(row[None])
+            assert np.max(np.abs(cond.data[..., end - n:end] - alone.data)) <= 1e-12
+            want = model.predictor(alone).data
+            assert np.max(np.abs(pred[..., end - n:end] - want)) <= 1e-12
+
+
 class TestToFrames:
     def test_exact_log_of_integer(self):
         assert to_frames(LogDurations(np.array([np.log(5.0)]))).tolist() == [5]

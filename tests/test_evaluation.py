@@ -84,6 +84,15 @@ def test_single_point_curve(tiny_fm, tiny_corpus):
     assert np.isfinite(values[0]) and values[0] >= 0
 
 
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_corpus_without_sentences_rejected(tiny_det, tiny_fm, kind):
+    model = {"det": tiny_det, "fm": tiny_fm}[kind]
+    empty = generate(CorpusSpec(style="spont", seed=3, num_sentences=0), "train")
+    with pytest.raises(ValueError,
+                       match="the spont train corpus of seed 3 has no sentences to evaluate"):
+        residual_vs_nfe(model, empty)
+
+
 def test_unsorted_nfe_list_rejected(tiny_fm, tiny_corpus):
     with pytest.raises(ValueError, match="ascending"):
         residual_vs_nfe(tiny_fm, tiny_corpus, nfe_list=(10, 1))
@@ -126,17 +135,18 @@ def test_log_values_do_not_depend_on_worker_count(tiny_det, tiny_fm, tiny_corpus
                                                   monkeypatch, kind):
     # the call layout depends on the corpus, the reps and the column
     # budget only, and every product runs on one BLAS thread, so how
-    # many workers share the groups and calls changes no bit
+    # many workers share the calls changes no bit
     model = {"det": tiny_det, "fm": tiny_fm}[kind]
     opts = SampleOptions(nfe=3, seed=4)
     monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", 60)
     threads = set()
+    packed_log_values = evaluation._packed_log_values
 
     def spy(*args):
         threads.add(threading.current_thread())
-        return fm_sample_batch(*args)
+        return packed_log_values(*args)
 
-    monkeypatch.setattr(evaluation, "fm_sample_batch", spy)
+    monkeypatch.setattr(evaluation, "_packed_log_values", spy)
     results = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # workers interleave as finely as they can
@@ -145,10 +155,9 @@ def test_log_values_do_not_depend_on_worker_count(tiny_det, tiny_fm, tiny_corpus
             monkeypatch.setattr(nm, "one_blas_thread", lambda: blas_threads_found(workers))
             results[workers] = evaluation._corpus_log_values(model, tiny_corpus, opts,
                                                              range(3))
-            if kind == "fm":
-                # one worker samples on the caller's thread, more on pool threads
-                assert (threading.main_thread() in threads) == (workers == 1)
-                threads.clear()
+            # one worker runs the calls on the caller's thread, more on pool threads
+            assert (threading.main_thread() in threads) == (workers == 1)
+            threads.clear()
     finally:
         sys.setswitchinterval(interval)
     for workers in (2, 3):
@@ -182,8 +191,8 @@ def test_blas_threads_restored_after_a_worker_raises(tiny_fm, tiny_corpus, monke
 
 
 def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus):
-    # corpus_frames encodes each group once for all reps; every rep must
-    # still equal a pass of its own
+    # each call encodes its sentences once for all of its reps; every rep
+    # must still equal a pass of its own
     opts = SampleOptions(nfe=3, seed=4)
     frames = corpus_frames(tiny_fm, tiny_corpus, opts, reps=3)
     assert list(frames) == [s.sent_id for s in tiny_corpus.sentences]
@@ -220,14 +229,22 @@ def test_training_after_a_sampling_pass_is_unchanged():
         assert np.array_equal(again.params()[name].data, param.data), name
 
 
-def test_reps_split_under_the_column_budget(tiny_fm, tiny_corpus, monkeypatch):
+def test_reps_split_under_the_column_budget(tiny_det, tiny_fm, tiny_corpus, monkeypatch):
     # sentences of every length run packed in one fm_sample_batch call, all
     # reps stacked, as far as the column budget allows: 200 columns pack a
     # few sentences per call, 40 split each sentence's reps, and a budget
-    # below the longest sentence leaves pairs that are alone wider
+    # below the longest sentence leaves pairs that are alone wider. det
+    # packs one realisation per call, which every rep shares; its float32
+    # products may reassociate with the call width, its frames may not move
     opts = SampleOptions(nfe=3, seed=4)
     reps = 7
     calls = []
+
+    def det_pass():
+        per_rep = evaluation._corpus_log_values(tiny_det, tiny_corpus, opts, range(reps))
+        for values in per_rep[1:]:
+            assert all(np.array_equal(values[k], per_rep[0][k]) for k in per_rep[0])
+        return per_rep[0]
 
     def spy(model, cond, noise, nfe, lengths):
         calls.append((noise, lengths))
@@ -237,6 +254,7 @@ def test_reps_split_under_the_column_budget(tiny_fm, tiny_corpus, monkeypatch):
     monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", 10**9)
     unsplit = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
     assert len(calls) == 1
+    det_unsplit = det_pass()
     longest = max(len(s.seq) for s in tiny_corpus.sentences)
     want_noise = sorted(
         (opts.temperature * np.random.default_rng(
@@ -264,6 +282,12 @@ def test_reps_split_under_the_column_budget(tiny_fm, tiny_corpus, monkeypatch):
                           for t_len, end in zip(lengths, ends)]
         # every (sentence, rep) pair sampled once, from its own stream
         assert sorted(got_noise) == want_noise
+        det_split = det_pass()
+        assert det_split.keys() == det_unsplit.keys()
+        for sent_id, values in det_split.items():
+            assert np.max(np.abs(values - det_unsplit[sent_id])) <= 1e-5
+            assert np.array_equal(to_frames(LogDurations(values)),
+                                  to_frames(LogDurations(det_unsplit[sent_id])))
 
 
 def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):

@@ -46,6 +46,19 @@ def test_targets_use_log_domain_rules():
             assert tgt == pytest.approx(np.log(max(dur, 1)))
 
 
+def test_empty_corpus_rejected_before_any_step(tmp_path):
+    # with no sentences the batch plan is empty, so no step could ever run
+    empty = generate(CorpusSpec(num_sentences=0), "train")
+    model = small_model("det")
+    before = {name: p.data.copy() for name, p in model.params().items()}
+    loss_path = tmp_path / "loss.csv"
+    with pytest.raises(ValueError, match="read train corpus of seed 0 has no sentences"):
+        train_model(model, empty, steps=5, loss_path=loss_path)
+    assert model.trained_steps == 0 and not loss_path.exists()
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 def test_det_loss_decreases():
     model = small_model("det")
     losses = train_model(model, small_corpus(), steps=80, batch_size=8, seed=0)
