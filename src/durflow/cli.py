@@ -67,8 +67,6 @@ class RunConfig:
                 raise UsageError(f"{name} must be >= 1")
         if not 0 < self.lr < math.inf:
             raise UsageError(f"lr must be finite and > 0, got {self.lr}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
         try:
             self.sample_options()
         except ValueError as exc:
@@ -146,7 +144,8 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    """Write config.txt into out_dir, which the command's other outputs
+    made; a command calls this last, so a failed run leaves none."""
     lines = [f"command={command}"]
     lines += [f"{name}={getattr(config, name)}" for name in COMMAND_SETTINGS[command]]
     lines += [f"{key}={value}" for key, value in sorted(inputs.items())]
@@ -164,7 +163,7 @@ def echo_config(config: RunConfig, command: str, inputs: dict, out_dir):
 def cmd_gen(args) -> int:
     config, _ = resolve_config(args)
     spec = CorpusSpec(style=config.style, seed=config.seed)
-    echo_config(config, "gen", {}, config.out)
+    os.makedirs(config.out, exist_ok=True)
     for split in ("train", "val"):
         corpus = generate(spec, split)
         path = os.path.join(config.out, f"{split}.durcorpus")
@@ -175,19 +174,21 @@ def cmd_gen(args) -> int:
             f"{int((ids == PAUSE_ID).sum())} pauses, "
             f"{int((ids == FILLER_ID).sum())} fillers -> {path}"
         )
+    echo_config(config, "gen", {}, config.out)
     return 0
 
 
 def cmd_train(args) -> int:
     config, _ = resolve_config(args)
     corpus = load(args.corpus)
-    echo_config(config, "train", {"corpus": args.corpus}, config.out)
     model = DurationModel(config.kind, corpus.spec.vocab_size, seed=config.seed)
+    os.makedirs(config.out, exist_ok=True)
     loss_path = os.path.join(config.out, f"loss-{config.kind}.csv")
     losses = train_model(model, corpus, config.steps, batch_size=config.batch,
                          lr=config.lr, seed=config.seed, loss_path=loss_path)
     ckpt = os.path.join(config.out, f"model-{config.kind}.npz")
     save_model(model, ckpt)
+    echo_config(config, "train", {"corpus": args.corpus}, config.out)
     head = float(np.mean(losses[: min(100, len(losses))]))
     tail = float(np.mean(losses[-min(100, len(losses)):]))
     print(f"trained {config.kind} for {config.steps} steps "
@@ -207,10 +208,9 @@ def cmd_sample(args) -> int:
     reps = args.reps if args.reps is not None else (5 if model.kind == "fm" else 1)
     if reps < 1:
         raise UsageError("reps must be >= 1")
-    echo_config(config, "sample",
-                {"checkpoint": args.checkpoint, "corpus": args.corpus,
-                 "reps": reps}, config.out)
+    check_vocabulary(args.corpus, corpus, args.checkpoint, model)
     frames = corpus_frames(model, corpus, config.sample_options(), reps)
+    os.makedirs(config.out, exist_ok=True)
     path = os.path.join(config.out, "durations.txt")
     with atomic_write(path) as fh:
         fh.write(
@@ -223,17 +223,27 @@ def cmd_sample(args) -> int:
             for rep in range(reps):
                 row = " ".join(str(int(d)) for d in frames[s.sent_id][rep])
                 fh.write(f"{s.sent_id} {rep} {row}\n")
+    echo_config(config, "sample",
+                {"checkpoint": args.checkpoint, "corpus": args.corpus,
+                 "reps": reps}, config.out)
     print(f"sampled {reps} realisation(s) x {len(corpus)} sentences -> {path}")
     return 0
 
 
+def check_vocabulary(corpus_path, corpus: DurationCorpus, checkpoint_path,
+                     model: DurationModel):
+    """Raise ValueError naming both files if the corpus holds a token id
+    outside the checkpoint's vocabulary."""
+    top = max((int(s.seq.ids.max()) for s in corpus.sentences), default=-1)
+    if top >= model.vocab_size:
+        raise ValueError(f"{corpus_path}: token id {top} outside the vocabulary of "
+                         f"size {model.vocab_size} of checkpoint {checkpoint_path}")
+
+
 def _eval_reps(corpus: DurationCorpus) -> int:
     """Realisations needed so every class clears the token floor."""
-    counts = {}
-    for s in corpus.sentences:
-        for tok in s.seq.ids:
-            counts[int(tok)] = counts.get(int(tok), 0) + 1
-    return max(1, math.ceil(MIN_STAT_TOKENS / min(counts.values())))
+    ids = np.concatenate([s.seq.ids for s in corpus.sentences])
+    return max(1, math.ceil(MIN_STAT_TOKENS / np.unique(ids, return_counts=True)[1].min()))
 
 
 def cmd_eval(args) -> int:
@@ -252,9 +262,8 @@ def cmd_eval(args) -> int:
             raise UsageError(f"--corpus {seen[style]} and {path} are both style "
                              f"'{style}'; give one corpus per style")
         seen[style] = path
-    echo_config(config, "eval",
-                {"det": args.det, "fm": args.fm,
-                 "corpus": ",".join(args.corpus)}, config.out)
+        for kind, model in models.items():
+            check_vocabulary(path, corpus, getattr(args, kind), model)
     opts = config.sample_options()
 
     curve = None
@@ -274,6 +283,9 @@ def cmd_eval(args) -> int:
         bench += bench_sampling(model, corpora[0], nfe_list=(10, 20),
                                 repetitions=3, opts=opts)
     write_report(curve, stats, bench, config.out)
+    echo_config(config, "eval",
+                {"det": args.det, "fm": args.fm,
+                 "corpus": ",".join(args.corpus)}, config.out)
     for name in ("residual.csv", "dist.csv", "bench.csv"):
         print(f"wrote {os.path.join(config.out, name)}")
     return 0

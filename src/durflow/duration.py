@@ -33,7 +33,7 @@ import numpy as np
 
 from durflow import numerics as nm
 from durflow import nn
-from durflow.data import _is_int, round_half_away
+from durflow.data import _is_int, _is_real, round_half_away
 from durflow.encoder import TextEncoder, ENCODER_DIM
 from durflow.nn import CheckpointFormatError
 from durflow.numerics import Tensor
@@ -69,8 +69,10 @@ class SampleOptions:
     def __post_init__(self):
         if not _is_int(self.nfe) or self.nfe < 1:
             raise ValueError(f"nfe must be an integer >= 1, got {self.nfe!r}")
-        if not 0 <= self.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not (_is_real(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.min_duration not in (0, 1):
             raise ValueError(f"min_duration must be 0 or 1, got {self.min_duration}")
 
@@ -142,41 +144,6 @@ class FlowPredictor(nn.Module):
         h = nm.add(self.conv2(h), nm.unsqueeze(self.time_to_h2(emb), 2))
         h = self.norm2(nm.relu(h))
         return self.proj(h)
-
-    def condition(self, cond: Tensor, lengths=None) -> tuple:
-        """Everything of conv1 that does not depend on x, for one batch of cond.
-
-        Convolution is linear in its input channels, so conv1 over
-        concat(cond, noise_proj(x)) is conv1 over the cond channels, bias
-        included, plus conv1 over the noise channels without bias. The
-        pointwise noise_proj (weight P, bias b) folds into the second
-        part: with W conv1's kernel slice for the noise channels, it is
-        x convolved with the one-channel kernel K[o, j] = sum_c W[o, c, j] P[c],
-        plus W convolved with the constant input b, which like
-        noise_proj's output is zero-padded: a constant row with edge
-        corrections at the first and last column of every sequence
-        (``_edge_terms``).
-
-        ``lengths`` are the lengths of the sequences packed along T, as
-        ``nm.conv1d`` takes them (None: one sequence per row). Returns
-        the pair (part, kernel). ``part`` is the (hidden, B*T)
-        channel-major matrix of conv1 over the cond channels plus its
-        bias plus the bias term; ``kernel`` is K as a (hidden, 3)
-        array. Both are taken from the parameters as they are now.
-        """
-        weight = self.conv1.weight.data
-        noise_weight = weight[:, self.cond_dim:]
-        kernel = self.noise_proj.weight.data[:, 0, 0] @ noise_weight
-        edge = _edge_terms(noise_weight, self.noise_proj.bias.data)
-        part = nm.conv1d(cond, Tensor(weight[:, :self.cond_dim]),
-                         Tensor(self.conv1.bias.data + edge[:, 0]), lengths).data
-        # conv1d's output is channel-major in memory, so this is a view
-        part = part.transpose(1, 0, 2).reshape(len(weight), -1)
-        batch, _, t_len = cond.data.shape
-        first, last = nm.segment_edges(lengths, batch, t_len)
-        part[:, first] += edge[:, 1:2]
-        part[:, last] += edge[:, 2:3]
-        return part, kernel
 
 
 class DurationModel(nn.Module):
@@ -360,30 +327,40 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     The field is ``FlowPredictor.__call__`` run forward only on
     channel-major (hidden, R*B*T) buffers that are allocated once per
     call. What depends on neither x nor the step is computed once per
-    call too: ``FlowPredictor.condition`` of cond, the two time rows
-    of every grid point, the first and last column of every sentence,
-    and these folds (gains by scaling, biases by matrix products):
+    call too: conv1 over cond's channels with conv1's bias (one
+    ``nm.conv1d``, added to every realisation at every step), the two
+    time rows of every grid point, the first and last column of every
+    sentence, and these folds (gains by scaling, biases by matrix
+    products):
 
-    * norm1's gain scales conv2's kernel, whose taps are laid out to
-      match a tap-major (3, hidden, N) patch matrix. norm1's bias,
-      convolved, is ``_edge_terms``: its three columns join the kernel,
-      and the patch matrix has an all-ones row and one row each
-      marking the first and the last column of every sentence, so the
-      bias and its edge corrections ride in conv2's product. The
-      ones-row column also carries conv2's bias and the step's second
-      time row.
-    * norm2's gain scales proj's weight and its bias joins proj's bias,
-      so proj takes norm2's centred input and scales its output by
-      norm2's per-column inverse standard deviations.
+    * noise_proj into conv1. Convolution is linear in its input
+      channels, so conv1 over noise_proj's output is x convolved with
+      the one-channel kernel K[o, j] = sum_c W[o, c, j] P[c] (W conv1's
+      kernel over the noise channels, P noise_proj's weight) plus W
+      convolved with noise_proj's zero-padded bias, ``_edge_terms``.
+    * norm1 into conv2. norm1's gain scales conv2's kernel, whose taps
+      are laid out to match a tap-major (3, hidden, N) patch matrix;
+      norm1's bias, convolved, is ``_edge_terms`` of conv2's kernel.
+    * norm2 into proj. norm2's gain scales proj's weight and its bias
+      joins proj's bias, so proj takes norm2's centred input and
+      scales its output by norm2's per-column inverse standard
+      deviations.
 
-    A step convolves x with the folded noise kernel, the first time row
-    riding on the product as a fourth tap over a ones row, adds the
-    conditioning part to every realisation in place, then ReLU,
-    normalises norm1 (``nm.centre_columns``, as ``nm.layer_norm`` does)
-    straight into the patch matrix's centre tap, fills the two shifted
-    taps from it, runs conv2 -> ReLU -> norm2's centring -> proj. The
-    ReLUs run in place. Nothing outlives the call, so a change to the
-    parameters shows in the next call.
+    Both convolutions read one patch matrix: conv2's taps, then an
+    all-ones row and one row each marking the first and the last column
+    of every sentence, then x's three taps. Each kernel takes the three
+    ``_edge_terms`` columns over the ones and edge rows, so a bias and
+    its edge corrections ride in the product. The ones-row column also
+    carries the step's time row: conv1's the first, conv2's the second
+    with conv2's bias.
+
+    A step fills x's taps, runs the conv1 product, adds the cond part
+    to every realisation in place, then ReLU, normalises norm1
+    (``nm.centre_columns``, as ``nm.layer_norm`` does) straight into
+    conv2's centre tap, fills the two shifted taps from it, runs
+    conv2 -> ReLU -> norm2's centring -> proj. The ReLUs run in place.
+    Nothing outlives the call, so a change to the parameters shows in
+    the next call.
 
     The network runs in the dtype of the model's parameters (float32
     for the copy that corpus-level sampling makes): the time rows are
@@ -400,32 +377,39 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
         raise ValueError(f"nfe must be >= 1, got {nfe}")
     reps = x.shape[0] // batch
     predictor = model.predictor
-    part, kernel = predictor.condition(cond, lengths)  # (hidden, B*T), (hidden, 3)
-    hidden, dtype = part.shape[0], part.dtype
+    conv1, conv2 = predictor.conv1, predictor.conv2
+    norm1, norm2 = predictor.norm1, predictor.norm2
+    weight1 = conv1.weight.data
+    part = nm.conv1d(cond, Tensor(weight1[:, :predictor.cond_dim]), conv1.bias, lengths).data
+    hidden, dtype = len(weight1), part.dtype
+    # conv1d's output is channel-major in memory, so this is a view
+    part = part.transpose(1, 0, 2).reshape(hidden, -1)
     n = x.size
     first, last = nm.segment_edges(lengths, x.shape[0], t_len)
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
     rows1 = predictor.time_to_h1(emb).data.astype(dtype, copy=False)  # (nfe, hidden)
     rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False)
 
-    # conv1 over x: the taps of K, then the step's time row over a ones row
-    kernel1 = np.empty((hidden, 4), dtype=dtype)
-    kernel1[:, :3] = kernel
-    x_taps = np.empty((4, n), dtype=dtype)
-    x_taps[3] = 1.0
+    # conv2's taps, the ones and edge rows, x's taps
+    patches = np.zeros((3 * hidden + 6, n), dtype=dtype)
+    taps = patches[:3 * hidden].reshape(3, hidden, n)
+    patches[3 * hidden] = 1.0
+    patches[3 * hidden + 1, first] = 1.0
+    patches[3 * hidden + 2, last] = 1.0
+    x_taps = patches[3 * hidden + 3:]
+    # conv1 over x with noise_proj folded in: the edge terms of its bias
+    # over the ones and edge rows, then K over x's taps
+    noise_weight = weight1[:, predictor.cond_dim:]
+    kernel1 = np.hstack([_edge_terms(noise_weight, predictor.noise_proj.bias.data),
+                         predictor.noise_proj.weight.data[:, 0, 0] @ noise_weight])
+    rows1 += kernel1[:, 0]
     # conv2 with norm1 folded in: its taps, then the edge terms of
-    # norm1's bias over the ones, first-column and last-column rows
-    conv2, norm1, norm2 = predictor.conv2, predictor.norm1, predictor.norm2
+    # norm1's bias over the ones and edge rows
     kernel2 = np.empty((hidden, 3 * hidden + 3), dtype=dtype)
     np.multiply(conv2.weight.data.transpose(0, 2, 1), norm1.gain.data,
                 out=kernel2[:, :3 * hidden].reshape(hidden, 3, hidden))
     kernel2[:, 3 * hidden:] = _edge_terms(conv2.weight.data, norm1.bias.data)
     rows2 += conv2.bias.data + kernel2[:, 3 * hidden]
-    patches = np.zeros((3 * hidden + 3, n), dtype=dtype)
-    taps = patches[:3 * hidden].reshape(3, hidden, n)
-    patches[3 * hidden] = 1.0
-    patches[3 * hidden + 1, first] = 1.0
-    patches[3 * hidden + 2, last] = 1.0
     # proj with norm2's gain and bias folded in
     proj = predictor.proj.weight.data[0, :, 0]
     proj_weight = proj * norm2.gain.data
@@ -439,8 +423,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     for i in range(nfe):
         x_taps[1] = flat_x
         _fill_taps(x_taps, first, last)
-        kernel1[:, 3] = rows1[i]
-        np.matmul(kernel1, x_taps, out=h)
+        kernel1[:, 0] = rows1[i]
+        np.matmul(kernel1, patches[3 * hidden:], out=h)
         per_rep += part[:, None, :]
         np.maximum(h, 0.0, out=h)
         # taps[0] is scratch until _fill_taps writes it
@@ -448,7 +432,7 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
         taps[1] *= inv_std
         _fill_taps(taps, first, last)
         kernel2[:, 3 * hidden] = rows2[i]
-        np.matmul(kernel2, patches, out=h)
+        np.matmul(kernel2, patches[:3 * hidden + 3], out=h)
         np.maximum(h, 0.0, out=h)
         inv_std = nm.centre_columns(h, h, taps[0])
         v = proj_weight @ h

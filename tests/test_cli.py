@@ -13,7 +13,7 @@ import pytest
 from durflow import cli
 from durflow import numerics as nm
 from durflow.cli import main
-from durflow.data import CorpusSpec, generate, save
+from durflow.data import BLANK_ID, CorpusSpec, _default_laws, generate, save
 from durflow.duration import DurationModel, save_model
 from durflow.evaluation import corpus_frames
 from durflow.nn import load_params, save_params
@@ -292,7 +292,7 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, tiny_checkpoints, comman
     code, _, err = run([command, "--out", str(out)] + inputs
                        + setting(tmp_path, "seed", "-1", source), capsys)
     assert code == 1
-    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert err.splitlines() == ["error: seed must be an integer >= 0, got -1"]
     assert not out.exists()
 
 
@@ -630,6 +630,69 @@ def test_sample_failing_midway_keeps_old_durations(tmp_path, capsys,
     assert code == 2 and err.startswith("error:")
     assert (out / "durations.txt").read_bytes() == old
     assert sorted(os.listdir(out)) == ["config.txt", "durations.txt"]
+
+
+@pytest.fixture()
+def vocab32_corpus_file(tmp_path):
+    """A corpus of vocabulary 32 whose every phone is token id 30."""
+    laws = {BLANK_ID: _default_laws("read")[BLANK_ID],
+            30: {"kind": "lognormal", "mu": 1.5, "sigma": 0.1}}
+    spec = CorpusSpec(style="read", seed=2, num_sentences=3, min_phones=2, max_phones=4,
+                      vocab_size=32, laws=laws)
+    path = tmp_path / "vocab32.durcorpus"
+    save(generate(spec, "val"), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_sample_vocabulary_mismatch_names_both_files(tmp_path, capsys, tiny_checkpoints,
+                                                     vocab32_corpus_file, kind):
+    paths, _ = tiny_checkpoints
+    out = tmp_path / "s"
+    code, _, err = run(["sample", "--checkpoint", paths[kind], "--corpus",
+                        vocab32_corpus_file, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: {vocab32_corpus_file}: token id 30 outside the vocabulary of size 24 "
+        f"of checkpoint {paths[kind]}"]
+    assert not out.exists()
+
+
+def test_eval_vocabulary_mismatch_names_both_files(tmp_path, capsys, tiny_checkpoints,
+                                                   vocab32_corpus_file):
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "e"
+    code, _, err = run(["eval", "--det", paths["det"], "--fm", paths["fm"],
+                        "--corpus", corpus_path, "--corpus", vocab32_corpus_file,
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: {vocab32_corpus_file}: token id 30 outside the vocabulary of size 24 "
+        f"of checkpoint {paths['det']}"]
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- config.txt last
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "sample", "eval"])
+def test_failed_run_leaves_no_config_txt(tmp_path, capsys, tiny_checkpoints,
+                                         empty_corpus_file, vocab32_corpus_file, command):
+    # config.txt describes a run that produced its outputs, so a command
+    # writes it last: gen cannot replace a directory standing where its
+    # train corpus goes, train and eval have no sentences, sample's
+    # corpus holds a token id the checkpoint does not know
+    paths, _ = tiny_checkpoints
+    out = tmp_path / "run"
+    (out / "train.durcorpus").mkdir(parents=True)
+    argv = {"gen": [],
+            "train": ["--corpus", empty_corpus_file, "--steps", "2"],
+            "sample": ["--checkpoint", paths["fm"], "--corpus", vocab32_corpus_file],
+            "eval": ["--det", paths["det"], "--fm", paths["fm"],
+                     "--corpus", empty_corpus_file]}[command]
+    code, _, err = run([command, "--out", str(out)] + argv, capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert not (out / "config.txt").exists()
 
 
 # ---------------------------------------------------------------- eval

@@ -272,6 +272,20 @@ class TestSampleOptions:
         with pytest.raises(ValueError, match="temperature must be finite"):
             SampleOptions(temperature=temperature)
 
+    @pytest.mark.parametrize("temperature", ["x", None, True, [1.0]])
+    def test_temperature_not_a_real_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0, got"):
+            SampleOptions(temperature=temperature)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            SampleOptions(seed=seed)
+
+    def test_numpy_scalars_accepted(self):
+        opts = SampleOptions(temperature=np.float32(0.5), seed=np.int64(3))
+        assert (opts.temperature, opts.seed) == (0.5, 3)
+
 
 class TestFmSample:
     def test_fixed_seed_is_bit_reproducible(self):
@@ -292,6 +306,13 @@ class TestFmSample:
                 model, model.encoder(ids[n:n + 1]), noise[n:n + 1], nfe=4
             )
             assert np.allclose(batched[n], single[0], atol=1e-10)
+
+
+def randomise_params(model, rng):
+    """Every parameter random, layer-norm gains about one."""
+    for name, p in model.params().items():
+        offset = 1.0 if name.endswith("gain") else 0.0
+        p.data[...] = offset + 0.5 * rng.standard_normal(p.data.shape)
 
 
 def reference_euler(model, cond, noise, nfe):
@@ -435,6 +456,26 @@ class TestFmSampleBatch:
         assert np.max(np.abs(after - want)) <= 1e-12
 
 
+class TestFmSampleProperties:
+    """The folds of fm_sample_batch (noise_proj into conv1, norm1 into
+    conv2, norm2 into proj, the edge rows and shifted taps) against the
+    plain forward pass run on every sentence and realisation alone, over
+    drawn packed layouts, shapes and parameters."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           batch=st.integers(1, 3), reps=st.integers(1, 3), nfe=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop(self, lengths, batch, reps, nfe, seed):
+        model = tiny_model("fm")
+        rng = np.random.default_rng(seed)
+        randomise_params(model, rng)
+        got, want = packed_sample_and_reference(model, rng, batch, tuple(lengths), nfe, reps)
+        assert got.shape == (reps * batch, 1, sum(lengths))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(frames_of(got), frames_of(want))
+
+
 class TestPackedForward:
     """Sentences packed back to back in one row, as corpus-level sampling
     runs them, against each sentence's own forward pass."""
@@ -445,10 +486,7 @@ class TestPackedForward:
     def test_encoder_and_det_predictor_match_per_sentence(self, lengths, seed):
         model = tiny_model("det")
         rng = np.random.default_rng(seed)
-        for name, p in model.params().items():
-            # every parameter random, layer-norm gains about one
-            offset = 1.0 if name.endswith("gain") else 0.0
-            p.data[...] = offset + 0.5 * rng.standard_normal(p.data.shape)
+        randomise_params(model, rng)
         rows = [rng.integers(0, 6, size=n) for n in lengths]
         cond = model.encoder(rows)
         pred = model.predictor(cond, lengths).data

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import rounded_lognormal_moments
 from durflow import evaluation
@@ -229,7 +230,50 @@ def test_training_after_a_sampling_pass_is_unchanged():
         assert np.array_equal(again.params()[name].data, param.data), name
 
 
-def test_reps_split_under_the_column_budget(tiny_det, tiny_fm, tiny_corpus, monkeypatch):
+def pair_streams(corpus, opts, reps) -> list:
+    """The noise of every (sentence, rep) pair, drawn from its own stream."""
+    return sorted(
+        (opts.temperature * np.random.default_rng(
+            np.random.SeedSequence([opts.seed, s.sent_id, rep])
+        ).standard_normal(len(s.seq))).tobytes()
+        for s in corpus.sentences for rep in range(reps))
+
+
+def split_frames(model, corpus, opts, reps, budget):
+    """corpus_frames with MAX_BATCH_COLUMNS at ``budget``, checking that
+    no fm_sample_batch call is wider than the budget unless one
+    (sentence, rep) pair alone is. Returns the frames, the noise of
+    every sampled pair and the calls' packed lengths."""
+    calls = []
+
+    def spy(model, cond, noise, nfe, lengths):
+        calls.append((noise, lengths))
+        return fm_sample_batch(model, cond, noise, nfe, lengths)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "fm_sample_batch", spy)
+        patch.setattr(evaluation, "MAX_BATCH_COLUMNS", budget)
+        frames = corpus_frames(model, corpus, opts, reps=reps)
+    noise_seen = []
+    for noise, lengths in calls:
+        rows, _, width = noise.shape
+        assert width == sum(lengths)
+        assert rows * width <= budget or (rows, len(lengths)) == (1, 1)
+        ends = np.cumsum(lengths)
+        noise_seen += [row[0, end - t_len:end].tobytes() for row in noise
+                       for t_len, end in zip(lengths, ends)]
+    return frames, sorted(noise_seen), [lengths for _, lengths in calls]
+
+
+def assert_same_frames(got, want, reps):
+    assert list(got) == list(want)
+    for sent_id, frames in got.items():
+        assert len(frames) == reps
+        for rep in range(reps):
+            assert np.array_equal(frames[rep], want[sent_id][rep])
+
+
+def test_reps_split_under_the_column_budget(tiny_det, tiny_fm, tiny_corpus):
     # sentences of every length run packed in one fm_sample_batch call, all
     # reps stacked, as far as the column budget allows: 200 columns pack a
     # few sentences per call, 40 split each sentence's reps, and a budget
@@ -238,7 +282,6 @@ def test_reps_split_under_the_column_budget(tiny_det, tiny_fm, tiny_corpus, monk
     # products may reassociate with the call width, its frames may not move
     opts = SampleOptions(nfe=3, seed=4)
     reps = 7
-    calls = []
 
     def det_pass():
         per_rep = evaluation._corpus_log_values(tiny_det, tiny_corpus, opts, range(reps))
@@ -246,48 +289,39 @@ def test_reps_split_under_the_column_budget(tiny_det, tiny_fm, tiny_corpus, monk
             assert all(np.array_equal(values[k], per_rep[0][k]) for k in per_rep[0])
         return per_rep[0]
 
-    def spy(model, cond, noise, nfe, lengths):
-        calls.append((noise, lengths))
-        return fm_sample_batch(model, cond, noise, nfe, lengths)
-
-    monkeypatch.setattr(evaluation, "fm_sample_batch", spy)
-    monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", 10**9)
-    unsplit = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
-    assert len(calls) == 1
+    unsplit, _, packed = split_frames(tiny_fm, tiny_corpus, opts, reps, 10**9)
+    assert len(packed) == 1
     det_unsplit = det_pass()
     longest = max(len(s.seq) for s in tiny_corpus.sentences)
-    want_noise = sorted(
-        (opts.temperature * np.random.default_rng(
-            np.random.SeedSequence([opts.seed, s.sent_id, rep])
-        ).standard_normal(len(s.seq))).tobytes()
-        for s in tiny_corpus.sentences for rep in range(reps))
     for budget in (200, 40, longest - 1):
-        calls.clear()
-        monkeypatch.setattr(evaluation, "MAX_BATCH_COLUMNS", budget)
-        split = corpus_frames(tiny_fm, tiny_corpus, opts, reps=reps)
-        assert list(split) == list(unsplit)
-        for sent_id, frames in split.items():
-            assert len(frames) == reps
-            for rep in range(reps):
-                assert np.array_equal(frames[rep], unsplit[sent_id][rep])
-        assert len(calls) > 1
-        assert (max(len(lengths) for _, lengths in calls) > 1) == (budget == 200)
-        got_noise = []
-        for noise, lengths in calls:
-            rows, _, width = noise.shape
-            assert width == sum(lengths)
-            assert rows * width <= budget or (rows, len(lengths)) == (1, 1)
-            ends = np.cumsum(lengths)
-            got_noise += [row[0, end - t_len:end].tobytes() for row in noise
-                          for t_len, end in zip(lengths, ends)]
+        split, noise_seen, packed = split_frames(tiny_fm, tiny_corpus, opts, reps, budget)
+        assert_same_frames(split, unsplit, reps)
+        assert len(packed) > 1
+        assert (max(len(lengths) for lengths in packed) > 1) == (budget == 200)
         # every (sentence, rep) pair sampled once, from its own stream
-        assert sorted(got_noise) == want_noise
-        det_split = det_pass()
+        assert noise_seen == pair_streams(tiny_corpus, opts, reps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "MAX_BATCH_COLUMNS", budget)
+            det_split = det_pass()
         assert det_split.keys() == det_unsplit.keys()
         for sent_id, values in det_split.items():
             assert np.max(np.abs(values - det_unsplit[sent_id])) <= 1e-5
             assert np.array_equal(to_frames(LogDurations(values)),
                                   to_frames(LogDurations(det_unsplit[sent_id])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(budget=st.integers(1, 150), reps=st.integers(1, 5))
+def test_sample_calls_under_any_column_budget(tiny_fm, tiny_corpus, budget, reps):
+    # every (sentence, rep) pair is sampled once from its own stream, no
+    # call is wider than the budget unless one pair alone is, and the
+    # frames are those of one unsplit call
+    opts = SampleOptions(nfe=2, seed=6)
+    split, noise_seen, _ = split_frames(tiny_fm, tiny_corpus, opts, reps, budget)
+    assert noise_seen == pair_streams(tiny_corpus, opts, reps)
+    unsplit, _, packed = split_frames(tiny_fm, tiny_corpus, opts, reps, 10**9)
+    assert len(packed) == 1
+    assert_same_frames(split, unsplit, reps)
 
 
 def test_sampling_noise_is_per_sentence(tiny_fm, tiny_corpus):
