@@ -38,7 +38,7 @@ from durflow.evaluation import (
     frames_by_class, residual_vs_nfe, write_report,
 )
 from durflow.files import atomic_write
-from durflow.training import BATCH_SIZE, LEARNING_RATE, train_model
+from durflow.training import BATCH_SIZE, LEARNING_RATE, check_options, train_model
 
 
 @dataclass
@@ -62,12 +62,8 @@ class RunConfig:
             raise UsageError(f"style must be one of {'/'.join(STYLES)}, got {self.style!r}")
         if self.kind not in MODEL_KINDS:
             raise UsageError(f"kind must be one of {'/'.join(MODEL_KINDS)}, got {self.kind!r}")
-        for name in ("steps", "batch"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1")
-        if not 0 < self.lr < math.inf:
-            raise UsageError(f"lr must be finite and > 0, got {self.lr}")
         try:
+            check_options(self.steps, self.batch, self.lr)
             self.sample_options()
         except ValueError as exc:
             raise UsageError(str(exc)) from None

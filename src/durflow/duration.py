@@ -301,16 +301,6 @@ def _edge_terms(weight: np.ndarray, value: np.ndarray) -> np.ndarray:
     return np.stack([taps.sum(axis=1), -taps[:, 0], -taps[:, 2]], axis=1)
 
 
-def _fill_taps(taps: np.ndarray, first, last):
-    """Fill taps[0] and taps[2] with taps[1] shifted one column right and
-    left, zero where the shift leaves a sequence: taps[j][..., m] is
-    taps[1][..., m + j - 1], as a width-3 convolution reads it."""
-    taps[0][..., 1:] = taps[1][..., :-1]
-    taps[0][..., first] = 0.0
-    taps[2][..., :-1] = taps[1][..., 1:]
-    taps[2][..., last] = 0.0
-
-
 def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
                     nfe: int, lengths=None) -> np.ndarray:
     """Euler-integrate the learned field for a batch; returns x at t=1.
@@ -359,6 +349,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     (``nm.centre_columns``, as ``nm.layer_norm`` does) straight into
     conv2's centre tap, fills the two shifted taps from it, runs
     conv2 -> ReLU -> norm2's centring -> proj. The ReLUs run in place.
+    Both sets of taps are filled by ``nm.fill_taps``, the tap rule
+    ``nm.conv1d`` builds its own patches with.
     Nothing outlives the call, so a change to the parameters shows in
     the next call.
 
@@ -422,15 +414,15 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     dt = 1.0 / nfe
     for i in range(nfe):
         x_taps[1] = flat_x
-        _fill_taps(x_taps, first, last)
+        nm.fill_taps(x_taps, first, last)
         kernel1[:, 0] = rows1[i]
         np.matmul(kernel1, patches[3 * hidden:], out=h)
         per_rep += part[:, None, :]
         np.maximum(h, 0.0, out=h)
-        # taps[0] is scratch until _fill_taps writes it
+        # taps[0] is scratch until nm.fill_taps writes it
         inv_std = nm.centre_columns(h, taps[1], taps[0])
         taps[1] *= inv_std
-        _fill_taps(taps, first, last)
+        nm.fill_taps(taps, first, last)
         kernel2[:, 3 * hidden] = rows2[i]
         np.matmul(kernel2, patches[:3 * hidden + 3], out=h)
         np.maximum(h, 0.0, out=h)
@@ -478,11 +470,15 @@ def quantisation_residual(log_dur: LogDurations) -> float:
 
 def length_regulate(vectors: Tensor, frames) -> Tensor:
     """Repeat column t of the (D, T) conditioning vectors frames[t] times,
-    order preserved."""
+    order preserved. Each frame count must be a whole number >= 0."""
     frames = np.asarray(frames)
     if frames.ndim != 1 or frames.size != vectors.data.shape[-1]:
         raise ValueError("frames length does not match the sequence")
     if np.any(frames < 0):
         pos = int(np.flatnonzero(frames < 0)[0])
         raise ValueError(f"negative duration at position {pos}")
+    whole = np.isfinite(frames) & (frames == np.round(frames))
+    if not np.all(whole):
+        pos = int(np.flatnonzero(~whole)[0])
+        raise ValueError(f"non-integral duration {frames[pos]} at position {pos}")
     return Tensor(np.repeat(vectors.data, frames.astype(np.int64), axis=-1))

@@ -49,7 +49,7 @@ import numpy as np
 
 from durflow import nn
 from durflow import numerics as nm
-from durflow.data import DurationCorpus
+from durflow.data import DurationCorpus, _is_int
 from durflow.duration import (
     DurationModel,
     LogDurations,
@@ -203,8 +203,8 @@ def corpus_frames(model: DurationModel, corpus: DurationCorpus,
     (sentence, r) pair, so realisation 0 is ``corpus_log_values``'s
     sample; the realisations run stacked on the packed sentences.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not _is_int(reps) or reps < 1:
+        raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
     per_rep = _corpus_log_values(model, corpus, opts, range(reps))
     return {
         s.sent_id: [to_frames(LogDurations(values[s.sent_id]), opts.min_duration)
@@ -253,9 +253,13 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
     The deterministic model is evaluated once and replicated, since its
     output does not depend on the step count. For the flow model, each
     sentence keeps the same initial noise across NFE values (one stream
-    per sentence), which makes the curve a paired comparison.
+    per sentence), which makes the curve a paired comparison. Every NFE
+    count must be an integer >= 1, for either kind.
     """
-    nfe_list = tuple(int(n) for n in nfe_list)
+    opts = opts or SampleOptions()
+    # SampleOptions rejects an NFE count that is not an integer >= 1
+    nfe_opts = [replace(opts, nfe=nfe) for nfe in nfe_list]
+    nfe_list = tuple(o.nfe for o in nfe_opts)
     if list(nfe_list) != sorted(set(nfe_list)):
         raise ValueError("nfe_list must be strictly ascending")
     if model.trained_steps == 0:
@@ -263,7 +267,6 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
     if not corpus_val.sentences:
         raise ValueError(f"the {corpus_val.spec.style} {corpus_val.split} corpus of seed "
                          f"{corpus_val.spec.seed} has no sentences to evaluate")
-    opts = opts or SampleOptions()
     model_id, corpus_id = model.kind, corpus_val.spec.style
 
     def pooled_residual(values_by_id):
@@ -275,11 +278,9 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
         r = pooled_residual(corpus_log_values(model, corpus_val, opts))
         curve.add(model_id, corpus_id, [r] * len(nfe_list))
     else:
-        row = []
-        for nfe in nfe_list:
-            row.append(pooled_residual(
-                corpus_log_values(model, corpus_val, replace(opts, nfe=nfe))))
-        curve.add(model_id, corpus_id, row)
+        curve.add(model_id, corpus_id, [
+            pooled_residual(corpus_log_values(model, corpus_val, step_opts))
+            for step_opts in nfe_opts])
     return curve
 
 
@@ -362,31 +363,32 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
     One untimed warm-up pass per NFE count runs before any timing. Each
     repetition times one pass per NFE count, in an order rotated by one
     every repetition. Rows are dicts with keys model, nfe, median_ms,
-    ms_per_nfe (median_ms divided by nfe). ``repetitions`` must be >= 1.
+    ms_per_nfe (median_ms divided by nfe). ``repetitions`` must be >= 1
+    and every NFE count an integer >= 1.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     opts = opts or SampleOptions()
-    nfe_list = tuple(int(n) for n in nfe_list)
-    for nfe in nfe_list:
-        corpus_log_values(model, corpus_val, replace(opts, nfe=nfe))
-    times = [[] for _ in nfe_list]
+    # SampleOptions rejects an NFE count that is not an integer >= 1
+    nfe_opts = [replace(opts, nfe=nfe) for nfe in nfe_list]
+    for step_opts in nfe_opts:
+        corpus_log_values(model, corpus_val, step_opts)
+    times = [[] for _ in nfe_opts]
     for repetition in range(repetitions):
         # the order rotates each repetition, so drift hits every NFE alike
-        for k in range(len(nfe_list)):
-            index = (repetition + k) % len(nfe_list)
-            step_opts = replace(opts, nfe=nfe_list[index])
+        for k in range(len(nfe_opts)):
+            index = (repetition + k) % len(nfe_opts)
             t0 = time.perf_counter()
-            corpus_log_values(model, corpus_val, step_opts)
+            corpus_log_values(model, corpus_val, nfe_opts[index])
             times[index].append((time.perf_counter() - t0) * 1000.0)
     rows = []
-    for nfe, nfe_times in zip(nfe_list, times):
+    for step_opts, nfe_times in zip(nfe_opts, times):
         median_ms = statistics.median(nfe_times)
         rows.append({
             "model": model.kind,
-            "nfe": nfe,
+            "nfe": step_opts.nfe,
             "median_ms": median_ms,
-            "ms_per_nfe": median_ms / nfe,
+            "ms_per_nfe": median_ms / step_opts.nfe,
         })
     return rows
 

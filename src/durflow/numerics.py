@@ -34,6 +34,12 @@ Conventions:
   ``layer_norm`` works per step and needs no lengths. Both compute on
   channel-major (C, B*T) matrices and return (B, C, T) views of that
   memory, so a chain of them transposes nothing in between,
+* ``conv1d`` takes kernels of width 1 and 3 only, the widths the
+  models use. One rule lays out width-3 taps over packed sequences:
+  ``segment_edges`` gives each sequence's first and last column and
+  ``fill_taps`` shifts the centre tap into the two edge taps, zero
+  across those edges. ``conv1d`` builds its patches with it and the
+  Euler sampler (``duration.fm_sample_batch``) its step buffers,
 * every gradient buffer is C-contiguous in the layout of its tensor's
   data. numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it
@@ -499,61 +505,41 @@ def _check_batched(op: str, x: Tensor):
         )
 
 
-def _segment_lengths(op: str, lengths, batch: int, t_len: int) -> np.ndarray:
-    """The lengths of the sequences along the B*T flat columns: ``lengths``
-    (segments of T packed back to back, alike in every row) repeated B
-    times, or one sequence per row when ``lengths`` is None."""
-    if lengths is None:
-        return np.full(batch, t_len)
-    seg = np.asarray(lengths)
-    if not (seg.ndim == 1 and seg.dtype.kind in "iu" and np.all(seg >= 1)
-            and seg.sum() == t_len):
-        raise ValueError(f"{op} segment lengths {lengths!r} must be integers >= 1 "
-                         f"that sum to T = {t_len}")
-    return np.tile(seg, batch)
-
-
-def _outside_columns(seg: np.ndarray, shift: int) -> np.ndarray:
-    """Flat columns whose step t + shift lies outside their own sequence.
-
-    ``seg`` holds the lengths of the sequences laid back to back along
-    the columns. A negative shift leaves a sequence at its first -shift
-    steps, a positive one at its last shift steps; a sequence shorter
-    than |shift| has all its steps outside.
-    """
-    ends = np.cumsum(seg)
-    offsets = np.arange(abs(shift))
-    if shift < 0:
-        cols = (ends - seg)[:, None] + offsets
-    else:
-        cols = (ends - 1)[:, None] - offsets
-    return cols[offsets < seg[:, None]]
-
-
 def segment_edges(lengths, batch: int, t_len: int) -> tuple:
     """The first and the last flat column of every sequence, as two arrays.
 
-    The columns are the B*T of a channel-major (C, B*T) matrix, and
-    ``lengths`` are as ``conv1d`` takes them. A sequence of length 1
-    has the same column in both.
+    The columns are the B*T of a channel-major (C, B*T) matrix. ``lengths``
+    are those of sequences packed back to back along T, alike in every
+    row: integers >= 1 that sum to T, or None for one sequence per row.
+    A sequence of length 1 has the same column in both.
     """
-    seg = _segment_lengths("segment_edges", lengths, batch, t_len)
-    return _outside_columns(seg, -1), _outside_columns(seg, 1)
-
-
-def _shifted(dst: np.ndarray, src: np.ndarray, shift: int, add: bool):
-    """dst[:, m] (+)= src[:, m + shift] over the columns where both exist.
-
-    On assignment, columns of ``dst`` with no source become zero.
-    """
-    n = dst.shape[1]
-    lo, hi = max(0, -shift), min(n, n - shift)
-    if add:
-        dst[:, lo:hi] += src[:, lo + shift : hi + shift]
+    if lengths is None:
+        # one sequence per row; rows with no steps hold none
+        seg = np.full(batch if t_len else 0, t_len)
     else:
-        dst[:, lo:hi] = src[:, lo + shift : hi + shift]
-        dst[:, :lo] = 0.0
-        dst[:, hi:] = 0.0
+        seg = np.asarray(lengths)
+        if not (seg.ndim == 1 and seg.dtype.kind in "iu" and np.all(seg >= 1)
+                and seg.sum() == t_len):
+            raise ValueError(f"segment lengths {lengths!r} must be integers >= 1 "
+                             f"that sum to T = {t_len}")
+        seg = np.tile(seg, batch)
+    ends = np.cumsum(seg)
+    return ends - seg, ends - 1
+
+
+def fill_taps(taps: np.ndarray, first, last):
+    """Fill taps[0] and taps[2] with taps[1] shifted one column right and
+    left, zero where the shift leaves a sequence: taps[j][..., m] is
+    taps[1][..., m + j - 1], as a width-3 convolution reads it.
+
+    ``taps`` is a (3, ...) array or a sequence of three arrays whose
+    last axis holds the flat columns; ``first`` and ``last`` are the
+    columns ``segment_edges`` gives.
+    """
+    taps[0][..., 1:] = taps[1][..., :-1]
+    taps[0][..., first] = 0.0
+    taps[2][..., :-1] = taps[1][..., 1:]
+    taps[2][..., last] = 0.0
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
@@ -564,7 +550,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     x : Tensor
         Input of shape (B, C_in, T); one sequence is a batch of one.
     weight : Tensor
-        Kernel of shape (C_out, C_in, k); k must be odd.
+        Kernel of shape (C_out, C_in, k), of width k = 1 or 3; any other
+        width raises ValueError.
     bias : Tensor
         Shape (C_out,).
     lengths : sequence of int, optional
@@ -575,39 +562,37 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
         list [T] * B.
 
     The batch is flattened to B*T columns of a channel-major matrix.
-    The forward pass fills a (C_in*k, B*T) patch matrix with k shifted
-    copies of the input, zeroing the steps whose tap falls outside its
-    sequence, and performs one dgemm; for k=1 the channel-major input
-    itself is that matrix, with no copy. The backward pass is
+    For k=3 the forward pass fills a (C_in, 3, B*T) patch matrix with
+    the input as its centre tap and its two shifted copies from
+    ``fill_taps``, and performs one dgemm; for k=1 the channel-major
+    input itself is that matrix, with no copy. The backward pass is
     two dgemms, after which each input step sums its taps' shifted
     slices in tap order. The forward and backward passes zero the same
     columns. The output is (B, C_out, T); its memory is channel-major.
     """
     _check_batched("conv1d", x)
     c_out, c_in, k = weight.data.shape
-    if k % 2 == 0:
-        raise ValueError(f"conv1d kernel width must be odd, got {k}")
+    if k not in (1, 3):
+        raise ValueError(f"conv1d kernel width must be 1 or 3, got {k}")
     batch, x_channels, t_len = x.data.shape
     if x_channels != c_in:
         raise ValueError(
             f"conv1d channel mismatch: input has {x_channels}, weight wants {c_in}"
         )
-    seg = _segment_lengths("conv1d", lengths, batch, t_len)
-    pad = (k - 1) // 2
+    first, last = segment_edges(lengths, batch, t_len)
     n = batch * t_len
     xc = _channel_major(x.data)
     if k == 1:
         # one tap with no shift: the channel-major input is the patch matrix
         patches = xc
     else:
-        # the columns at which tap j leaves its sequence
-        outside = [_outside_columns(seg, j - pad) for j in range(k)]
-        # patches[i, j, m] = x[i, m + j - pad] within m's sequence, else zero
-        patches = np.empty((c_in, k, n), dtype=xc.dtype)
-        for j in range(k):
-            _shifted(patches[:, j], xc, j - pad, add=False)
-            patches[:, j, outside[j]] = 0.0
-        patches = patches.reshape(c_in * k, n)
+        # patches[i, j, m] = x[i, m + j - 1] within m's sequence, else zero
+        patches = np.empty((c_in, 3, n), dtype=xc.dtype)
+        patches[:, 1] = xc
+        # the edge taps read xc, not patches[:, 1]: its rows interleave
+        # with theirs, and numpy copies an overlapping source first
+        fill_taps((patches[:, 0], xc, patches[:, 2]), first, last)
+        patches = patches.reshape(c_in * 3, n)
     w2 = weight.data.reshape(c_out, c_in * k)
     out2 = w2 @ patches
     out2 += bias.data[:, None]
@@ -621,17 +606,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
                 _accum(bias, g2.sum(axis=1), fresh=True)
             if x.requires_grad:
                 gx = w2.T @ g2
-                if k > 1:
-                    gp = gx.reshape(c_in, k, n)
-                    # drop each tap's terms that fall outside their sequence,
-                    # so the flat shifted sums below add +0.0 there; every
-                    # input step then sums its taps in the same order as a
-                    # window scatter into a zeroed buffer would
-                    for j in range(k):
-                        gp[:, j, outside[j]] = 0.0
+                if k == 3:
+                    gp = gx.reshape(c_in, 3, n)
+                    # drop the edge taps' terms that fall outside their
+                    # sequence, so the flat shifted sums below add +0.0
+                    # there; every input step then sums its taps in the
+                    # same order as a window scatter into a zeroed buffer
+                    gp[:, 0, first] = 0.0
+                    gp[:, 2, last] = 0.0
                     gx = np.empty((c_in, n), dtype=gp.dtype)
-                    for j in range(k):
-                        _shifted(gx, gp[:, j], pad - j, add=j > 0)
+                    gx[:, :-1] = gp[:, 0, 1:]
+                    gx[:, -1:] = 0.0
+                    gx += gp[:, 1]
+                    gx[:, 1:] += gp[:, 2, :-1]
                 _accum(x, _batch_major_view(gx, batch, t_len), fresh=True)
         _active_tape._push(out, backward_fn)
     return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from durflow import numerics as nm
 from durflow.duration import DurationModel, log_targets, loss
-from durflow.data import DurationCorpus, zero_allowed
+from durflow.data import DurationCorpus, _is_int, _is_real, zero_allowed
 from durflow.files import atomic_write
 from durflow.numerics import Adam, record
 
@@ -45,6 +45,16 @@ def _batch_plan(groups, batch_size, rng):
     return batches
 
 
+def check_options(steps, batch_size, lr):
+    """Raise ValueError naming the first bad one of train_model's steps
+    and batch_size (integers >= 1) and lr (a finite real > 0)."""
+    for name, value in (("steps", steps), ("batch_size", batch_size)):
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (_is_real(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+
+
 def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
                 batch_size: int = BATCH_SIZE, lr: float = LEARNING_RATE, seed: int = 0,
                 loss_path=None) -> np.ndarray:
@@ -53,9 +63,11 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     Optionally streams a `step,loss` CSV into a temporary file beside
     loss_path that replaces loss_path once every step has run, so an
     aborted run leaves the previous file, or none. A non-finite loss
-    aborts with a diagnostic before its step changes any parameter; a
-    corpus with no sentences raises ValueError before any step.
+    aborts with a diagnostic before its step changes any parameter; bad
+    options (``check_options``) and a corpus with no sentences raise
+    ValueError before any step.
     """
+    check_options(steps, batch_size, lr)
     if not corpus.sentences:
         raise ValueError(f"the {corpus.spec.style} {corpus.split} corpus of seed "
                          f"{corpus.spec.seed} has no sentences to train on")

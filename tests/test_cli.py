@@ -268,6 +268,23 @@ def test_non_finite_lr_is_usage_error(tmp_path, capsys, small_corpus_file, value
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value, message", [
+    ("steps", "0", "steps must be an integer >= 1, got 0"),
+    ("batch", "-1", "batch_size must be an integer >= 1, got -1"),
+    ("lr", "0", "lr must be finite and > 0, got 0.0"),
+])
+def test_bad_training_setting_is_usage_error(tmp_path, capsys, small_corpus_file,
+                                             key, value, message, source):
+    # the CLI runs train_model's own option check before anything is written
+    out = tmp_path / "run"
+    code, _, err = run(["train", "--corpus", small_corpus_file, "--out", str(out)]
+                       + setting(tmp_path, key, value, source), capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("kind", ["det", "fm"])
 def test_non_finite_temperature_is_usage_error(tmp_path, capsys, tiny_checkpoints,

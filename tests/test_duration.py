@@ -554,6 +554,17 @@ class TestLengthRegulate:
         with pytest.raises(ValueError, match="position 1"):
             length_regulate(cond, np.array([1, -1]))
 
+    @pytest.mark.parametrize("frames, message", [
+        ([1.5, 1.7], "non-integral duration 1.5 at position 0"),
+        ([2.0, 0.25], "non-integral duration 0.25 at position 1"),
+        ([1.0, np.nan], "non-integral duration nan at position 1"),
+        ([np.inf, 1.0], "non-integral duration inf at position 0"),
+    ], ids=["fractions", "one-fraction", "nan", "inf"])
+    def test_fractional_duration_rejected(self, frames, message):
+        cond = self.cond_of(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=message):
+            length_regulate(cond, np.array(frames))
+
     def test_length_mismatch_rejected(self):
         cond = self.cond_of([[1.0, 2.0]])
         with pytest.raises(ValueError):

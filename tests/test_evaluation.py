@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import re
 import sys
 import threading
 
@@ -83,6 +84,24 @@ def test_single_point_curve(tiny_fm, tiny_corpus):
     (values,) = [curve.residuals[("fm", "read")]]
     assert len(values) == 1
     assert np.isfinite(values[0]) and values[0] >= 0
+
+
+# the NFE lists as given, and the entry SampleOptions rejects in each
+NON_INTEGER_NFE = [((1, 2.5), 2.5), ((1.9,), 1.9), ((True, 2), True), ((1, "2"), "2")]
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+@pytest.mark.parametrize("nfe_list, bad", NON_INTEGER_NFE)
+def test_curve_rejects_a_non_integer_nfe(tiny_det, tiny_fm, tiny_corpus, monkeypatch,
+                                         kind, nfe_list, bad):
+    # a det curve samples once for every NFE, so the check must not
+    # depend on building options per NFE for sampling
+    passes = []
+    monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
+    model = {"det": tiny_det, "fm": tiny_fm}[kind]
+    with pytest.raises(ValueError, match=re.escape(f"nfe must be an integer >= 1, got {bad!r}")):
+        residual_vs_nfe(model, tiny_corpus, nfe_list=nfe_list)
+    assert passes == []
 
 
 @pytest.mark.parametrize("kind", ["det", "fm"])
@@ -206,7 +225,13 @@ def test_reps_equal_separate_rep_passes(tiny_fm, tiny_corpus):
 
 @pytest.mark.parametrize("reps", [0, -2])
 def test_corpus_frames_rejects_reps_below_one(tiny_fm, tiny_corpus, reps):
-    with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+    with pytest.raises(ValueError, match=f"reps must be an integer >= 1, got {reps}"):
+        corpus_frames(tiny_fm, tiny_corpus, SampleOptions(nfe=1), reps=reps)
+
+
+@pytest.mark.parametrize("reps", [2.5, True])
+def test_corpus_frames_rejects_non_integer_reps(tiny_fm, tiny_corpus, reps):
+    with pytest.raises(ValueError, match=f"reps must be an integer >= 1, got {reps!r}"):
         corpus_frames(tiny_fm, tiny_corpus, SampleOptions(nfe=1), reps=reps)
 
 
@@ -500,6 +525,15 @@ def test_bench_rejects_repetitions_below_one(tiny_fm, tiny_corpus, monkeypatch, 
     monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
     with pytest.raises(ValueError, match=f"repetitions must be >= 1, got {repetitions}"):
         bench_sampling(tiny_fm, tiny_corpus, nfe_list=(1, 2), repetitions=repetitions)
+    assert passes == []
+
+
+@pytest.mark.parametrize("nfe_list, bad", NON_INTEGER_NFE)
+def test_bench_rejects_a_non_integer_nfe(tiny_fm, tiny_corpus, monkeypatch, nfe_list, bad):
+    passes = []
+    monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match=re.escape(f"nfe must be an integer >= 1, got {bad!r}")):
+        bench_sampling(tiny_fm, tiny_corpus, nfe_list=nfe_list, repetitions=1)
     assert passes == []
 
 

@@ -38,15 +38,6 @@ class TestForwardAgainstReference:
         got = nm.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.allclose(got, ref_conv1d(x, w, b), atol=1e-12)
 
-    def test_conv1d_batched_wide_kernel(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 8))
-        w = rng.normal(size=(2, 3, 5))
-        b = rng.normal(size=(2,))
-        got = nm.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
-        assert got.shape == (2, 2, 8)
-        assert np.allclose(got, ref_conv1d(x, w, b), atol=1e-12)
-
     def test_conv1d_pointwise(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 4, 6))
@@ -76,7 +67,7 @@ class TestPackedSegments:
     """Sequences packed back to back along T, with their lengths given,
     convolve as if each ran alone."""
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("lengths", [(4, 1, 6), (1, 1, 1), (2, 7, 1, 3)],
                              ids=["4+1+6", "1+1+1", "2+7+1+3"])
     def test_packed_equals_per_segment_convs(self, lengths, k):
@@ -135,10 +126,15 @@ class TestBitExactLayouts:
     batch-major formulation bit for bit: the training trajectories rest
     on it."""
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
     # "2d" is a single sequence, passed as a batch of one
-    @pytest.mark.parametrize("shape", [(1, 5, 9), (3, 5, 9), (2, 4, 3)],
-                             ids=["2d", "batched", "shorter-than-kernel"])
+    @pytest.mark.parametrize("shape, k", [
+        pytest.param((1, 5, 9), 1, id="2d-1"),
+        pytest.param((1, 5, 9), 3, id="2d-3"),
+        pytest.param((3, 5, 9), 1, id="batched-1"),
+        pytest.param((3, 5, 9), 3, id="batched-3"),
+        pytest.param((2, 4, 1), 3, id="shorter-than-kernel-T1"),
+        pytest.param((2, 4, 2), 3, id="shorter-than-kernel-T2"),
+    ])
     def test_conv1d_grads_equal_window_scatter(self, shape, k):
         rng = np.random.default_rng(10 * k + shape[0])
         c_in, t_len = shape[-2:]
@@ -260,13 +256,15 @@ class TestTapeSemantics:
 
 
 class TestValidation:
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            nm.conv1d(
-                Tensor(np.zeros((1, 2, 5))),
-                Tensor(np.zeros((2, 2, 4))),
-                Tensor(np.zeros(2)),
-            )
+    def test_kernel_width_other_than_1_or_3_rejected(self):
+        for k in (2, 4, 5):
+            with pytest.raises(ValueError,
+                               match=f"conv1d kernel width must be 1 or 3, got {k}"):
+                nm.conv1d(
+                    Tensor(np.zeros((1, 2, 5))),
+                    Tensor(np.zeros((2, 2, k))),
+                    Tensor(np.zeros(2)),
+                )
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel mismatch"):

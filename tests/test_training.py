@@ -1,5 +1,7 @@
 """Training-loop behavior: convergence, logging, determinism, failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,36 @@ def test_det_training_is_noise_stream_free():
     a = train_model(small_model("det"), small_corpus(), 30, batch_size=8, seed=1)
     b = train_model(small_model("det"), small_corpus(), 30, batch_size=8, seed=1)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("options, message", [
+    # with no batches in a plan, the step loop never ended
+    pytest.param({"batch_size": -1}, "batch_size must be an integer >= 1, got -1",
+                 id="batch_size=-1"),
+    pytest.param({"batch_size": 0}, "batch_size must be an integer >= 1, got 0",
+                 id="batch_size=0"),
+    pytest.param({"batch_size": 2.5}, "batch_size must be an integer >= 1, got 2.5",
+                 id="batch_size=2.5"),
+    pytest.param({"steps": -1}, "steps must be an integer >= 1, got -1", id="steps=-1"),
+    pytest.param({"steps": 0}, "steps must be an integer >= 1, got 0", id="steps=0"),
+    pytest.param({"steps": True}, "steps must be an integer >= 1, got True",
+                 id="steps=True"),
+    # one NaN update used to run before the loss check stopped training
+    pytest.param({"lr": float("nan")}, "lr must be finite and > 0, got nan", id="lr=nan"),
+    pytest.param({"lr": float("inf")}, "lr must be finite and > 0, got inf", id="lr=inf"),
+    pytest.param({"lr": 0.0}, "lr must be finite and > 0, got 0.0", id="lr=0"),
+    pytest.param({"lr": "0.1"}, "lr must be finite and > 0, got '0.1'", id="lr=str"),
+])
+def test_bad_option_rejected_before_any_step(tmp_path, options, message):
+    model = small_model("fm")
+    before = {name: p.data.copy() for name, p in model.params().items()}
+    loss_path = tmp_path / "loss.csv"
+    kwargs = dict({"steps": 5, "batch_size": 8}, **options)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train_model(model, small_corpus(), loss_path=loss_path, **kwargs)
+    assert model.trained_steps == 0 and not loss_path.exists()
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 def test_non_finite_loss_aborts_with_diagnostic():
