@@ -311,8 +311,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     cond; any other shape raises ValueError. ``lengths``, when given,
     are the lengths of sentences packed back to back along T, the same
     in every row; each sentence then runs as if it were sampled alone
-    (None: each row is one sentence). Each of the nfe >= 1 steps
-    evaluates the field at t = i/nfe and advances by 1/nfe.
+    (None: each row is one sentence). nfe, an integer >= 1, counts the
+    steps: step i evaluates the field at t = i/nfe and advances by 1/nfe.
 
     The field is ``FlowPredictor.__call__`` run forward only on
     channel-major (hidden, R*B*T) buffers that are allocated once per
@@ -365,8 +365,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
             and 0 < batch <= x.shape[0] and x.shape[0] % batch == 0):
         raise ValueError(f"noise {x.shape} must stack R >= 1 realisations (R*B, 1, T) "
                          f"of cond {cond.data.shape}")
-    if nfe < 1:
-        raise ValueError(f"nfe must be >= 1, got {nfe}")
+    if not _is_int(nfe) or nfe < 1:
+        raise ValueError(f"nfe must be an integer >= 1, got {nfe!r}")
     reps = x.shape[0] // batch
     predictor = model.predictor
     conv1, conv2 = predictor.conv1, predictor.conv2

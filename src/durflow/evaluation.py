@@ -363,11 +363,12 @@ def bench_sampling(model: DurationModel, corpus_val: DurationCorpus,
     One untimed warm-up pass per NFE count runs before any timing. Each
     repetition times one pass per NFE count, in an order rotated by one
     every repetition. Rows are dicts with keys model, nfe, median_ms,
-    ms_per_nfe (median_ms divided by nfe). ``repetitions`` must be >= 1
-    and every NFE count an integer >= 1.
+    ms_per_nfe (median_ms divided by nfe). ``repetitions`` and every
+    NFE count must be integers >= 1; anything else raises ValueError
+    before any pass.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if not _is_int(repetitions) or repetitions < 1:
+        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
     opts = opts or SampleOptions()
     # SampleOptions rejects an NFE count that is not an integer >= 1
     nfe_opts = [replace(opts, nfe=nfe) for nfe in nfe_list]

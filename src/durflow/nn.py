@@ -97,6 +97,19 @@ class LayerNorm(Module):
         return nm.layer_norm(x, self.gain, self.bias)
 
 
+def token_ids(ids, vocab: int) -> np.ndarray:
+    """``ids`` as a (B, T) array of token ids below ``vocab``; any other
+    shape or an id outside [0, vocab) raises ValueError."""
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ValueError(
+            f"embedding expects batched (B, T) token ids, got shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        bad = ids[(ids < 0) | (ids >= vocab)][0]
+        raise ValueError(f"token id {bad} outside vocabulary of size {vocab}")
+    return ids
+
+
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.table = parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
@@ -107,14 +120,7 @@ class Embedding(Module):
         ids of shape (B, T) give (B, E, T); one sequence is a batch of one.
         The gradient scatters only into the selected table rows.
         """
-        ids = np.asarray(ids)
-        if ids.ndim != 2:
-            raise ValueError(
-                f"embedding expects batched (B, T) token ids, got shape {ids.shape}")
-        vocab = self.table.data.shape[0]
-        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-            bad = ids[(ids < 0) | (ids >= vocab)][0]
-            raise ValueError(f"token id {bad} outside vocabulary of size {vocab}")
+        ids = token_ids(ids, self.table.data.shape[0])
         return nm.permute(nm.take_rows(self.table, ids), (0, 2, 1))
 
 

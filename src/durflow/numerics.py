@@ -705,6 +705,16 @@ class Adam:
     accumulated gradients and resets them to zero. A non-finite
     gradient aborts, before anything is updated, with the offending
     parameter's name.
+
+    The update takes the reordered form of Kingma and Ba (arXiv
+    1412.6980, section 2, the paragraph after Algorithm 1), with bc1 and
+    bc2 the bias corrections 1 - beta**t:
+
+        theta -= (lr * sqrt(bc2) / bc1) * m / (sqrt(v) + eps * sqrt(bc2))
+
+    In real arithmetic this is lr * m_hat / (sqrt(v_hat) + eps) exactly,
+    eps included; it folds both corrections into two scalars, so a block
+    takes one square root and one divide.
     """
 
     def __init__(self, params: dict, lr=1e-3):
@@ -756,8 +766,10 @@ class Adam:
                 )
         self._check_finite()
         self.t += 1
-        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        step_size = self.lr * np.sqrt(bc2) / bc1
+        eps = ADAM_EPS * np.sqrt(bc2)
         for theta, g, m, v, num, den in self._blocks:
             m *= b1
             np.multiply(g, 1.0 - b1, out=num)
@@ -766,11 +778,9 @@ class Adam:
             np.multiply(g, 1.0 - b2, out=num)
             num *= g
             v += num
-            np.divide(m, bc1, out=num)
-            num *= lr
-            np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
+            np.sqrt(v, out=den)
             den += eps
-            num /= den
+            np.divide(m, den, out=num)
+            num *= step_size
             theta -= num
             g[...] = 0.0

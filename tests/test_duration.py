@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -434,8 +435,24 @@ class TestFmSampleBatch:
     def test_nfe_below_one_rejected(self, nfe):
         model = tiny_model("fm", seed=2)
         cond = model.encoder(np.zeros((1, 5), dtype=np.int64))
-        with pytest.raises(ValueError, match=f"nfe must be >= 1, got {nfe}"):
+        with pytest.raises(ValueError, match=f"nfe must be an integer >= 1, got {nfe}"):
             dur.fm_sample_batch(model, cond, np.zeros((1, 1, 5)), nfe)
+
+    @pytest.mark.parametrize("nfe", [2.5, 3.0, True])
+    def test_non_integer_nfe_rejected(self, nfe):
+        # 2.5 used to raise TypeError from range and True to run one step
+        model = tiny_model("fm", seed=2)
+        cond = model.encoder(np.zeros((1, 5), dtype=np.int64))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"nfe must be an integer >= 1, got {nfe!r}")):
+            dur.fm_sample_batch(model, cond, np.zeros((1, 1, 5)), nfe)
+
+    def test_numpy_integer_nfe_accepted(self):
+        model = tiny_model("fm", seed=2)
+        cond = model.encoder(np.zeros((1, 5), dtype=np.int64))
+        noise = np.random.default_rng(4).standard_normal((1, 1, 5))
+        assert np.array_equal(dur.fm_sample_batch(model, cond, noise, np.int64(3)),
+                              dur.fm_sample_batch(model, cond, noise, 3))
 
     def test_parameter_change_shows_in_next_call(self):
         model = tiny_model("fm", seed=2)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from durflow import nn
+from durflow import numerics as nm
 from durflow.encoder import (
     BLANK_ID,
     PhoneSequence,
@@ -106,3 +108,79 @@ class TestEncode:
         e = self.make_encoder()
         expected = 10 * 192 + (192 * 192 * 3 + 192) + 2 * 192
         assert param_count(e) == expected
+
+
+class TestFoldedEmbedding:
+    """The encoder convolves one-hot tokens through the kernel folded from
+    the embedding table; it must equal the lookup followed by the
+    convolution, in value and in every parameter gradient."""
+
+    VOCAB = 24
+
+    def make_encoder(self, seed):
+        rng = np.random.default_rng(seed)
+        e = TextEncoder(self.VOCAB, rng)
+        for p in (e.embed.table, e.conv.weight, e.conv.bias, e.norm.gain, e.norm.bias):
+            p.data[...] = rng.normal(scale=0.5, size=p.data.shape)
+        return e
+
+    @staticmethod
+    def lookup_then_convolve(e, ids):
+        lengths = None
+        if isinstance(ids, list):
+            lengths = [len(row) for row in ids]
+            ids = np.concatenate(ids)[None]
+        h = nm.permute(nm.take_rows(e.embed.table, ids), (0, 2, 1))
+        h = nm.conv1d(h, e.conv.weight, e.conv.bias, lengths)
+        return nm.relu(e.norm(h))
+
+    @staticmethod
+    def value_and_grads(e, forward, ids, proj):
+        params = e.params()
+        for p in params.values():
+            p.grad[...] = 0.0
+        with nm.record() as tape:
+            out = forward(ids)
+            loss = nm.tensor_sum(nm.mul(out, proj))
+        tape.backward(loss)
+        return out.data.copy(), {k: params[k].grad.copy()
+                                 for k in ("embed.table", "conv.weight", "conv.bias")}
+
+    CASES = {
+        "batch": lambda rng: rng.integers(0, 24, size=(3, 7)),
+        "T1": lambda rng: rng.integers(0, 24, size=(2, 1)),
+        "packed-with-length-1": lambda rng: [rng.integers(0, 24, size=n) for n in (5, 1, 4)],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_lookup_then_convolve(self, case):
+        rng = np.random.default_rng(3)
+        e = self.make_encoder(seed=len(case))
+        ids = self.CASES[case](rng)
+        batch, t_len = (1, sum(map(len, ids))) if isinstance(ids, list) else ids.shape
+        proj = rng.normal(size=(batch, 192, t_len))
+        got, got_grads = self.value_and_grads(e, e, ids, proj)
+        want, want_grads = self.value_and_grads(
+            e, lambda i: self.lookup_then_convolve(e, i), ids, proj)
+        assert got.shape == (batch, 192, t_len)
+        assert np.max(np.abs(got - want)) < 1e-12
+        for name, grad in want_grads.items():
+            assert np.any(grad != 0.0), name
+            assert np.max(np.abs(got_grads[name] - grad)) < 1e-12, name
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_float32_copy_equals_lookup_then_convolve(self, case):
+        rng = np.random.default_rng(5)
+        e = self.make_encoder(seed=len(case))
+        ids = self.CASES[case](rng)
+        got = nn.cast_copy(e, np.float32)(ids).data
+        assert got.dtype == np.float32
+        want = self.lookup_then_convolve(e, ids).data
+        assert np.max(np.abs(got - want)) < 1e-5
+
+    def test_out_of_vocabulary_rejected(self):
+        e = self.make_encoder(seed=0)
+        with pytest.raises(ValueError, match="token id 24 outside vocabulary of size 24"):
+            e(np.array([[3, 24]]))
+        with pytest.raises(ValueError, match="token id -1 outside vocabulary of size 24"):
+            e([np.array([3, 0]), np.array([-1, 0])])

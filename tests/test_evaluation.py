@@ -523,7 +523,19 @@ def test_bench_rows_are_well_formed(tiny_fm, tiny_corpus):
 def test_bench_rejects_repetitions_below_one(tiny_fm, tiny_corpus, monkeypatch, repetitions):
     passes = []
     monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
-    with pytest.raises(ValueError, match=f"repetitions must be >= 1, got {repetitions}"):
+    with pytest.raises(ValueError, match=f"repetitions must be an integer >= 1, got {repetitions}"):
+        bench_sampling(tiny_fm, tiny_corpus, nfe_list=(1, 2), repetitions=repetitions)
+    assert passes == []
+
+
+@pytest.mark.parametrize("repetitions", [2.5, 2.0, True])
+def test_bench_rejects_non_integer_repetitions(tiny_fm, tiny_corpus, monkeypatch, repetitions):
+    # 2.5 used to run every warm-up pass and then raise TypeError from
+    # range, and True to time one repetition
+    passes = []
+    monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match=re.escape(
+            f"repetitions must be an integer >= 1, got {repetitions!r}")):
         bench_sampling(tiny_fm, tiny_corpus, nfe_list=(1, 2), repetitions=repetitions)
     assert passes == []
 

@@ -301,6 +301,21 @@ class TestAdam:
         expected = ref_adam(theta0, grads)
         assert np.max(np.abs(p.data - expected)) < 1e-14
 
+    def test_matches_reference_where_eps_dominates(self):
+        # gradients of about 1e-12 keep sqrt(v_hat) far below eps, so every
+        # update is about lr * m_hat / eps: the regime in which the
+        # reordered form's eps must carry its sqrt(bc2) factor
+        rng = np.random.default_rng(19)
+        theta0 = rng.normal(size=(9,))
+        grads = [1e-12 * rng.normal(size=(9,)) for _ in range(1200)]
+        p = parameter(theta0.copy())
+        opt = Adam({"w": p}, lr=1e-3)
+        for g in grads:
+            p.grad[...] = g
+            opt.step()
+        expected = ref_adam(theta0, grads)
+        assert np.max(np.abs(p.data - expected)) < 1e-14
+
     def test_step_zeroes_grad(self):
         p = parameter(np.ones(3))
         opt = Adam({"w": p})
