@@ -260,6 +260,10 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
     its predictions; rng is not used. An 'fm' model draws t ~ U[0, 1] per
     sentence and then x0 ~ N(0, I) per position, in that order, and
     returns the mean squared error of its field against u_t at x_t.
+
+    The targets, and x_t and u_t, enter in the dtype of the model's
+    parameters, so the loss and its gradients keep that dtype: float32
+    on the working copy training runs on, float64 on the model itself.
     """
     ids = np.asarray(ids)
     targets = np.asarray(targets, dtype=np.float64)
@@ -270,14 +274,15 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
     batch, t_len = ids.shape
     x1 = targets.reshape(batch, 1, t_len)
     cond = model.encoder(ids)  # (B, D, T)
+    dtype = cond.data.dtype
     if model.kind == "det":
         pred, goal = model.predictor(cond), x1
     else:
         t = rng.uniform(size=batch)
         x0 = rng.standard_normal((batch, 1, t_len))
         x_t, goal = cfm_pair(x1, x0, t[:, None, None])
-        pred = model.predictor(Tensor(x_t), t, cond)
-    diff = nm.sub(pred, Tensor(goal))
+        pred = model.predictor(Tensor(x_t.astype(dtype, copy=False)), t, cond)
+    diff = nm.sub(pred, Tensor(goal.astype(dtype, copy=False)))
     return nm.scale(nm.tensor_sum(nm.mul(diff, diff)), 1.0 / ids.size)
 
 
@@ -355,8 +360,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     the next call.
 
     The network runs in the dtype of the model's parameters (float32
-    for the copy that corpus-level sampling makes): the time rows are
-    cast to it once per call and x at every step's input. The state x
+    for the copy that corpus-level sampling makes), the time rows
+    included; x is cast to it at every step's input. The state x
     itself stays float64, so the Euler sum accumulates in float64.
     """
     batch, _, t_len = cond.data.shape
@@ -379,8 +384,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     n = x.size
     first, last = nm.segment_edges(lengths, x.shape[0], t_len)
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
-    rows1 = predictor.time_to_h1(emb).data.astype(dtype, copy=False)  # (nfe, hidden)
-    rows2 = predictor.time_to_h2(emb).data.astype(dtype, copy=False)
+    rows1 = predictor.time_to_h1(emb).data  # (nfe, hidden)
+    rows2 = predictor.time_to_h2(emb).data
 
     # conv2's taps, the ones and edge rows, x's taps
     patches = np.zeros((3 * hidden + 6, n), dtype=dtype)

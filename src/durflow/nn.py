@@ -124,13 +124,14 @@ class Embedding(Module):
         return nm.permute(nm.take_rows(self.table, ids), (0, 2, 1))
 
 
-def sinusoidal_time_embedding(t, dim: int) -> Tensor:
+def sinusoidal_time_embedding(t, dim: int, dtype=np.float64) -> Tensor:
     """Raw interleaved sin/cos features of B time values in [0, 1].
 
     Even indices carry sin, odd indices cos, at geometrically spaced
     frequencies TIME_BASE**(-i/half). t is multiplied by ``TIME_SCALE``
     first so a unit interval spans many periods of the fastest
-    component. t of shape (B,) gives (B, dim).
+    component. t of shape (B,) gives (B, dim) features of ``dtype``;
+    the angles and their sines are computed in float64 either way.
     """
     if dim % 2 != 0:
         raise ValueError(f"embedding dim must be even, got {dim}")
@@ -140,7 +141,7 @@ def sinusoidal_time_embedding(t, dim: int) -> Tensor:
     half = dim // 2
     freqs = TIME_BASE ** (-np.arange(half) / half)
     angles = TIME_SCALE * t[:, None] * freqs[None, :]
-    out = np.empty((t.size, dim))
+    out = np.empty((t.size, dim), dtype=dtype)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return Tensor(out)
@@ -157,8 +158,8 @@ class TimeEmbedding(Module):
         self.lin2 = Linear(4 * dim, dim, rng)
 
     def __call__(self, t) -> Tensor:
-        """t (B,) -> (B, dim)."""
-        raw = sinusoidal_time_embedding(t, self.dim)
+        """t (B,) -> (B, dim), in the dtype of the layer's parameters."""
+        raw = sinusoidal_time_embedding(t, self.dim, self.lin1.weight.data.dtype)
         return self.lin2(nm.relu(self.lin1(raw)))
 
 
@@ -168,7 +169,8 @@ def cast_copy(layer, dtype):
 
     Each parameter is converted straight from the original's data, and
     everything else is shared with the original. The copy has no
-    gradient buffers and does not follow later changes to the original.
+    gradient buffers and does not follow later changes to the original;
+    training gives its copy gradients with ``numerics.flatten``.
     """
     out = copy.copy(layer)
     for name, value in vars(layer).items():

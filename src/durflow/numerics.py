@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff on numpy arrays, float64 for training.
+"""Reverse-mode autodiff on numpy arrays, in float64 or float32.
 
 The engine is deliberately small: a :class:`Tensor` wraps an ndarray, a
 :class:`Tape` records one closure per primitive op while a ``record()``
@@ -12,8 +12,11 @@ Conventions:
 * a Tensor holds float64 data, or float32 data when it is given a
   numpy float32 array or scalar; every other input (ints, lists,
   Python floats, other float widths) is converted to float64.
-  Training, its gradients and Adam run in float64 only; float32
-  serves forward-only sampling (:mod:`durflow.evaluation`),
+  Training runs each step's forward and backward pass in float32, on
+  a working copy of the model, while the master weights and Adam stay
+  float64 (:mod:`durflow.training`); sampling runs forward only in
+  float32 (:mod:`durflow.evaluation`); the gradient checks run in
+  float64,
 * ops keep their inputs' dtype: the output, and every buffer an op
   allocates, is float32 when all its array inputs are; mixed inputs
   promote as numpy promotes them, to float64. A Python scalar does
@@ -25,8 +28,9 @@ Conventions:
 * a tape can be consumed by ``backward`` exactly once,
 * parameters are Tensors built with :func:`parameter`; they keep a
   persistent gradient buffer that starts at zero, so a parameter that
-  never enters the graph simply keeps a zero gradient; an :class:`Adam`
-  optimizer moves their data and gradients into its flat buffers,
+  never enters the graph simply keeps a zero gradient; :func:`flatten`
+  moves their data and gradients into two flat buffers, as an
+  :class:`Adam` optimizer does with the parameters it updates,
 * ``conv1d`` and ``layer_norm`` take batched (B, C, T) input only; a
   single sequence is a batch of one. Sequences of unequal length are
   packed back to back along T, with no padding, and ``conv1d`` is told
@@ -191,6 +195,31 @@ def parameter(data) -> Tensor:
     t = Tensor(data, requires_grad=True)
     t.grad = np.zeros_like(t.data)
     return t
+
+
+def flatten(tensors, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Move the tensors' data into one flat buffer of ``dtype`` and their
+    gradients into a second, in the order given; returns the two.
+
+    Each tensor becomes a parameter whose ``data`` and ``grad`` are views
+    into the buffers, so one vectorised pass over a buffer reaches every
+    tensor. A tensor's data is converted to ``dtype``; its gradient is
+    copied when it has one, else starts at zero.
+    """
+    tensors = list(tensors)
+    size = sum(t.data.size for t in tensors)
+    data, grad = np.empty(size, dtype=dtype), np.zeros(size, dtype=dtype)
+    lo = 0
+    for t in tensors:
+        hi = lo + t.data.size
+        data_view = data[lo:hi].reshape(t.data.shape)
+        grad_view = grad[lo:hi].reshape(t.data.shape)
+        data_view[...] = t.data
+        if t.grad is not None:
+            grad_view[...] = t.grad
+        t.data, t.grad, t.requires_grad = data_view, grad_view, True
+        lo = hi
+    return data, grad
 
 
 def _as_tensor(x) -> Tensor:
@@ -698,13 +727,19 @@ class Adam:
     rates ADAM_BETA1 and ADAM_BETA2 and the denominator term ADAM_EPS.
 
     ``params`` is a dict mapping names to parameter Tensors. The
-    optimizer takes over their storage: each parameter's ``data`` and
-    ``grad`` become views into one flat parameter buffer and one flat
-    gradient buffer, so an update is a fixed sequence of vectorised
-    passes over all parameters at once. ``step()`` consumes the
-    accumulated gradients and resets them to zero. A non-finite
-    gradient aborts, before anything is updated, with the offending
-    parameter's name.
+    optimizer takes over their storage (:func:`flatten`): each
+    parameter's ``data`` and ``grad`` become views into the flat
+    float64 buffers ``flat_data`` and ``flat_grad``, so an update is a
+    fixed sequence of vectorised passes over all parameters at once.
+    ``step()`` consumes the accumulated gradients and resets them to
+    zero. A non-finite gradient aborts, before anything is updated,
+    with the offending parameter's name.
+
+    The parameters are the master weights, and the moments and the
+    update are float64 whatever dtype the gradients were computed in.
+    Training computes them on a float32 working copy of the model
+    (:mod:`durflow.training`), moves them into ``flat_grad`` before
+    each step and copies ``flat_data`` back into the copy after it.
 
     The update takes the reordered form of Kingma and Ba (arXiv
     1412.6980, section 2, the paragraph after Algorithm 1), with bc1 and
@@ -721,36 +756,26 @@ class Adam:
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        size = sum(p.data.size for p in self.params.values())
-        self._theta = np.empty(size)
-        self._grad = np.zeros(size)
+        self.flat_data, self.flat_grad = flatten(self.params.values())
+        size = self.flat_data.size
         self._m = np.zeros(size)
         self._v = np.zeros(size)
-        self._views = []  # (name, tensor, data view, grad view)
-        lo = 0
-        for name, p in self.params.items():
-            hi = lo + p.data.size
-            data = self._theta[lo:hi].reshape(p.data.shape)
-            grad = self._grad[lo:hi].reshape(p.data.shape)
-            data[...] = p.data
-            if p.grad is not None:
-                grad[...] = p.grad
-            p.data, p.grad = data, grad
-            self._views.append((name, p, data, grad))
-            lo = hi
+        # (name, tensor, data view, grad view)
+        self._views = [(name, p, p.data, p.grad) for name, p in self.params.items()]
         # the update runs block by block so that its passes stay in cache
         num, den = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
         self._blocks = []
         for lo in range(0, size, _ADAM_BLOCK):
             hi = min(size, lo + _ADAM_BLOCK)
-            self._blocks.append((self._theta[lo:hi], self._grad[lo:hi], self._m[lo:hi],
-                                 self._v[lo:hi], num[:hi - lo], den[:hi - lo]))
+            self._blocks.append((self.flat_data[lo:hi], self.flat_grad[lo:hi],
+                                 self._m[lo:hi], self._v[lo:hi], num[:hi - lo],
+                                 den[:hi - lo]))
 
     def _check_finite(self):
         # a finite sum proves every entry finite; only a NaN, an inf or an
         # overflow of the sum leads to the per-parameter search
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(self._grad.sum()):
+            if np.isfinite(self.flat_grad.sum()):
                 return
         for name, p, _, grad in self._views:
             if not np.all(np.isfinite(grad)):

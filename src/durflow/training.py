@@ -4,6 +4,17 @@ Sentences are grouped by exact length so every batch is rectangular
 and needs no padding; batch order is reshuffled each epoch from a
 dedicated generator, so a (corpus, seed, steps) triple always produces
 the same loss trajectory bit for bit.
+
+Training is mixed precision (Micikevicius et al., arXiv 1710.03740).
+The model's own parameters are the float64 master weights: Adam's
+moments and update and the checkpoints stay float64. Each step's loss
+runs forward and backward in TRAINING_DTYPE on a working copy of the
+model, made once per ``train_model`` call, whose parameters and
+gradients are views into two flat buffers in ``model.params()`` order.
+A step moves the copy's gradients into Adam's float64 gradient buffer,
+runs ``Adam.step`` and writes the updated masters back into the copy.
+The copy lives for one call, so a parameter changed between two calls
+shows in the second.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import contextlib
 
 import numpy as np
 
+from durflow import nn
 from durflow import numerics as nm
 from durflow.duration import DurationModel, log_targets, loss
 from durflow.data import DurationCorpus, _is_int, _is_real, zero_allowed
@@ -23,6 +35,8 @@ BATCH_SIZE = 16
 LEARNING_RATE = 1e-3
 BATCH_STREAM = 11
 NOISE_STREAM = 12
+# the dtype each step's forward and backward pass run in
+TRAINING_DTYPE = np.float32
 
 
 def _prepare(corpus: DurationCorpus) -> list:
@@ -60,6 +74,10 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
                 loss_path=None) -> np.ndarray:
     """Run Adam for `steps` updates; returns the per-step loss trajectory.
 
+    Each loss, and so each returned value, is computed in
+    TRAINING_DTYPE on the call's working copy; the updates land in the
+    model's float64 parameters.
+
     Optionally streams a `step,loss` CSV into a temporary file beside
     loss_path that replaces loss_path once every step has run, so an
     aborted run leaves the previous file, or none. A non-finite loss
@@ -76,6 +94,8 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     batch_rng = np.random.default_rng(np.random.SeedSequence([seed, BATCH_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, NOISE_STREAM]))
     opt = Adam(model.params(), lr=lr)
+    work = nn.cast_copy(model, TRAINING_DTYPE)
+    work_data, work_grad = nm.flatten(work.params().values(), TRAINING_DTYPE)
     losses = np.empty(steps)
 
     with (atomic_write(loss_path) if loss_path else contextlib.nullcontext()) as writer:
@@ -87,12 +107,15 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
                 if step >= steps:
                     break
                 with record() as tape:
-                    batch_loss = loss(model, ids, targets, noise_rng)
+                    batch_loss = loss(work, ids, targets, noise_rng)
                 loss_value = batch_loss.item()
                 if not np.isfinite(loss_value):
                     raise FloatingPointError(f"loss became non-finite at step {step}")
                 tape.backward(batch_loss)
+                opt.flat_grad[...] = work_grad
+                work_grad[...] = 0.0
                 opt.step()
+                work_data[...] = opt.flat_data
                 losses[step] = loss_value
                 if writer:
                     writer.write(f"{step},{loss_value!r}\n")

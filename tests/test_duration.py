@@ -309,6 +309,24 @@ class TestFmSample:
             assert np.allclose(batched[n], single[0], atol=1e-10)
 
 
+class TestPredictorDtype:
+    def test_float32_copy_runs_in_float32(self):
+        # the sinusoidal time features used to be float64 and promoted
+        # the time MLP, and every conv block it feeds, to float64
+        copy = nn.cast_copy(tiny_model("fm"), np.float32)
+        t = np.array([0.25])
+        assert copy.predictor.time(t).data.dtype == np.float32
+        cond = tiny_cond(copy)
+        x = Tensor(tiny_noise(3).astype(np.float32))
+        assert copy.predictor(x, 0.25, cond).data.dtype == np.float32
+
+    def test_float64_model_runs_in_float64(self):
+        model = tiny_model("fm")
+        assert model.predictor.time(np.array([0.25])).data.dtype == np.float64
+        assert model.predictor(Tensor(tiny_noise(3)), 0.25,
+                               tiny_cond(model)).data.dtype == np.float64
+
+
 def randomise_params(model, rng):
     """Every parameter random, layer-norm gains about one."""
     for name, p in model.params().items():

@@ -77,6 +77,14 @@ class TestSinusoidal:
         got = nn.sinusoidal_time_embedding(ts, 16).data
         assert np.allclose(got, ref_sinusoidal(ts, 16), atol=1e-12)
 
+    def test_float32_features_round_the_float64_ones(self):
+        # the angles reach TIME_SCALE, so they are formed in float64 and
+        # only the features are rounded to float32
+        ts = np.array([0.0, 0.1, 0.5, 0.999])
+        got = nn.sinusoidal_time_embedding(ts, 16, np.float32).data
+        assert got.dtype == np.float32
+        assert np.array_equal(got, nn.sinusoidal_time_embedding(ts, 16).data.astype(np.float32))
+
     def test_shape_scalar_and_batched(self):
         # one time is a batch of one; a bare scalar is refused
         assert nn.sinusoidal_time_embedding(np.array([0.3]), 64).data.shape == (1, 64)

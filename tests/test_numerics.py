@@ -288,6 +288,22 @@ class TestValidation:
             nm.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2))))
 
 
+class TestFlatten:
+    def test_tensors_become_views_of_two_buffers(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = parameter(np.array([7.0]))
+        b.grad[...] = 2.5
+        data, grad = nm.flatten([a, b], np.float32)
+        assert data.dtype == grad.dtype == np.float32
+        assert np.array_equal(data, np.arange(8.0)[[0, 1, 2, 3, 4, 5, 7]].astype(np.float32))
+        assert np.array_equal(grad, [0, 0, 0, 0, 0, 0, 2.5])
+        assert a.requires_grad and a.data.shape == a.grad.shape == (2, 3)
+        data[:] = -1.0
+        grad[:] = 4.0
+        assert np.all(a.data == -1.0) and np.all(b.data == -1.0)
+        assert np.all(a.grad == 4.0) and np.all(b.grad == 4.0)
+
+
 class TestAdam:
     def test_matches_reference_trajectory(self):
         rng = np.random.default_rng(7)

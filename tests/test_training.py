@@ -5,9 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from durflow import nn
+from durflow import numerics as nm
 from durflow.data import CorpusSpec, generate
-from durflow.duration import DurationModel
-from durflow.training import _batch_plan, _prepare, train_model
+from durflow.duration import DurationModel, load_model, loss, save_model
+from durflow.training import (BATCH_STREAM, NOISE_STREAM, TRAINING_DTYPE, _batch_plan,
+                               _prepare, train_model)
 
 
 def small_corpus(style="read", seed=3, n=40):
@@ -189,3 +192,103 @@ def test_trained_steps_accumulates():
     train_model(model, corpus, 7, batch_size=8)
     train_model(model, corpus, 5, batch_size=8)
     assert model.trained_steps == 12
+
+
+def float32_working_copy(model):
+    """The copy train_model runs each step on: float32 parameters with
+    their gradients in flat buffers."""
+    work = nn.cast_copy(model, np.float32)
+    nm.flatten(work.params().values(), np.float32)
+    return work
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_float32_gradient_matches_float64(kind):
+    # float32 rounds each op to about 6e-8 relative, so a gradient
+    # through some fifty ops and sums of a few hundred terms stays within
+    # 1e-4 (some 800 float32 roundings) of each parameter's largest entry
+    model = DurationModel(kind, 24, seed=0)
+    work = float32_working_copy(model)
+    ids = np.array([[3, 0, 4, 0, 5, 0, 1, 0], [5, 0, 3, 0, 4, 0, 6, 0]])
+    targets = np.log(np.array([[3.0, 0.01, 5.0, 1.01, 7.0, 0.01, 12.0, 2.01],
+                               [4.0, 1.01, 2.0, 0.01, 9.0, 0.01, 6.0, 0.01]]))
+    values = {}
+    for name, m in (("float64", model), ("float32", work)):
+        with nm.record() as tape:
+            values[name] = loss(m, ids, targets, np.random.default_rng(99))
+        tape.backward(values[name])
+    assert values["float64"].data.dtype == np.float64
+    assert values["float32"].data.dtype == np.float32
+    assert values["float32"].item() == pytest.approx(values["float64"].item(), rel=1e-5)
+    exact = model.params()
+    for name, p in work.params().items():
+        assert p.grad.dtype == np.float32 and exact[name].grad.dtype == np.float64, name
+        scale = np.max(np.abs(exact[name].grad))
+        assert np.max(np.abs(p.grad - exact[name].grad)) <= 1e-4 * scale, name
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_training_step_runs_in_float32_on_float64_masters(kind, tmp_path, monkeypatch):
+    # a float64 promotion anywhere in the step would silently cost the
+    # float32 speed; every tape op must make a float32 output
+    dtypes = []
+    push = nm.Tape._push
+
+    def spy(tape, out, backward_fn):
+        dtypes.append(out.data.dtype)
+        push(tape, out, backward_fn)
+
+    monkeypatch.setattr(nm.Tape, "_push", spy)
+    model = small_model(kind)
+    train_model(model, small_corpus(), steps=1, batch_size=8, seed=0)
+    assert TRAINING_DTYPE == np.float32
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    for name, p in model.params().items():
+        assert p.data.dtype == np.float64, name
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    with np.load(path) as archive:
+        assert sorted(archive.files) == sorted(["__meta__", *model.params()])
+        for name in model.params():
+            assert archive[name].dtype == np.float64, name
+    loaded = load_model(path).params()
+    for name, p in model.params().items():
+        assert np.array_equal(loaded[name].data, p.data), name
+
+
+def test_each_step_runs_on_a_float32_copy_of_the_current_masters():
+    # reference loop: a fresh float32 copy of the float64 masters at
+    # every step, its gradients handed to a float64 Adam
+    def stream(name):
+        return np.random.default_rng(np.random.SeedSequence([0, name]))
+
+    corpus = small_corpus(style="spont")
+    model, ref = small_model("fm"), small_model("fm")
+    plan = _batch_plan(_prepare(corpus), 8, stream(BATCH_STREAM))
+    losses = train_model(model, corpus, steps=len(plan), batch_size=8, seed=0)
+    opt, noise_rng, expected = nm.Adam(ref.params()), stream(NOISE_STREAM), []
+    for ids, targets in plan:
+        work = float32_working_copy(ref)
+        with nm.record() as tape:
+            value = loss(work, ids, targets, noise_rng)
+        tape.backward(value)
+        for name, p in work.params().items():
+            ref.params()[name].grad[...] = p.grad
+        opt.step()
+        expected.append(value.item())
+    assert np.array_equal(losses, expected)
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, ref.params()[name].data), name
+
+
+def test_parameter_edit_shows_in_next_call():
+    # the working copy is made per call, from the masters as they are then
+    corpus = small_corpus()
+    edited, kept = small_model("det"), small_model("det")
+    for model in (edited, kept):
+        train_model(model, corpus, steps=3, batch_size=8, seed=0)
+    edited.params()["predictor.proj.bias"].data[...] += 10.0
+    first = train_model(edited, corpus, steps=1, batch_size=8, seed=1)[0]
+    baseline = train_model(kept, corpus, steps=1, batch_size=8, seed=1)[0]
+    # a bias 10 off puts every prediction about 10 off its target
+    assert first > 50.0 and baseline < 50.0
