@@ -9,6 +9,15 @@ both styles. Generation is a pure function of the CorpusSpec: every sentence
 draws from its own generator seeded by (corpus seed, sentence index),
 so corpora are reproducible and parallelisable.
 
+Each sentence's generator is consumed in one fixed order: the phone
+count n_phones; then per phone the bimodal coin (only when the spec has
+mixture classes), the class, the pause coin and the filler coin; then
+one duration per position of the blank-interleaved sequence, in
+sequence order, a mixture drawing its component before its lognormal.
+The class lists and each class's duration draw are worked out once per
+corpus. The sha256 digests of the fixture corpora pinned in the tests
+guard this order.
+
 Vocabulary layout: id 0 is BLANK, 1 is PAUSE, 2 is FILLER, the rest
 are phone classes.
 """
@@ -18,14 +27,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence, interleave_blanks
+from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence
 from durflow.files import atomic_write
 
 RESERVED_IDS = (BLANK_ID, PAUSE_ID, FILLER_ID)
+ZERO_OK_IDS = (BLANK_ID, PAUSE_ID)  # the classes whose positions may take 0 frames
 FIRST_PHONE_ID = 3
 NUM_PHONE_CLASSES = 20
 BIMODAL_ID = FIRST_PHONE_ID + NUM_PHONE_CLASSES  # 23
@@ -127,7 +138,10 @@ class CorpusSpec:
         self.validate()
 
     def validate(self):
-        """Raise ValueError naming the first field of a wrong type or value."""
+        """Raise ValueError naming the first field of a wrong type or value;
+        then one naming a discrete law that gives a phone class 0 frames,
+        which ``load`` would reject, or a class that generation emits but
+        that has no law."""
         for name in ("vocab_size", "num_sentences", "min_phones", "max_phones", "seed"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
@@ -144,6 +158,18 @@ class CorpusSpec:
             if not 0 <= cid < self.vocab_size:
                 raise ValueError(f"class id {cid} outside vocab of size {self.vocab_size}")
             _check_law(cid, law)
+        for cid, law in self.laws.items():
+            if cid not in ZERO_OK_IDS and law["kind"] == "discrete" and 0 in law["values"]:
+                raise ValueError(f"class {cid}: only BLANK and PAUSE may take duration 0, "
+                                 f"got values {law['values']!r}")
+        if BLANK_ID not in self.laws:
+            raise ValueError(f"class {BLANK_ID} (BLANK) has no law, yet every phone is "
+                             f"followed by one")
+        for name, cid, label in (("pause_prob", PAUSE_ID, "PAUSE"),
+                                 ("filler_prob", FILLER_ID, "FILLER")):
+            p = getattr(self, name)
+            if p > 0 and cid not in self.laws:
+                raise ValueError(f"{name} {p!r} emits class {cid} ({label}), which has no law")
 
     def phone_class_ids(self) -> list:
         return sorted(cid for cid in self.laws if cid not in RESERVED_IDS)
@@ -225,47 +251,70 @@ def round_half_away(x):
     return np.floor(x + 0.5)
 
 
-def _draw_duration(law: dict, rng: np.random.Generator, floor: int) -> int:
+def _cdf(weights) -> list:
+    """Cumulative weights over their total in float64, as ``rng.choice``
+    normalises its ``p``: ``bisect_right(cdf, rng.random())`` then picks
+    the index that ``rng.choice(len(weights), p=weights)`` would."""
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _duration_draw(law: dict, floor: int):
+    """A function drawing one duration of law from a sentence's generator:
+    the draws ``rng.choice`` and ``rng.lognormal`` would make, for less
+    call overhead. ``bisect_right`` on ``_cdf`` stands for ``rng.choice``
+    with ``p`` and ``math.floor(raw + 0.5)`` for round_half_away. A
+    lognormal draw is raised to floor; a discrete value is kept as drawn."""
     kind = law["kind"]
     if kind == "lognormal":
-        raw = rng.lognormal(law["mu"], law["sigma"])
-    elif kind == "mixture":
-        weights = [c[0] for c in law["components"]]
-        comp = law["components"][rng.choice(len(weights), p=weights)]
-        raw = rng.lognormal(comp[1], comp[2])
-    elif kind == "discrete":
-        return int(rng.choice(law["values"], p=law["probs"]))
-    else:
-        raise ValueError(f"unknown law kind {kind!r}")
-    return max(floor, int(round_half_away(raw)))
+        mu, sigma = law["mu"], law["sigma"]
+        return lambda rng: max(floor, math.floor(rng.lognormal(mu, sigma) + 0.5))
+    if kind == "mixture":
+        cdf = _cdf([c[0] for c in law["components"]])
+        lognormals = [(c[1], c[2]) for c in law["components"]]
+
+        def draw(rng):
+            mu, sigma = lognormals[bisect_right(cdf, rng.random())]
+            return max(floor, math.floor(rng.lognormal(mu, sigma) + 0.5))
+        return draw
+    cdf, values = _cdf(law["probs"]), list(law["values"])
+    return lambda rng: values[bisect_right(cdf, rng.random())]
 
 
-def _generate_sentence(spec: CorpusSpec, index: int) -> Sentence:
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
-    n_phones = int(rng.integers(spec.min_phones, spec.max_phones + 1))
+class _Sampler:
+    """One spec's sentence generator, with everything that does not
+    depend on the sentence worked out once per corpus: the class id
+    lists and, for each class, its duration draw."""
 
-    phone_ids = spec.phone_class_ids()
-    mixture_ids = spec.mixture_class_ids()
-    plain_ids = [cid for cid in phone_ids if cid not in mixture_ids] or phone_ids
+    def __init__(self, spec: CorpusSpec):
+        self.spec = spec
+        phone_ids = spec.phone_class_ids()
+        self.mixture_ids = spec.mixture_class_ids()
+        self.plain_ids = [cid for cid in phone_ids if cid not in self.mixture_ids] or phone_ids
+        self.draws = {cid: _duration_draw(law, 0 if cid in ZERO_OK_IDS else 1)
+                      for cid, law in spec.laws.items()}
 
-    tokens = []
-    for _ in range(n_phones):
-        if mixture_ids and rng.uniform() < spec.bimodal_prob:
-            tokens.append(int(rng.choice(mixture_ids)))
-        else:
-            tokens.append(int(rng.choice(plain_ids)))
-        if rng.uniform() < spec.pause_prob:
-            tokens.append(PAUSE_ID)
-        if rng.uniform() < spec.filler_prob:
-            tokens.append(FILLER_ID)
+    def sentence(self, index: int) -> Sentence:
+        spec, mixture_ids, plain_ids = self.spec, self.mixture_ids, self.plain_ids
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
+        random, integers = rng.random, rng.integers
+        n_phones = int(integers(spec.min_phones, spec.max_phones + 1))
 
-    seq = PhoneSequence(interleave_blanks(tokens))
-    durations = np.empty(len(seq), dtype=np.int64)
-    for pos, tok in enumerate(seq.ids):
-        law = spec.laws[int(tok)]
-        floor = 0 if zero_allowed(tok) else 1
-        durations[pos] = _draw_duration(law, rng, floor)
-    return Sentence(index, seq, durations)
+        ids = []
+        for _ in range(n_phones):
+            if mixture_ids and random() < spec.bimodal_prob:
+                ids += (mixture_ids[integers(len(mixture_ids))], BLANK_ID)
+            else:
+                ids += (plain_ids[integers(len(plain_ids))], BLANK_ID)
+            if random() < spec.pause_prob:
+                ids += (PAUSE_ID, BLANK_ID)
+            if random() < spec.filler_prob:
+                ids += (FILLER_ID, BLANK_ID)
+
+        draws = self.draws
+        durations = [draws[tok](rng) for tok in ids]
+        return Sentence(index, PhoneSequence(ids), durations)
 
 
 def generate(spec: CorpusSpec, split: str = "train") -> DurationCorpus:
@@ -280,7 +329,8 @@ def generate(spec: CorpusSpec, split: str = "train") -> DurationCorpus:
         indices = range(VAL_INDEX_OFFSET, VAL_INDEX_OFFSET + VAL_SENTENCES)
     else:
         raise ValueError(f"split must be 'train' or 'val', got {split!r}")
-    sentences = [_generate_sentence(spec, i) for i in indices]
+    sampler = _Sampler(spec)
+    sentences = [sampler.sentence(i) for i in indices]
     return DurationCorpus(sentences, spec, split)
 
 

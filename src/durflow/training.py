@@ -40,9 +40,23 @@ TRAINING_DTYPE = np.float32
 
 
 def _prepare(corpus: DurationCorpus) -> list:
-    """The corpus's length groups as lists of (ids, log-target) pairs."""
-    return [[(s.seq.ids, log_targets(s.durations, zero_allowed(s.seq.ids))) for s in group]
-            for group in corpus.length_groups()]
+    """The corpus's length groups as lists of (ids, log-target) pairs.
+
+    One log_targets pass runs over the groups laid end to end; a group
+    of n sentences of length T is then one (n, T) block of it, and its
+    pairs are the block's rows.
+    """
+    groups = corpus.length_groups()
+    ids = np.concatenate([s.seq.ids for group in groups for s in group])
+    durations = np.concatenate([s.durations for group in groups for s in group])
+    targets = log_targets(durations, zero_allowed(ids))
+    prepared, lo = [], 0
+    for group in groups:
+        hi = lo + len(group) * len(group[0].seq)
+        shape = (len(group), -1)
+        prepared.append(list(zip(ids[lo:hi].reshape(shape), targets[lo:hi].reshape(shape))))
+        lo = hi
+    return prepared
 
 
 def _batch_plan(groups, batch_size, rng):

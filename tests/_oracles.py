@@ -2,13 +2,18 @@
 
 Everything in this module is written straight from the defining formula
 (loops, math.erf, central differences) without reusing library code, so
-a bug in durflow cannot hide in its own test oracle.
+a bug in durflow cannot hide in its own test oracle. The one exception
+is ``per_token_sentence``: the corpus generator as it was written before
+its draws were tabulated per class, kept to pin the draw order, so it
+builds the library's own sentence types around its draws.
 """
 
 import math
 
 import numpy as np
 
+from durflow.data import Sentence, round_half_away, zero_allowed
+from durflow.encoder import FILLER_ID, PAUSE_ID, PhoneSequence, interleave_blanks
 from durflow.numerics import parameter, record
 
 
@@ -408,3 +413,49 @@ def log_domain_mean(mu, sigma, floor=1e-2, min_duration=0):
     ks = np.maximum(ks, min_duration)
     vals = np.log(np.maximum(ks.astype(np.float64), floor))
     return float((vals * pmf).sum())
+
+
+def _draw_duration(law: dict, rng: np.random.Generator, floor: int) -> int:
+    kind = law["kind"]
+    if kind == "lognormal":
+        raw = rng.lognormal(law["mu"], law["sigma"])
+    elif kind == "mixture":
+        weights = [c[0] for c in law["components"]]
+        comp = law["components"][rng.choice(len(weights), p=weights)]
+        raw = rng.lognormal(comp[1], comp[2])
+    elif kind == "discrete":
+        return int(rng.choice(law["values"], p=law["probs"]))
+    else:
+        raise ValueError(f"unknown law kind {kind!r}")
+    return max(floor, int(round_half_away(raw)))
+
+
+def per_token_sentence(spec, index: int):
+    """One sentence as the per-token generator drew it, with a numpy call
+    (rng.choice, rng.uniform, zero_allowed, round_half_away) per draw.
+    The library's generator must reproduce it draw for draw."""
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
+    n_phones = int(rng.integers(spec.min_phones, spec.max_phones + 1))
+
+    phone_ids = spec.phone_class_ids()
+    mixture_ids = spec.mixture_class_ids()
+    plain_ids = [cid for cid in phone_ids if cid not in mixture_ids] or phone_ids
+
+    tokens = []
+    for _ in range(n_phones):
+        if mixture_ids and rng.uniform() < spec.bimodal_prob:
+            tokens.append(int(rng.choice(mixture_ids)))
+        else:
+            tokens.append(int(rng.choice(plain_ids)))
+        if rng.uniform() < spec.pause_prob:
+            tokens.append(PAUSE_ID)
+        if rng.uniform() < spec.filler_prob:
+            tokens.append(FILLER_ID)
+
+    seq = PhoneSequence(interleave_blanks(tokens))
+    durations = np.empty(len(seq), dtype=np.int64)
+    for pos, tok in enumerate(seq.ids):
+        law = spec.laws[int(tok)]
+        floor = 0 if zero_allowed(tok) else 1
+        durations[pos] = _draw_duration(law, rng, floor)
+    return Sentence(index, seq, durations)

@@ -1,13 +1,17 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from durflow.data import (
     BIMODAL_ID,
+    VAL_INDEX_OFFSET,
     CorpusSpec,
     CorpusFormatError,
     DurationCorpus,
+    _default_laws,
     generate,
     load,
     save,
@@ -15,7 +19,7 @@ from durflow.data import (
 )
 from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID
 
-from _oracles import rounded_lognormal_moments
+from _oracles import per_token_sentence, rounded_lognormal_moments
 
 
 class TestSpecValidation:
@@ -58,6 +62,108 @@ class TestSpecValidation:
     def test_unknown_law_kind_rejected(self):
         with pytest.raises(ValueError):
             CorpusSpec(style="read", laws={3: {"kind": "gamma", "mu": 1.0}})
+
+    @pytest.mark.parametrize("field, cid, label", [("pause_prob", PAUSE_ID, "PAUSE"),
+                                                   ("filler_prob", FILLER_ID, "FILLER")])
+    def test_emitted_class_without_law_rejected(self, field, cid, label):
+        # read laws hold neither PAUSE nor FILLER
+        with pytest.raises(ValueError, match=fr"^{field} 0.1 emits class {cid} \({label}\), "
+                                             fr"which has no law$"):
+            CorpusSpec(style="read", **{field: 0.1})
+
+    def test_missing_blank_law_rejected(self):
+        laws = {3: {"kind": "lognormal", "mu": 1.0, "sigma": 0.1}}
+        with pytest.raises(ValueError, match=r"^class 0 \(BLANK\) has no law"):
+            CorpusSpec(style="read", laws=laws)
+
+    @pytest.mark.parametrize("cid", [FILLER_ID, 3, BIMODAL_ID])
+    def test_discrete_zero_on_a_phone_class_rejected(self, cid):
+        laws = _default_laws("spont")
+        laws[cid] = {"kind": "discrete", "values": [0, 2], "probs": [0.5, 0.5]}
+        with pytest.raises(ValueError, match=fr"^class {cid}: only BLANK and PAUSE may take "
+                                             fr"duration 0, got values \[0, 2\]$"):
+            CorpusSpec(style="spont", laws=laws)
+
+    def test_discrete_zero_on_pause_generates_loadable_corpus(self, tmp_path):
+        laws = _default_laws("spont")
+        laws[PAUSE_ID] = {"kind": "discrete", "values": [0, 4], "probs": [0.5, 0.5]}
+        corpus = generate(CorpusSpec(style="spont", seed=1, num_sentences=40, laws=laws))
+        ids = np.concatenate([s.seq.ids for s in corpus.sentences])
+        durs = np.concatenate([s.durations for s in corpus.sentences])
+        assert np.any(durs[ids == PAUSE_ID] == 0)
+        path = tmp_path / "p.durcorpus"
+        save(corpus, path)
+        assert load(path) == corpus
+
+
+def _edge_spec(laws=None, **fields) -> CorpusSpec:
+    """A 40-sentence spont spec whose default laws are updated by laws."""
+    return CorpusSpec(style="spont", seed=3, num_sentences=40,
+                      laws={**_default_laws("spont"), **(laws or {})}, **fields)
+
+
+# specs at the corners of the draw tables: cdfs of one entry or with
+# zero-probability entries, wide lognormals, coins that always or never land
+EDGE_SPECS = {
+    "three-component-mixture": lambda: _edge_spec({BIMODAL_ID: {"kind": "mixture", "components": [
+        [0.2, math.log(2.0), 0.1], [0.5, math.log(6.0), 0.2], [0.3, math.log(12.0), 0.05]]}}),
+    "one-component-mixture": lambda: _edge_spec(
+        {BIMODAL_ID: {"kind": "mixture", "components": [[1.0, math.log(5.0), 0.3]]}}),
+    "zero-probability-values": lambda: _edge_spec({
+        BLANK_ID: {"kind": "discrete", "values": [0, 1, 2], "probs": [0.7, 0.0, 0.3]},
+        4: {"kind": "discrete", "values": [2, 3, 5], "probs": [0.0, 1.0, 0.0]}}),
+    "sigma-2": lambda: _edge_spec({3: {"kind": "lognormal", "mu": 0.0, "sigma": 2.0},
+                                   PAUSE_ID: {"kind": "lognormal", "mu": 1.0, "sigma": 2.0}}),
+    "only-mixture-phones": lambda: CorpusSpec(style="spont", seed=3, num_sentences=40, laws={
+        cid: law for cid, law in _default_laws("spont").items()
+        if cid in (BLANK_ID, PAUSE_ID, FILLER_ID, BIMODAL_ID)}),
+    "min-equals-max-phones": lambda: _edge_spec(min_phones=7, max_phones=7),
+    "coins-always-pause-never-filler": lambda: _edge_spec(
+        bimodal_prob=1.0, pause_prob=1.0, filler_prob=0.0),
+    "coins-never-filler-always": lambda: _edge_spec(
+        bimodal_prob=0.0, pause_prob=0.0, filler_prob=1.0),
+}
+
+
+class TestGeneratorMatchesPerTokenOracle:
+    """The per-class draw tables give every sentence exactly the draws of
+    the per-token generator that they replaced."""
+
+    @staticmethod
+    def assert_matches(spec, split):
+        corpus = generate(spec, split)
+        offset = VAL_INDEX_OFFSET if split == "val" else 0
+        assert [s.sent_id for s in corpus.sentences] == list(
+            range(offset, offset + len(corpus)))
+        for s in corpus.sentences:
+            assert s == per_token_sentence(spec, s.sent_id)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("style", ["read", "spont"])
+    @pytest.mark.parametrize("seed", [0, 1, 777])
+    def test_styles_seeds_and_splits(self, style, seed, split):
+        self.assert_matches(CorpusSpec(style=style, seed=seed, num_sentences=60), split)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_SPECS))
+    def test_edge_specs(self, case):
+        self.assert_matches(EDGE_SPECS[case](), "train")
+
+
+# sha256 prefixes of the saved fixture corpora (conftest); they change
+# only if the generator's draw order, or the file format, does
+FIXTURE_DIGESTS = {
+    "read_train": "ad83bb46ff6054ef",
+    "read_val": "afaa73d878e27d70",
+    "spont_train": "1b8d32c76c09613a",
+    "spont_val": "ebcf979a460b1150",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_DIGESTS))
+def test_fixture_corpus_bytes_are_pinned(request, tmp_path, fixture):
+    path = tmp_path / "c.durcorpus"
+    save(request.getfixturevalue(fixture), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == FIXTURE_DIGESTS[fixture]
 
 
 class TestGenerate:
@@ -198,6 +304,33 @@ MISTYPED_HEADERS = {
 }
 
 
+def without_law(params, cid):
+    """params with the law of class cid dropped."""
+    return replaced(params, ["laws"], {k: v for k, v in params["laws"].items() if k != str(cid)})
+
+
+# header laws that generation could not honour, with the start of the
+# reason CorpusSpec gives
+UNHONOURED_LAWS = {
+    "zero-on-a-phone-class": (
+        lambda p: replaced(p, ["laws", "3"], {"kind": "discrete", "values": [0, 2],
+                                              "probs": [0.5, 0.5]}),
+        r"class 3: only BLANK and PAUSE may take duration 0"),
+    "pause-without-law": (lambda p: without_law(p, PAUSE_ID),
+                          r"pause_prob 0.15 emits class 1 \(PAUSE\)"),
+    "no-blank-law": (lambda p: without_law(p, BLANK_ID), r"class 0 \(BLANK\) has no law"),
+}
+
+
+def save_with_header_edit(path, edit):
+    """Save spont seed 0 val to path with edit applied to its header's params."""
+    save(generate(CorpusSpec(style="spont", seed=0), "val"), path)
+    header, rest = path.read_text().split("\n", 1)
+    head, blob = header.split(" params=", 1)
+    blob = json.dumps(edit(json.loads(blob)), separators=(",", ":"))
+    path.write_text(f"{head} params={blob}\n{rest}")
+
+
 class TestFileFormat:
     def test_round_trip_identity(self, tmp_path):
         corpus = generate(CorpusSpec(style="spont", num_sentences=25, seed=4))
@@ -328,12 +461,17 @@ class TestFileFormat:
     @pytest.mark.parametrize("case", sorted(MISTYPED_HEADERS))
     def test_mistyped_header_value_reports_line_1(self, tmp_path, case):
         path = tmp_path / "h.durcorpus"
-        save(generate(CorpusSpec(style="spont", seed=0), "val"), path)
-        header, rest = path.read_text().split("\n", 1)
-        head, blob = header.split(" params=", 1)
-        blob = json.dumps(MISTYPED_HEADERS[case](json.loads(blob)), separators=(",", ":"))
-        path.write_text(f"{head} params={blob}\n{rest}")
+        save_with_header_edit(path, MISTYPED_HEADERS[case])
         with pytest.raises(CorpusFormatError, match="h.durcorpus: line 1: bad header"):
+            load(path)
+
+    @pytest.mark.parametrize("case", sorted(UNHONOURED_LAWS))
+    def test_laws_generation_cannot_honour_report_line_1(self, tmp_path, case):
+        edit, reason = UNHONOURED_LAWS[case]
+        path = tmp_path / "z.durcorpus"
+        save_with_header_edit(path, edit)
+        with pytest.raises(CorpusFormatError,
+                           match=fr"z.durcorpus: line 1: bad header \({reason}"):
             load(path)
 
     @pytest.mark.parametrize("token, reason", [

@@ -7,8 +7,8 @@ import pytest
 
 from durflow import nn
 from durflow import numerics as nm
-from durflow.data import CorpusSpec, generate
-from durflow.duration import DurationModel, load_model, loss, save_model
+from durflow.data import CorpusSpec, generate, zero_allowed
+from durflow.duration import DurationModel, load_model, log_targets, loss, save_model
 from durflow.training import (BATCH_STREAM, NOISE_STREAM, TRAINING_DTYPE, _batch_plan,
                                _prepare, train_model)
 
@@ -49,6 +49,31 @@ def test_targets_use_log_domain_rules():
             assert tgt == pytest.approx(np.log(dur + 0.01))
         else:
             assert tgt == pytest.approx(np.log(max(dur, 1)))
+
+
+@pytest.mark.parametrize("fixture", ["read_train", "spont_train"])
+def test_prepare_matches_per_sentence_targets(request, fixture):
+    corpus = request.getfixturevalue(fixture)
+    groups = corpus.length_groups()
+    prepared = _prepare(corpus)
+    assert [len(pairs) for pairs in prepared] == [len(group) for group in groups]
+    for group, pairs in zip(groups, prepared):
+        for s, (ids, targets) in zip(group, pairs):
+            want = log_targets(s.durations, zero_allowed(s.seq.ids))
+            assert np.array_equal(ids, s.seq.ids)
+            assert targets.dtype == want.dtype and targets.tobytes() == want.tobytes()
+
+
+def test_zero_duration_on_a_phone_rejected_before_any_step():
+    corpus = small_corpus()
+    corpus.sentences[-1].durations[0] = 0  # position 0 holds a phone
+    model = small_model("det")
+    before = {name: p.data.copy() for name, p in model.params().items()}
+    with pytest.raises(ValueError, match="^zero duration at a position that does not allow zero$"):
+        train_model(model, corpus, 3)
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, before[name])
+    assert model.trained_steps == 0
 
 
 def test_empty_corpus_rejected_before_any_step(tmp_path):
