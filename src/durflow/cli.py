@@ -194,6 +194,8 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     config, provided = resolve_config(args)
+    if args.reps is not None and args.reps < 1:
+        raise UsageError("reps must be >= 1")
     model = load_model(args.checkpoint)
     if "kind" in provided and config.kind != model.kind:
         raise ValueError(
@@ -202,8 +204,6 @@ def cmd_sample(args) -> int:
     config.kind = model.kind
     corpus = load(args.corpus)
     reps = args.reps if args.reps is not None else (5 if model.kind == "fm" else 1)
-    if reps < 1:
-        raise UsageError("reps must be >= 1")
     check_vocabulary(args.corpus, corpus, args.checkpoint, model)
     frames = corpus_frames(model, corpus, config.sample_options(), reps)
     os.makedirs(config.out, exist_ok=True)

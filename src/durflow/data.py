@@ -29,6 +29,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -367,7 +368,11 @@ def save(corpus: DurationCorpus, path):
 
 
 def load(path) -> DurationCorpus:
-    """Parse a corpus file; malformed input reports the offending line number."""
+    """Parse a corpus file; malformed input reports the offending line number.
+
+    The tokens are converted and checked as whole arrays; only a file
+    that fails a check is read again line by line, to find the first
+    bad line."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -395,12 +400,58 @@ def load(path) -> DurationCorpus:
 
     has_law = np.zeros(spec.vocab_size, dtype=bool)
     has_law[list(spec.laws)] = True
+    rows = [(lineno, line.split("\t")) for lineno, line in enumerate(lines[1:], start=2)
+            if line.strip()]
+    sentences = _checked_at_once(rows, has_law)
+    if sentences is None:
+        # some check failed: the line-by-line reader names the first bad line
+        sentences = _checked_line_by_line(path, rows, has_law)
+    try:
+        return DurationCorpus(sentences, spec, split)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
+def _checked_at_once(rows, has_law: np.ndarray):
+    """The sentences of the data rows, each a (line number, tab-split
+    fields) pair, with every token converted and every check of
+    :func:`_checked_line_by_line` run on the whole corpus's arrays at
+    once; None if any row fails one."""
+    if any(len(fields) != 3 for _, fields in rows):
+        return None
+    id_rows = [fields[1].split() for _, fields in rows]
+    dur_rows = [fields[2].split() for _, fields in rows]
+    counts = [len(tokens) for tokens in id_rows]
+    # a PhoneSequence has even length, so every sentence starts at an
+    # even flat position and its odd positions are the flat odd ones
+    if any(n == 0 or n % 2 or n != len(d) for n, d in zip(counts, dur_rows)):
+        return None
+    try:
+        sent_ids = [int(fields[0]) for _, fields in rows]
+        ids, durs = (np.fromiter(map(int, chain.from_iterable(table)), dtype=np.int64,
+                                 count=sum(counts))
+                     for table in (id_rows, dur_rows))
+    except (ValueError, OverflowError):
+        return None
+    if ids.size and not (ids.min() >= 0 and ids.max() < has_law.size
+                         and has_law[ids].all() and durs.min() >= 0
+                         and not ((durs == 0) & ~zero_allowed(ids)).any()
+                         and (ids[1::2] == BLANK_ID).all()):
+        return None
+    if len(set(sent_ids)) != len(sent_ids):
+        return None
+    ends = list(accumulate(counts))
+    return [Sentence(sent_id, PhoneSequence(ids[lo:hi]), durs[lo:hi])
+            for sent_id, lo, hi in zip(sent_ids, [0] + ends, ends)]
+
+
+def _checked_line_by_line(path, rows, has_law: np.ndarray) -> list:
+    """The sentences of the data rows, read and checked one row at a time;
+    the first malformed row raises CorpusFormatError naming its line."""
+    vocab_size = has_law.size
     sentences = []
     seen = {}  # sentence id -> line
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for lineno, fields in rows:
         if len(fields) != 3:
             raise CorpusFormatError(
                 f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
@@ -417,11 +468,11 @@ def load(path) -> DurationCorpus:
             raise CorpusFormatError(
                 f"{path}: line {lineno}: {ids.size} ids but {durs.size} durations"
             )
-        outside = ids[(ids < 0) | (ids >= spec.vocab_size)]
+        outside = ids[(ids < 0) | (ids >= vocab_size)]
         if outside.size:
             raise CorpusFormatError(
                 f"{path}: line {lineno}: token id {outside[0]} outside the "
-                f"vocabulary of size {spec.vocab_size}"
+                f"vocabulary of size {vocab_size}"
             )
         if not np.all(has_law[ids]):
             raise CorpusFormatError(
@@ -445,7 +496,4 @@ def load(path) -> DurationCorpus:
             )
         seen[sent_id] = lineno
         sentences.append(Sentence(sent_id, seq, durs))
-    try:
-        return DurationCorpus(sentences, spec, split)
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from exc
+    return sentences

@@ -147,11 +147,18 @@ class FlowPredictor(nn.Module):
 
 
 class DurationModel(nn.Module):
-    """A text encoder plus one duration head, with training metadata."""
+    """A text encoder plus one duration head, with training metadata.
+
+    The initial weights are drawn from a stream of ``seed``; with
+    ``draw=False`` nothing is drawn and the weights are left
+    uninitialised, for a caller that sets every parameter
+    (:func:`load_model`).
+    """
 
     def __init__(self, kind: str, vocab_size: int, seed: int = 0,
                  encoder_dim: int = ENCODER_DIM, hidden: int = HIDDEN_CHANNELS,
-                 noise_dim: int = NOISE_CHANNELS, time_dim: int = TIME_DIM):
+                 noise_dim: int = NOISE_CHANNELS, time_dim: int = TIME_DIM, *,
+                 draw: bool = True):
         if kind not in MODEL_KINDS:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {kind!r}")
         self.kind = kind
@@ -159,7 +166,8 @@ class DurationModel(nn.Module):
         self.seed = seed
         self.dims = {"encoder_dim": encoder_dim, "hidden": hidden,
                      "noise_dim": noise_dim, "time_dim": time_dim}
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+        rng = (np.random.default_rng(np.random.SeedSequence([seed, 101])) if draw
+               else nn.UNDRAWN)
         self.encoder = TextEncoder(vocab_size, rng, dim=encoder_dim)
         if kind == "det":
             self.predictor = DetPredictor(encoder_dim, hidden, rng)
@@ -206,12 +214,18 @@ def _check_meta(path, meta: dict):
 
 def load_model(path) -> DurationModel:
     """Read a checkpoint written by :func:`save_model`. Any malformed
-    checkpoint raises CheckpointFormatError naming the file."""
+    checkpoint raises CheckpointFormatError naming the file.
+
+    The parameters are built from the checkpoint's arrays, as float64,
+    with no initial weights drawn and no gradient buffers, like
+    ``nn.cast_copy``'s copies: a later backward pass or ``train_model``
+    call creates gradients where it needs them.
+    """
     arrays, meta = nn.load_params(path)
     _check_meta(path, meta)
     try:
         model = DurationModel(meta["kind"], meta["vocab_size"], seed=meta["seed"],
-                              **meta["dims"])
+                              **meta["dims"], draw=False)
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
     params = model.params()
@@ -228,7 +242,7 @@ def load_model(path) -> DurationModel:
             raise CheckpointFormatError(f"{path}: checkpoint shape mismatch for '{name}'")
         if not np.all(np.isfinite(array)):
             raise CheckpointFormatError(f"{where} holds a non-finite value")
-        p.data[...] = array
+        p.data, p.grad = np.require(array, np.float64, "C"), None
     model.trained_steps = meta["trained_steps"]
     return model
 

@@ -50,7 +50,7 @@ class PhoneSequence:
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.ids.size % 2 != 0:
             raise ValueError("interleaved sequence must have even length")
-        if self.ids.size and not np.all(self.ids[1::2] == BLANK_ID):
+        if not (self.ids[1::2] == BLANK_ID).all():
             raise ValueError("interleaved sequence must have BLANK at odd positions")
 
     def __len__(self):

@@ -97,6 +97,20 @@ class LayerNorm(Module):
         return nm.layer_norm(x, self.gain, self.bias)
 
 
+class _Undrawn:
+    """Stands in for the Generator a layer draws its initial weights
+    from, and draws nothing: each draw is an uninitialised array, for a
+    caller that sets every parameter next."""
+
+    def uniform(self, low, high, size):
+        return np.empty(size)
+
+    normal = uniform
+
+
+UNDRAWN = _Undrawn()
+
+
 def token_ids(ids, vocab: int) -> np.ndarray:
     """``ids`` as a (B, T) array of token ids below ``vocab``; any other
     shape or an id outside [0, vocab) raises ValueError."""
@@ -170,7 +184,7 @@ def cast_copy(layer, dtype):
     Each parameter is converted straight from the original's data, and
     everything else is shared with the original. The copy has no
     gradient buffers and does not follow later changes to the original;
-    training gives its copy gradients with ``numerics.flatten``.
+    training's optimiser gives its copy gradients (``numerics.Adam``).
     """
     out = copy.copy(layer)
     for name, value in vars(layer).items():

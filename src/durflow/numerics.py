@@ -14,7 +14,8 @@ Conventions:
   Python floats, other float widths) is converted to float64.
   Training runs each step's forward and backward pass in float32, on
   a working copy of the model, while the master weights and Adam stay
-  float64 (:mod:`durflow.training`); sampling runs forward only in
+  float64; the gradients stay float32, in the copy, and :class:`Adam`
+  reads them from there (:mod:`durflow.training`); sampling runs forward only in
   float32 (:mod:`durflow.evaluation`); the gradient checks run in
   float64,
 * ops keep their inputs' dtype: the output, and every buffer an op
@@ -28,9 +29,16 @@ Conventions:
 * a tape can be consumed by ``backward`` exactly once,
 * parameters are Tensors built with :func:`parameter`; they keep a
   persistent gradient buffer that starts at zero, so a parameter that
-  never enters the graph simply keeps a zero gradient; :func:`flatten`
-  moves their data and gradients into two flat buffers, as an
-  :class:`Adam` optimizer does with the parameters it updates,
+  never enters the graph simply keeps a zero gradient. A parameter
+  whose gradient nothing reads holds no buffer: a loaded checkpoint's
+  parameters and the float64 masters of a training run have ``grad``
+  None, and the first backward pass that reaches one gives it a
+  buffer. :func:`flatten` moves tensors' data, and their gradients
+  where they are read, into flat buffers, as an :class:`Adam`
+  optimizer does with the parameters it updates and with a working
+  copy it reads their gradients from,
+* ``Tape.backward`` drops each node once it has run, so an op's saved
+  arrays and its output's gradient are freed while the pass goes on,
 * ``conv1d`` and ``layer_norm`` take batched (B, C, T) input only; a
   single sequence is a batch of one. Sequences of unequal length are
   packed back to back along T, with no padding, and ``conv1d`` is told
@@ -62,8 +70,9 @@ import numpy as np
 
 _active_tape = None
 
-# float64 entries per block of the Adam update: 128 KiB per buffer, so
-# the six buffers that one block touches fit in a core's L2 cache
+# float64 entries per block of the Adam update: 128 KiB per float64
+# buffer, so the six float64 buffers that one block touches, and the two
+# float32 blocks of a working copy, fit in a core's L2 cache
 _ADAM_BLOCK = 1 << 14
 # Adam's moment decay rates, and the term added to the denominator
 ADAM_BETA1 = 0.9
@@ -98,8 +107,9 @@ def keep_freed_memory():
     the mmap threshold to its 32 MiB ceiling and the trim threshold to
     256 MiB keeps those pages mapped for the life of the process. One
     arena for every thread keeps the sampling workers from each growing
-    an arena of their own: with an arena per worker, a five-realisation
-    ``durflow sample`` peaked at 139-149 MB resident against 117 MB.
+    an arena of their own: with an arena per worker, the benchmark's
+    five-realisation ``durflow sample`` peaked at 102-104 MB resident
+    against 85-87 MB (two workers on a 2-vCPU machine).
     The setting is process-wide and idempotent, and it affects speed
     and resident memory only, never results.
     """
@@ -197,29 +207,34 @@ def parameter(data) -> Tensor:
     return t
 
 
-def flatten(tensors, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Move the tensors' data into one flat buffer of ``dtype`` and their
-    gradients into a second, in the order given; returns the two.
+def flatten(tensors, dtype=np.float64, grad=True) -> tuple:
+    """Move the tensors' data into one flat buffer of ``dtype`` and, with
+    ``grad``, their gradients into a second, in the order given; returns
+    the two, the second None without ``grad``.
 
     Each tensor becomes a parameter whose ``data`` and ``grad`` are views
     into the buffers, so one vectorised pass over a buffer reaches every
     tensor. A tensor's data is converted to ``dtype``; its gradient is
-    copied when it has one, else starts at zero.
+    copied when it has one, else starts at zero. Without ``grad`` each
+    tensor's gradient is dropped, to None.
     """
     tensors = list(tensors)
     size = sum(t.data.size for t in tensors)
-    data, grad = np.empty(size, dtype=dtype), np.zeros(size, dtype=dtype)
+    data = np.empty(size, dtype=dtype)
+    flat_grad = np.zeros(size, dtype=dtype) if grad else None
     lo = 0
     for t in tensors:
         hi = lo + t.data.size
         data_view = data[lo:hi].reshape(t.data.shape)
-        grad_view = grad[lo:hi].reshape(t.data.shape)
         data_view[...] = t.data
-        if t.grad is not None:
-            grad_view[...] = t.grad
+        grad_view = None
+        if grad:
+            grad_view = flat_grad[lo:hi].reshape(t.data.shape)
+            if t.grad is not None:
+                grad_view[...] = t.grad
         t.data, t.grad, t.requires_grad = data_view, grad_view, True
         lo = hi
-    return data, grad
+    return data, flat_grad
 
 
 def _as_tensor(x) -> Tensor:
@@ -241,7 +256,10 @@ class Tape:
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every recorded tensor's .grad.
 
-        ``loss`` must be a scalar. The tape is consumed: calling
+        ``loss`` must be a scalar. The tape is consumed as the pass runs:
+        each node is dropped once it has run, so the arrays its backward
+        closure saved, and the output tensor with its gradient unless the
+        caller holds it, are freed before the pass returns. Calling
         backward a second time raises RuntimeError.
         """
         if self._spent:
@@ -254,10 +272,11 @@ class Tape:
         if loss.grad is None:
             loss.grad = np.zeros_like(loss.data)
         loss.grad = loss.grad + 1.0
-        for out, backward_fn in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, backward_fn = nodes.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
-        self._nodes.clear()
 
 
 class record:
@@ -726,20 +745,28 @@ class Adam:
     """Adam with bias correction over named parameters, at the decay
     rates ADAM_BETA1 and ADAM_BETA2 and the denominator term ADAM_EPS.
 
-    ``params`` is a dict mapping names to parameter Tensors. The
+    ``params`` is a dict mapping names to parameter Tensors, the master
+    weights; their data, the moments and the update are float64. The
     optimizer takes over their storage (:func:`flatten`): each
-    parameter's ``data`` and ``grad`` become views into the flat
-    float64 buffers ``flat_data`` and ``flat_grad``, so an update is a
-    fixed sequence of vectorised passes over all parameters at once.
-    ``step()`` consumes the accumulated gradients and resets them to
-    zero. A non-finite gradient aborts, before anything is updated,
-    with the offending parameter's name.
+    parameter's ``data`` becomes a view into the flat buffer
+    ``flat_data``, so an update is a fixed sequence of vectorised passes
+    over all parameters at once, run block by block.
 
-    The parameters are the master weights, and the moments and the
-    update are float64 whatever dtype the gradients were computed in.
-    Training computes them on a float32 working copy of the model
-    (:mod:`durflow.training`), moves them into ``flat_grad`` before
-    each step and copies ``flat_data`` back into the copy after it.
+    ``step()`` reads the gradients, and resets them to zero, in one of
+    two places:
+
+    * without ``working``, in the parameters themselves, whose ``grad``
+      become views into a flat float64 buffer;
+    * with ``working``, a dict of the same names and shapes holding a
+      copy of the model in another dtype (:mod:`durflow.training` runs
+      its steps on a float32 copy), in that copy. Its data and gradients
+      become views into two flat buffers of its dtype, and the masters
+      carry no gradient buffer. Each block of the copy's gradient is
+      converted into a float64 scratch block before the update, and the
+      block's updated masters are written back into the copy's data.
+
+    Before anything is updated, a non-finite gradient aborts with the
+    offending parameter's name.
 
     The update takes the reordered form of Kingma and Ba (arXiv
     1412.6980, section 2, the paragraph after Algorithm 1), with bc1 and
@@ -752,33 +779,49 @@ class Adam:
     takes one square root and one divide.
     """
 
-    def __init__(self, params: dict, lr=1e-3):
+    def __init__(self, params: dict, lr=1e-3, working: dict = None):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        self.flat_data, self.flat_grad = flatten(self.params.values())
+        if working is None:
+            self.flat_data, self._grad = flatten(self.params.values())
+            copy, tensors = None, self.params.items()
+        else:
+            shapes = [(name, p.data.shape) for name, p in self.params.items()]
+            if [(name, w.data.shape) for name, w in working.items()] != shapes:
+                raise ValueError("the working copy's parameters must match the "
+                                 "masters' names and shapes, in order")
+            self.flat_data, _ = flatten(self.params.values(), grad=False)
+            dtype = next(iter(working.values())).data.dtype
+            copy, self._grad = flatten(working.values(), dtype)
+            tensors = [*self.params.items(), *working.items()]
         size = self.flat_data.size
         self._m = np.zeros(size)
         self._v = np.zeros(size)
-        # (name, tensor, data view, grad view)
-        self._views = [(name, p, p.data, p.grad) for name, p in self.params.items()]
-        # the update runs block by block so that its passes stay in cache
-        num, den = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+        # (name, tensor, data view, grad view); a master's grad view is
+        # None when the gradients are read from the working copy
+        self._views = [(name, p, p.data, p.grad) for name, p in tensors]
+        # the update runs block by block so that its passes stay in cache;
+        # a float64 gradient is read in place, any other through scratch
+        num, den, scratch = (np.empty(_ADAM_BLOCK) for _ in range(3))
         self._blocks = []
         for lo in range(0, size, _ADAM_BLOCK):
             hi = min(size, lo + _ADAM_BLOCK)
-            self._blocks.append((self.flat_data[lo:hi], self.flat_grad[lo:hi],
-                                 self._m[lo:hi], self._v[lo:hi], num[:hi - lo],
-                                 den[:hi - lo]))
+            source = self._grad[lo:hi]
+            g = source if copy is None else scratch[:hi - lo]
+            self._blocks.append((self.flat_data[lo:hi], source, g, self._m[lo:hi],
+                                 self._v[lo:hi], num[:hi - lo], den[:hi - lo],
+                                 None if copy is None else copy[lo:hi]))
 
     def _check_finite(self):
-        # a finite sum proves every entry finite; only a NaN, an inf or an
-        # overflow of the sum leads to the per-parameter search
+        # a finite sum proves every entry finite. Summed in float64, float32
+        # gradients cannot overflow; float64 ones can, and the search below
+        # then finds nothing to report
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(self.flat_grad.sum()):
+            if np.isfinite(self._grad.sum(dtype=np.float64)):
                 return
-        for name, p, _, grad in self._views:
-            if not np.all(np.isfinite(grad)):
+        for name, _, _, grad in self._views:
+            if grad is not None and not np.all(np.isfinite(grad)):
                 raise FloatingPointError(
                     f"non-finite gradient for parameter '{name}'"
                 )
@@ -795,7 +838,9 @@ class Adam:
         bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         step_size = self.lr * np.sqrt(bc2) / bc1
         eps = ADAM_EPS * np.sqrt(bc2)
-        for theta, g, m, v, num, den in self._blocks:
+        for theta, source, g, m, v, num, den, copy in self._blocks:
+            if g is not source:
+                g[...] = source
             m *= b1
             np.multiply(g, 1.0 - b1, out=num)
             m += num
@@ -808,4 +853,6 @@ class Adam:
             np.divide(m, den, out=num)
             num *= step_size
             theta -= num
-            g[...] = 0.0
+            source[...] = 0.0
+            if copy is not None:
+                copy[...] = theta

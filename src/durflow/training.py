@@ -9,12 +9,12 @@ Training is mixed precision (Micikevicius et al., arXiv 1710.03740).
 The model's own parameters are the float64 master weights: Adam's
 moments and update and the checkpoints stay float64. Each step's loss
 runs forward and backward in TRAINING_DTYPE on a working copy of the
-model, made once per ``train_model`` call, whose parameters and
-gradients are views into two flat buffers in ``model.params()`` order.
-A step moves the copy's gradients into Adam's float64 gradient buffer,
-runs ``Adam.step`` and writes the updated masters back into the copy.
-The copy lives for one call, so a parameter changed between two calls
-shows in the second.
+model, made once per ``train_model`` call, and the gradients stay in
+that dtype, in the copy. ``Adam.step`` reads them block by block from
+there, updates the masters and writes them back into the copy's data
+(``numerics.Adam``'s ``working``); the masters carry no gradient
+buffer. The copy lives for one call, so a parameter changed between
+two calls shows in the second.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
 
     Each loss, and so each returned value, is computed in
     TRAINING_DTYPE on the call's working copy; the updates land in the
-    model's float64 parameters.
+    model's float64 parameters, which hold no gradient buffers after
+    the call.
 
     Optionally streams a `step,loss` CSV into a temporary file beside
     loss_path that replaces loss_path once every step has run, so an
@@ -107,9 +108,8 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
     groups = _prepare(corpus)
     batch_rng = np.random.default_rng(np.random.SeedSequence([seed, BATCH_STREAM]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, NOISE_STREAM]))
-    opt = Adam(model.params(), lr=lr)
     work = nn.cast_copy(model, TRAINING_DTYPE)
-    work_data, work_grad = nm.flatten(work.params().values(), TRAINING_DTYPE)
+    opt = Adam(model.params(), lr=lr, working=work.params())
     losses = np.empty(steps)
 
     with (atomic_write(loss_path) if loss_path else contextlib.nullcontext()) as writer:
@@ -126,10 +126,7 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
                 if not np.isfinite(loss_value):
                     raise FloatingPointError(f"loss became non-finite at step {step}")
                 tape.backward(batch_loss)
-                opt.flat_grad[...] = work_grad
-                work_grad[...] = 0.0
                 opt.step()
-                work_data[...] = opt.flat_data
                 losses[step] = loss_value
                 if writer:
                     writer.write(f"{step},{loss_value!r}\n")

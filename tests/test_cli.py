@@ -160,6 +160,18 @@ def test_train_missing_corpus_is_runtime_error(tmp_path, capsys):
     assert "error:" in err and "nope.durcorpus" in err
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bad_reps_is_usage_error_before_any_file_is_read(tmp_path, capsys, reps):
+    # neither input exists: the bad setting is reported, not the missing file
+    out = tmp_path / "run"
+    code, _, err = run(["sample", "--checkpoint", str(tmp_path / "nope.npz"),
+                        "--corpus", str(tmp_path / "nope.durcorpus"), "--reps", reps,
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: reps must be >= 1"]
+    assert not out.exists()
+
+
 @pytest.fixture()
 def empty_corpus_file(tmp_path):
     """A corpus file with its header and no sentences."""

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from durflow import data
 from durflow.data import (
     BIMODAL_ID,
     VAL_INDEX_OFFSET,
@@ -331,6 +333,26 @@ def save_with_header_edit(path, edit):
     path.write_text(f"{head} params={blob}\n{rest}")
 
 
+# read corpora declare no pause, filler or bimodal law; spont ones do
+SMALL_CORPORA = {style: generate(CorpusSpec(style=style, num_sentences=4, seed=5,
+                                            max_phones=5))
+                 for style in ("read", "spont")}
+
+
+def corpus_rows(corpus) -> list:
+    """The corpus's data rows as ``data.load`` splits them: (line number,
+    tab-separated fields) pairs."""
+    return [(lineno, [str(s.sent_id), " ".join(map(str, s.seq.ids)),
+                      " ".join(map(str, s.durations))])
+            for lineno, s in enumerate(corpus.sentences, start=2)]
+
+
+def laws_mask(corpus) -> np.ndarray:
+    has_law = np.zeros(corpus.spec.vocab_size, dtype=bool)
+    has_law[list(corpus.spec.laws)] = True
+    return has_law
+
+
 class TestFileFormat:
     def test_round_trip_identity(self, tmp_path):
         corpus = generate(CorpusSpec(style="spont", num_sentences=25, seed=4))
@@ -379,6 +401,45 @@ class TestFileFormat:
         assert corpus.sentences[0].durations.tolist() == [5, 0, 7, 1]
         assert corpus.sentences[1].sent_id == 1
         assert corpus.sentences[1].durations.tolist() == [2, 2]
+
+    def test_valid_corpora_are_checked_at_once(self):
+        # the line-by-line reader runs only for a file that fails a check
+        for style in ("read", "spont"):
+            corpus = generate(CorpusSpec(style=style, num_sentences=30, seed=2))
+            rows = corpus_rows(corpus)
+            assert data._checked_at_once(rows, laws_mask(corpus)) == corpus.sentences
+
+    @pytest.mark.parametrize("style", ["read", "spont"])
+    def test_checked_at_once_accepts_only_what_line_by_line_accepts(self, style):
+        # every single-token edit of a small corpus, and every sentence cut
+        # to odd length: wherever the bulk check accepts the rows, the
+        # line-by-line reader gives the same sentences
+        corpus = SMALL_CORPORA[style]
+        has_law = laws_mask(corpus)
+        tokens = ["-1", "0", "1", "2", "3", "23", "24", "x", "", "+3", "1_0", "\u0663",
+                  "1.5", "99999999999999999999", "0 0", "5\t6"]
+        for i, (lineno, fields) in enumerate(corpus_rows(corpus)):
+            edits = [[fields[0], fields[1].rsplit(" ", 1)[0], fields[2].rsplit(" ", 1)[0]]]
+            for field, positions in ((0, [None]), (1, range(len(fields[1].split()))),
+                                     (2, range(len(fields[2].split())))):
+                for position, token in itertools.product(positions, tokens):
+                    edited = list(fields)
+                    if position is None:
+                        edited[field] = token
+                    else:
+                        parts = edited[field].split()
+                        parts[position] = token
+                        edited[field] = " ".join(parts)
+                    edits.append(edited)
+            for edited in edits:
+                rows = corpus_rows(corpus)
+                rows[i] = (lineno, "\t".join(edited).split("\t"))
+                try:
+                    expected = data._checked_line_by_line("c.durcorpus", rows, has_law)
+                except (ValueError, OverflowError):
+                    expected = None
+                got = data._checked_at_once(rows, has_law)
+                assert got is None or got == expected, (lineno, edited)
 
     def test_missing_header_reports_line_1(self, tmp_path):
         path = tmp_path / "bad"

@@ -705,6 +705,17 @@ class TestCheckpointRoundTrip:
         for k in a:
             assert np.array_equal(a[k].data, b[k].data), k
 
+    def test_loaded_parameters_are_the_checkpoint_arrays_without_gradients(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_model(tiny_model("fm", seed=3), path)
+        arrays, _ = nn.load_params(path)
+        params = load_model(path).params()
+        assert list(params) and set(params) == set(arrays)
+        for name, p in params.items():
+            assert p.grad is None and p.requires_grad, name
+            assert p.data.dtype == np.float64 and p.data.flags.c_contiguous, name
+            assert np.array_equal(p.data, arrays[name]), name
+
     def test_loaded_model_samples_identically(self, tmp_path):
         model = tiny_model("fm", seed=3)
         path = tmp_path / "m.npz"

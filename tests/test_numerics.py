@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,27 @@ class TestTapeSemantics:
         tape.backward(loss)
         assert np.allclose(a.grad, 6.0)
 
+    def test_backward_frees_each_node_once_it_has_run(self, monkeypatch):
+        # the mul node runs before the scale node; by the time the scale
+        # node accumulates into a, the array the mul node saved is gone
+        a = parameter(np.array([1.0, 2.0]))
+        saved = np.array([3.0, 4.0])
+        saved_ref = weakref.ref(saved)
+        with record() as tape:
+            loss = nm.tensor_sum(nm.mul(nm.scale(a, 2.0), Tensor(saved)))
+        del saved
+        alive = []
+        accum = nm._accum
+
+        def spy(t, g, fresh=False):
+            alive.append(saved_ref() is not None)
+            accum(t, g, fresh)
+
+        monkeypatch.setattr(nm, "_accum", spy)
+        tape.backward(loss)
+        assert alive[-1] is False
+        assert np.array_equal(a.grad, [6.0, 8.0])
+
     def test_grads_accumulate_across_tapes(self):
         a = parameter(np.array([2.0]))
         for _ in range(2):
@@ -396,6 +419,14 @@ class TestAdam:
         with np.errstate(over="ignore"):  # the second moment overflows, as in any Adam
             opt.step()
         assert np.all(np.isfinite(p.data))
+
+    def test_working_copy_must_match_the_masters(self):
+        params = {"w": parameter(np.ones(3)), "b": parameter(np.zeros(2))}
+        for working in ({"w": Tensor(np.ones(3, np.float32))},
+                        {"b": Tensor(np.zeros(2, np.float32)),
+                         "w": Tensor(np.ones(3, np.float32))}):
+            with pytest.raises(ValueError, match="names and shapes"):
+                Adam(params, working=working)
 
     def test_rebound_gradient_is_refused(self):
         p = parameter(np.ones(3))

@@ -210,6 +210,54 @@ def test_non_finite_loss_stops_before_its_update():
     assert model.trained_steps == 0
 
 
+def test_non_finite_gradient_stops_before_its_update(monkeypatch):
+    # a NaN put into one working-copy gradient after the backward pass of
+    # the third step leaves the loss finite: the optimizer's check names
+    # the parameter before the step changes any master
+    model = small_model("det")
+    copies, before = [], {}
+    cast_copy, backward = nn.cast_copy, nm.Tape.backward
+
+    def keep_copy(layer, dtype):
+        copies.append(cast_copy(layer, dtype))
+        return copies[-1]
+
+    def poisoned_backward(tape, value):
+        backward(tape, value)
+        poisoned_backward.calls += 1
+        if poisoned_backward.calls == 3:
+            before.update((name, p.data.copy()) for name, p in model.params().items())
+            # cast_copy recurses, so the whole model's copy is the last made
+            copies[-1].params()["predictor.norm1.gain"].grad[5] = np.nan
+
+    poisoned_backward.calls = 0
+    monkeypatch.setattr(nn, "cast_copy", keep_copy)
+    monkeypatch.setattr(nm.Tape, "backward", poisoned_backward)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite gradient for parameter 'predictor.norm1.gain'"):
+        train_model(model, small_corpus(), steps=5, batch_size=8, seed=0)
+    assert poisoned_backward.calls == 3
+    for name, p in model.params().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_loaded_model_trains_like_the_model_it_was_saved_from(kind, tmp_path):
+    # and after training neither model's masters hold a gradient buffer
+    corpus = small_corpus(style="spont")
+    model = small_model(kind)
+    train_model(model, corpus, steps=3, batch_size=8, seed=0)
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    loaded = load_model(path)
+    expected = train_model(model, corpus, steps=4, batch_size=8, seed=1)
+    assert np.array_equal(train_model(loaded, corpus, steps=4, batch_size=8, seed=1),
+                          expected)
+    for name, p in loaded.params().items():
+        assert np.array_equal(p.data, model.params()[name].data), name
+        assert p.grad is None and model.params()[name].grad is None, name
+
+
 def test_trained_steps_accumulates():
     model = small_model("det")
     corpus = small_corpus()
