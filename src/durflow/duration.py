@@ -95,7 +95,11 @@ def log_targets(durations, zero_allowed) -> np.ndarray:
 
 
 class DetPredictor(nn.Module):
-    """Backbone ending in one scalar per position: the expected log-duration."""
+    """Backbone ending in one scalar per position: the expected log-duration.
+
+    Each block's ReLU and layer norm run as one tape op,
+    ``nm.relu_norm``, on the ``norm1``/``norm2`` layers' parameters.
+    """
 
     def __init__(self, cond_dim: int, hidden: int, rng: np.random.Generator):
         self.conv1 = nn.Conv1d(cond_dim, hidden, 3, rng)
@@ -106,8 +110,10 @@ class DetPredictor(nn.Module):
 
     def __call__(self, cond: Tensor, lengths=None) -> Tensor:
         """cond (B, D, T) -> (B, 1, T); ``lengths`` as ``nm.conv1d`` takes them."""
-        h = self.norm1(nm.relu(nm.conv1d(cond, self.conv1.weight, self.conv1.bias, lengths)))
-        h = self.norm2(nm.relu(nm.conv1d(h, self.conv2.weight, self.conv2.bias, lengths)))
+        h = nm.conv1d(cond, self.conv1.weight, self.conv1.bias, lengths)
+        h = nm.relu_norm(h, self.norm1.gain, self.norm1.bias)
+        h = nm.conv1d(h, self.conv2.weight, self.conv2.bias, lengths)
+        h = nm.relu_norm(h, self.norm2.gain, self.norm2.bias)
         return self.proj(h)
 
 
@@ -117,7 +123,9 @@ class FlowPredictor(nn.Module):
     The noisy durations x_t enter through a pointwise projection whose
     output is concatenated with the conditioning channels; an embedding
     of the flow time t is added to both conv-block activations before
-    their ReLU.
+    their ReLU. Each block's tail (add the time row, ReLU, layer norm)
+    is one tape op, ``nm.relu_norm``, on the ``norm1``/``norm2`` layers'
+    parameters; the convolutions are called as layers.
     """
 
     def __init__(self, cond_dim: int, hidden: int, noise_dim: int, time_dim: int,
@@ -139,10 +147,9 @@ class FlowPredictor(nn.Module):
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (batch,))
         emb = self.time(t_arr)  # (B, time_dim)
         h = self.conv1(nm.concat([cond, self.noise_proj(x)], axis=1))
-        h = nm.add(h, nm.unsqueeze(self.time_to_h1(emb), 2))
-        h = self.norm1(nm.relu(h))
-        h = nm.add(self.conv2(h), nm.unsqueeze(self.time_to_h2(emb), 2))
-        h = self.norm2(nm.relu(h))
+        h = nm.relu_norm(h, self.norm1.gain, self.norm1.bias, self.time_to_h1(emb))
+        h = self.conv2(h)
+        h = nm.relu_norm(h, self.norm2.gain, self.norm2.bias, self.time_to_h2(emb))
         return self.proj(h)
 
 

@@ -112,12 +112,15 @@ UNDRAWN = _Undrawn()
 
 
 def token_ids(ids, vocab: int) -> np.ndarray:
-    """``ids`` as a (B, T) array of token ids below ``vocab``; any other
-    shape or an id outside [0, vocab) raises ValueError."""
+    """``ids`` as a (B, T) array of integer token ids below ``vocab``; any
+    other shape, a dtype that is not an integer type (floats, bools) or
+    an id outside [0, vocab) raises ValueError."""
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ValueError(
             f"embedding expects batched (B, T) token ids, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise ValueError(f"token id {bad} outside vocabulary of size {vocab}")

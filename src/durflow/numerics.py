@@ -3,9 +3,11 @@
 The engine is deliberately small: a :class:`Tensor` wraps an ndarray, a
 :class:`Tape` records one closure per primitive op while a ``record()``
 context is active, and ``Tape.backward`` replays the closures in reverse.
-Ops are coarse on purpose. ``conv1d`` and ``layer_norm`` are single tape
-nodes with hand-written adjoints, so almost all time is spent inside
-BLAS rather than in Python graph bookkeeping.
+Ops are coarse on purpose. ``conv1d``, ``layer_norm`` and ``relu_norm``
+(a conv block's tail: add a per-sentence row, ReLU, layer norm) are
+single tape nodes with hand-written adjoints, so almost all time is
+spent inside BLAS rather than in Python graph bookkeeping, and few
+intermediates wait on the tape for backward.
 
 Conventions:
 
@@ -37,15 +39,23 @@ Conventions:
   where they are read, into flat buffers, as an :class:`Adam`
   optimizer does with the parameters it updates and with a working
   copy it reads their gradients from,
+* the tape keeps every op's output, and whatever its backward closure
+  saved, until backward reaches that node. The closures save little:
+  ``matmul`` and ``conv1d`` keep references to their inputs' data, and
+  ``conv1d`` rebuilds its width-3 patch matrix in backward rather than
+  hold it; ``layer_norm`` and ``relu_norm`` keep the normalised input
+  and the per-column inverse standard deviations, and ``relu_norm``
+  also its ReLU's boolean mask,
 * ``Tape.backward`` drops each node once it has run, so an op's saved
   arrays and its output's gradient are freed while the pass goes on,
-* ``conv1d`` and ``layer_norm`` take batched (B, C, T) input only; a
-  single sequence is a batch of one. Sequences of unequal length are
-  packed back to back along T, with no padding, and ``conv1d`` is told
-  their lengths, so that no tap crosses from one into the next;
-  ``layer_norm`` works per step and needs no lengths. Both compute on
-  channel-major (C, B*T) matrices and return (B, C, T) views of that
-  memory, so a chain of them transposes nothing in between,
+* ``conv1d``, ``layer_norm`` and ``relu_norm`` take batched (B, C, T)
+  input only; a single sequence is a batch of one. Sequences of unequal
+  length are packed back to back along T, with no padding, and
+  ``conv1d`` is told their lengths, so that no tap crosses from one
+  into the next; the two norms work per step and need no lengths. All
+  three compute on channel-major (C, B*T) matrices and return (B, C, T)
+  views of that memory, so a chain of them transposes nothing in
+  between,
 * ``conv1d`` takes kernels of width 1 and 3 only, the widths the
   models use. One rule lays out width-3 taps over packed sequences:
   ``segment_edges`` gives each sequence's first and last column and
@@ -477,10 +487,6 @@ def permute(a: Tensor, axes) -> Tensor:
     return out
 
 
-def unsqueeze(a: Tensor, axis: int) -> Tensor:
-    return reshape(a, a.data.shape[:axis] + (1,) + a.data.shape[axis:])
-
-
 def concat(tensors, axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out, tracked = _make_out(
@@ -613,10 +619,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     For k=3 the forward pass fills a (C_in, 3, B*T) patch matrix with
     the input as its centre tap and its two shifted copies from
     ``fill_taps``, and performs one dgemm; for k=1 the channel-major
-    input itself is that matrix, with no copy. The backward pass is
-    two dgemms, after which each input step sums its taps' shifted
-    slices in tap order. The forward and backward passes zero the same
-    columns. The output is (B, C_out, T); its memory is channel-major.
+    input itself is that matrix, with no copy. The tape keeps the
+    input's data, not the patches: the backward pass rebuilds them for
+    the weight's gradient. It is two dgemms, after which each input
+    step sums its taps' shifted slices in tap order. The forward and
+    backward passes zero the same columns. The output is (B, C_out, T);
+    its memory is channel-major.
     """
     _check_batched("conv1d", x)
     c_out, c_in, k = weight.data.shape
@@ -629,27 +637,30 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
         )
     first, last = segment_edges(lengths, batch, t_len)
     n = batch * t_len
-    xc = _channel_major(x.data)
-    if k == 1:
-        # one tap with no shift: the channel-major input is the patch matrix
-        patches = xc
-    else:
+    xd = x.data
+
+    def patch_matrix():
+        xc = _channel_major(xd)
+        if k == 1:
+            # one tap with no shift: the channel-major input is the patch matrix
+            return xc
         # patches[i, j, m] = x[i, m + j - 1] within m's sequence, else zero
         patches = np.empty((c_in, 3, n), dtype=xc.dtype)
         patches[:, 1] = xc
         # the edge taps read xc, not patches[:, 1]: its rows interleave
         # with theirs, and numpy copies an overlapping source first
         fill_taps((patches[:, 0], xc, patches[:, 2]), first, last)
-        patches = patches.reshape(c_in * 3, n)
+        return patches.reshape(c_in * 3, n)
+
     w2 = weight.data.reshape(c_out, c_in * k)
-    out2 = w2 @ patches
+    out2 = w2 @ patch_matrix()
     out2 += bias.data[:, None]
     out, tracked = _make_out(_batch_major_view(out2, batch, t_len), (x, weight, bias))
     if tracked:
         def backward_fn(g):
             g2 = _channel_major(g)
             if weight.requires_grad:
-                _accum(weight, (g2 @ patches.T).reshape(weight.data.shape), fresh=True)
+                _accum(weight, (g2 @ patch_matrix().T).reshape(weight.data.shape), fresh=True)
             if bias.requires_grad:
                 _accum(bias, g2.sum(axis=1), fresh=True)
             if x.requires_grad:
@@ -706,33 +717,107 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     output's memory is channel-major.
     """
     _check_batched("layer_norm", x)
-    batch, c, t_len = x.data.shape
+    batch, _, t_len = x.data.shape
     xc = _channel_major(x.data)
-    xhat, out2 = np.empty_like(xc), np.empty_like(xc)
-    inv_std = centre_columns(xc, xhat, out2)
-    xhat *= inv_std
-    np.multiply(gain.data[:, None], xhat, out=out2)
-    out2 += bias.data[:, None]
+    out2 = np.empty_like(xc)
+    xhat, inv_std = _norm_forward(xc, out2, gain, bias)
     out, tracked = _make_out(_batch_major_view(out2, batch, t_len), (x, gain, bias))
     if tracked:
         def backward_fn(g):
-            gc = _channel_major(g)
-            prod = gc * xhat
-            if gain.requires_grad:
-                _accum(gain, _sum_batch_time(prod, batch, t_len), fresh=True)
-            if bias.requires_grad:
-                _accum(bias, _sum_batch_time(gc, batch, t_len), fresh=True)
-            if x.requires_grad:
-                # gx = inv_std / c * (c*gxhat - sum(gxhat) - xhat*sum(gxhat*xhat))
-                gxhat = gc * gain.data[:, None]
-                np.multiply(gxhat, xhat, out=prod)
-                s2 = prod.sum(axis=0)
-                gx = np.multiply(c, gxhat)
-                gx -= gxhat.sum(axis=0)
-                np.multiply(xhat, s2, out=prod)
-                gx -= prod
-                gx *= inv_std / c
+            gx = _norm_adjoint(_channel_major(g), xhat, inv_std, gain, bias,
+                               batch, t_len, x.requires_grad)
+            if gx is not None:
                 _accum(x, _batch_major_view(gx, batch, t_len), fresh=True)
+        _active_tape._push(out, backward_fn)
+    return out
+
+
+def _norm_forward(xc, out, gain: Tensor, bias: Tensor) -> tuple:
+    """Layer-normalise the columns of the channel-major (C, B*T) ``xc``
+    into ``out``, which may be ``xc`` itself; return the normalised
+    input and the per-column inverse standard deviations, what
+    ``_norm_adjoint`` needs."""
+    xhat = np.empty_like(xc)
+    inv_std = centre_columns(xc, xhat, out)
+    xhat *= inv_std
+    np.multiply(gain.data[:, None], xhat, out=out)
+    out += bias.data[:, None]
+    return xhat, inv_std
+
+
+def _norm_adjoint(gc, xhat, inv_std, gain: Tensor, bias: Tensor, batch: int,
+                  t_len: int, want_input: bool):
+    """Backward of a layer norm whose output gradient is the channel-major
+    (C, B*T) ``gc``: accumulate the gain's and the bias's gradients and,
+    with ``want_input``, return the normalised input's, channel-major;
+    else None. ``xhat`` and ``inv_std`` are what ``centre_columns`` gave
+    the forward pass, ``xhat`` already scaled."""
+    prod = gc * xhat
+    if gain.requires_grad:
+        _accum(gain, _sum_batch_time(prod, batch, t_len), fresh=True)
+    if bias.requires_grad:
+        _accum(bias, _sum_batch_time(gc, batch, t_len), fresh=True)
+    if not want_input:
+        return None
+    # gx = inv_std / c * (c*gxhat - sum(gxhat) - xhat*sum(gxhat*xhat))
+    c = len(gc)
+    gxhat = gc * gain.data[:, None]
+    np.multiply(gxhat, xhat, out=prod)
+    s2 = prod.sum(axis=0)
+    gx = np.multiply(c, gxhat)
+    gx -= gxhat.sum(axis=0)
+    np.multiply(xhat, s2, out=prod)
+    gx -= prod
+    gx *= inv_std / c
+    return gx
+
+
+def relu_norm(x: Tensor, gain: Tensor, bias: Tensor, rows: Tensor = None) -> Tensor:
+    """``layer_norm(relu(x + rows[:, :, None]), gain, bias)`` as one op:
+    the tail of a convolution block.
+
+    ``x`` is (B, C, T), gain and bias are (C,), and ``rows``, when given,
+    is (B, C): one row added to every step of its sequence (a flow-time
+    embedding), else nothing is added. The floats are those of the three
+    ops composed, computed in the same order, so results and gradients
+    are bit-identical to them. One fresh channel-major buffer takes the
+    sum, is ReLU'd in place, serves ``centre_columns`` as scratch and
+    then holds the output. The tape keeps the ReLU's boolean mask, the
+    normalised input and the per-column inverse standard deviations,
+    none of the intermediate activations. Backward runs layer_norm's
+    adjoint, masks it, and gives ``rows`` its sums over each sequence.
+    """
+    _check_batched("relu_norm", x)
+    batch, c, t_len = x.data.shape
+    if rows is None:
+        h = np.maximum(_channel_major(x.data), 0.0)
+    else:
+        if rows.data.shape != (batch, c):
+            raise ValueError(f"relu_norm rows must be (B, C) = {(batch, c)}, "
+                             f"got shape {rows.data.shape}")
+        h = np.empty((c, batch * t_len), dtype=np.result_type(x.data, rows.data))
+        np.add(x.data, rows.data[:, :, None], out=_batch_major_view(h, batch, t_len))
+        np.maximum(h, 0.0, out=h)
+    positive = h > 0.0
+    xhat, inv_std = _norm_forward(h, h, gain, bias)
+    out, tracked = _make_out(_batch_major_view(h, batch, t_len), (x, gain, bias, rows))
+    if tracked:
+        row_grad = rows is not None and rows.requires_grad
+
+        def backward_fn(g):
+            gh = _norm_adjoint(_channel_major(g), xhat, inv_std, gain, bias,
+                               batch, t_len, x.requires_grad or row_grad)
+            if gh is None:
+                return
+            gh *= positive
+            gx = _batch_major_view(gh, batch, t_len)
+            if row_grad:
+                # broadcasting's adjoint: a sum over T, or at T = 1 the
+                # step itself, -0.0 kept
+                gr = _unbroadcast(gx, (batch, c, 1))
+                _accum(rows, gr.reshape(batch, c), fresh=gr is not gx)
+            if x.requires_grad:
+                _accum(x, gx, fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -814,11 +899,11 @@ class Adam:
                                  None if copy is None else copy[lo:hi]))
 
     def _check_finite(self):
-        # a finite sum proves every entry finite. Summed in float64, float32
-        # gradients cannot overflow; float64 ones can, and the search below
-        # then finds nothing to report
+        # a finite sum proves every entry finite. It is summed in the
+        # gradient's own dtype, so finite entries whose sum overflows reach
+        # the search below, which then finds nothing to report
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(self._grad.sum(dtype=np.float64)):
+            if np.isfinite(self._grad.sum()):
                 return
         for name, _, _, grad in self._views:
             if grad is not None and not np.all(np.isfinite(grad)):

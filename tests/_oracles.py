@@ -292,9 +292,9 @@ def gradient_cases():
     ))
     w9 = proj((2, 3, 3))
     cases.append((
-        "concat_unsqueeze",
+        "concat",
         lambda a, b: nm.tensor_sum(
-            nm.mul(nm.concat([a, nm.unsqueeze(b, 1)], axis=1), w9)
+            nm.mul(nm.concat([a, nm.reshape(b, (2, 1, 3))], axis=1), w9)
         ),
         [rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3))],
     ))
@@ -379,6 +379,24 @@ def gradient_cases():
         "conv1d_segments",
         lambda x, w, b: nm.tensor_sum(nm.mul(nm.conv1d(x, w, b, [3, 1, 4]), w17)),
         [rng.normal(size=(2, 3, 8)), rng.normal(size=(4, 3, 3)), rng.normal(size=(4,))],
+    ))
+    # a conv block's tail, as the fm predictor runs it: a time row added
+    # to a packed convolution's output (lengths 2, 1 and 3), ReLU, layer
+    # norm; redrawn until every pre-activation is clear of the kink
+    lengths = [2, 1, 3]
+    while True:
+        block = [rng.normal(size=(2, 3, 6)), rng.normal(size=(4, 3, 3)),
+                 rng.normal(size=(4,)), rng.normal(size=(2, 4))]
+        x, w, b, rows = (nm.Tensor(a) for a in block)
+        pre = nm.conv1d(x, w, b, lengths).data + rows.data[:, :, None]
+        if np.abs(pre).min() > 0.05:
+            break
+    w18 = proj((2, 4, 6))
+    cases.append((
+        "relu_norm_rows_segments",
+        lambda x, w, b, g, gb, rows: nm.tensor_sum(nm.mul(
+            nm.relu_norm(nm.conv1d(x, w, b, lengths), g, gb, rows), w18)),
+        [*block[:3], rng.uniform(0.5, 1.5, size=(4,)), rng.normal(size=(4,)), block[3]],
     ))
     return cases
 

@@ -140,6 +140,16 @@ class TestDetLoss:
         with pytest.raises(ValueError):
             loss(model, np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)), None)
 
+    @pytest.mark.parametrize("kind", ["det", "fm"])
+    def test_non_integer_ids_rejected(self, kind):
+        model = tiny_model(kind)
+        for ids in (np.array([[1.5, 0.0]]), np.array([[True, False]])):
+            with pytest.raises(ValueError, match="token ids must be integers"):
+                loss(model, ids, np.zeros((1, 2)), np.random.default_rng(0))
+        value = loss(model, np.array([[3, 0]], dtype=np.uint8), np.zeros((1, 2)),
+                     np.random.default_rng(0))
+        assert np.isfinite(value.item())
+
     def test_shape_mismatch_rejected(self):
         model = tiny_model("det")
         with pytest.raises(ValueError):

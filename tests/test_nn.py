@@ -60,6 +60,19 @@ class TestEmbeddingForward:
         with pytest.raises(ValueError, match=r"batched \(B, T\) token ids"):
             embed(np.zeros(shape, dtype=int))
 
+    @pytest.mark.parametrize("ids, dtype", [([[1.5, 0.0]], "float64"),
+                                            ([[True, False]], "bool")])
+    def test_non_integer_ids_rejected(self, ids, dtype):
+        embed = embedding(np.zeros((4, 2)))
+        for call in (lambda: nn.token_ids(ids, 4), lambda: embed(np.array(ids))):
+            with pytest.raises(ValueError, match=f"token ids must be integers, got dtype {dtype}"):
+                call()
+
+    def test_unsigned_ids_accepted(self):
+        embed = embedding(np.eye(4))
+        ids = np.array([[3, 0, 1]], dtype=np.uint8)
+        assert np.array_equal(embed(ids).data[0], np.eye(4)[[3, 0, 1]].T)
+
     def test_batched_lookup_shape(self):
         embed = embedding(np.random.default_rng(1).normal(size=(7, 3)))
         out = embed(np.zeros((2, 5), dtype=int))

@@ -202,6 +202,43 @@ class TestBitExactLayouts:
         assert not h.data.flags.c_contiguous
         assert x.grad.flags.c_contiguous
 
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["no-rows", "rows"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(3, 6, 5), (2, 280, 17), (3, 5, 1)],
+                             ids=["batched", "wide", "T1"])
+    def test_relu_norm_equals_composed_ops(self, shape, dtype, with_rows):
+        # one op, the same floats: output and every gradient, bit for bit,
+        # an exactly zero pre-activation and its -0.0 gradients included
+        rng = np.random.default_rng(shape[-2] + shape[-1])
+        batch, c, t_len = shape
+        # stored channel-major, as a conv1d output feeding it is
+        xv = rng.normal(size=(c, batch, t_len)).transpose(1, 0, 2)
+        rv = rng.normal(size=(batch, c))
+        xv[0, 0, 0] = 0.0
+        if with_rows:
+            xv[1, 1, 0] = -rv[1, 1]
+        arrays = [xv, rng.uniform(0.5, 1.5, size=c), rng.normal(size=c), rv]
+        upstream = Tensor(rng.normal(size=shape).astype(dtype))
+
+        def run(block):
+            leaves = [Tensor(a.astype(dtype), requires_grad=True)
+                      for a in arrays[:4 if with_rows else 3]]
+            with record() as tape:
+                out = block(*leaves)
+                loss = nm.tensor_sum(nm.mul(out, upstream))
+            tape.backward(loss)
+            return [out.data] + [t.grad for t in leaves]
+
+        def composed(x, gain, bias, rows=None):
+            if rows is not None:
+                x = nm.add(x, nm.reshape(rows, (batch, c, 1)))
+            return nm.layer_norm(nm.relu(x), gain, bias)
+
+        for got, want in zip(run(nm.relu_norm), run(composed)):
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
 
 class TestTapeSemantics:
     def test_backward_twice_raises(self):
@@ -305,6 +342,14 @@ class TestValidation:
         with pytest.raises(ValueError,
                            match=r"layer_norm expects a batched \(B, C, T\) input"):
             nm.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        with pytest.raises(ValueError,
+                           match=r"relu_norm expects a batched \(B, C, T\) input"):
+            nm.relu_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+    def test_relu_norm_rows_must_be_one_per_channel_and_sequence(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match=r"relu_norm rows must be \(B, C\)"):
+            nm.relu_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), Tensor(np.zeros((1, 3))))
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
@@ -420,6 +465,32 @@ class TestAdam:
             opt.step()
         assert np.all(np.isfinite(p.data))
 
+    def test_float32_gradients_whose_float32_sum_overflows_are_accepted(self):
+        # the check sums in the gradient's dtype: 4 * 3e38 passes the
+        # float32 maximum, though every entry is finite
+        theta0 = np.array([0.5, -1.0, 2.0, 0.0])
+        master = parameter(theta0.copy())
+        work = Tensor(theta0.astype(np.float32))
+        opt = Adam({"w": master}, working={"w": work})
+        g = np.full(4, 3e38, dtype=np.float32)
+        work.grad[...] = g
+        opt.step()
+        expected = ref_adam(theta0, [g.astype(np.float64)])
+        assert np.max(np.abs(master.data - expected)) < 1e-14
+        assert np.array_equal(work.data, master.data.astype(np.float32))
+        assert np.all(work.grad == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float32_gradient_is_named(self, bad):
+        masters = {"predictor.proj.bias": parameter(np.ones(1)),
+                   "predictor.norm2.gain": parameter(np.ones(4))}
+        work = {name: Tensor(p.data.astype(np.float32)) for name, p in masters.items()}
+        opt = Adam(masters, working=work)
+        work["predictor.norm2.gain"].grad[1] = bad
+        with pytest.raises(FloatingPointError, match="'predictor.norm2.gain'"):
+            opt.step()
+        assert all(np.all(p.data == 1.0) for p in masters.values())
+
     def test_working_copy_must_match_the_masters(self):
         params = {"w": parameter(np.ones(3)), "b": parameter(np.zeros(2))}
         for working in ({"w": Tensor(np.ones(3, np.float32))},
@@ -489,6 +560,7 @@ class TestDtypes:
             "conv1d": nm.conv1d(x, t(4, 3, 3), t(4)),
             "conv1d_2d": nm.conv1d(t(1, 3, 5), t(4, 3, 1), t(4)),
             "layer_norm": nm.layer_norm(x, t(3), t(3)),
+            "relu_norm": nm.relu_norm(x, t(3), t(3), t(2, 3)),
             "add": nm.add(x, t(3, 1)),
             "mul": nm.mul(x, x),
             "scale": nm.scale(x, 0.5),

@@ -1,6 +1,7 @@
 """Training-loop behavior: convergence, logging, determinism, failure modes."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,3 +366,33 @@ def test_parameter_edit_shows_in_next_call():
     baseline = train_model(kept, corpus, steps=1, batch_size=8, seed=1)[0]
     # a bias 10 off puts every prediction about 10 off its target
     assert first > 50.0 and baseline < 50.0
+
+
+# a float32 fm step at batch 16 holds about 15.4 KB per column of its
+# batch (B*T) at its peak: the tape's activations, then backward's
+# adjoints. Before each conv block's tail ran as one op and conv1d
+# rebuilt its patches in backward, it held about 28.1 KB
+STEP_BYTES_PER_COLUMN = 21_000
+
+
+def test_fm_step_memory_per_column_stays_bounded():
+    # array sizes fix the slope, so the guard is deterministic: the peak
+    # of one loss forward and backward, at two batch widths
+    model = DurationModel("fm", 24, seed=0)
+    work = float32_working_copy(model)
+    rng = np.random.default_rng(0)
+    peaks = []
+    for t_len in (18, 30):
+        ids = rng.integers(0, 24, size=(16, t_len))
+        targets = rng.normal(size=(16, t_len))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with nm.record() as tape:
+                value = loss(work, ids, targets, rng)
+            tape.backward(value)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    per_column = (peaks[1] - peaks[0]) / (16 * (30 - 18))
+    assert per_column < STEP_BYTES_PER_COLUMN, f"{per_column:.0f} bytes per column"
