@@ -29,13 +29,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from durflow import nn
 from durflow import numerics as nm
 from durflow.data import CorpusSpec, DurationCorpus, STYLES, generate, load, save
 from durflow.duration import MODEL_KINDS, DurationModel, SampleOptions, load_model, save_model
 from durflow.encoder import FILLER_ID, PAUSE_ID
 from durflow.evaluation import (
-    MIN_STAT_TOKENS, bench_sampling, corpus_frames, declared_modes, dist_stats,
-    frames_by_class, residual_vs_nfe, write_report,
+    MIN_STAT_TOKENS, SAMPLING_DTYPE, bench_sampling, corpus_frames, declared_modes,
+    dist_stats, frames_by_class, residual_vs_nfe, write_report,
 )
 from durflow.files import atomic_write
 from durflow.training import BATCH_SIZE, LEARNING_RATE, check_options, train_model
@@ -192,11 +193,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_for_sampling(path) -> DurationModel:
+    """The checkpoint at ``path`` as a SAMPLING_DTYPE model. Corpus-level
+    sampling runs in that dtype, so its float64 arrays are dropped as
+    soon as they are converted, and every pass runs on this one copy."""
+    return nn.cast_copy(load_model(path), SAMPLING_DTYPE)
+
+
 def cmd_sample(args) -> int:
     config, provided = resolve_config(args)
     if args.reps is not None and args.reps < 1:
         raise UsageError("reps must be >= 1")
-    model = load_model(args.checkpoint)
+    model = _load_for_sampling(args.checkpoint)
     if "kind" in provided and config.kind != model.kind:
         raise ValueError(
             f"checkpoint holds a '{model.kind}' model but kind={config.kind} requested"
@@ -244,7 +252,7 @@ def _eval_reps(corpus: DurationCorpus) -> int:
 
 def cmd_eval(args) -> int:
     config, _ = resolve_config(args)
-    models = {"det": load_model(args.det), "fm": load_model(args.fm)}
+    models = {"det": _load_for_sampling(args.det), "fm": _load_for_sampling(args.fm)}
     for kind, model in models.items():
         if model.kind != kind:
             raise ValueError(f"--{kind} points at a '{model.kind}' checkpoint")

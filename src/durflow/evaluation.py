@@ -29,11 +29,14 @@ calls are laid out depends only on the corpus, the reps and
 MAX_BATCH_COLUMNS, and every product runs on one thread, so samples do
 not depend on the thread count.
 
-Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE), on
-a copy of the model made at the start of each pass, while the Euler
-state and the log-durations returned stay float64. On spont validation
-sets it flipped no integer frame against float64 sampling (see the
-README); training never sees the copy.
+Corpus-level sampling runs the network in float32 (SAMPLING_DTYPE),
+while the Euler state and the log-durations returned stay float64. A
+pass over a float64 model runs on a float32 copy made at its start,
+which training never sees; a pass over a model already in
+SAMPLING_DTYPE, as ``durflow sample`` and ``durflow eval`` load their
+checkpoints, runs on the model itself and copies no parameter. On spont
+validation sets float32 sampling flipped no integer frame against
+float64 sampling (see the README).
 """
 
 from __future__ import annotations
@@ -168,9 +171,11 @@ def _corpus_log_values(model: DurationModel, corpus: DurationCorpus,
     are split into calls by ``_sample_calls``: an fm model's with every
     rep, a det model's with one realisation that every rep shares. Each
     call encodes its own sentences and predicts or samples them
-    (``_packed_log_values``). The calls run on a SAMPLING_DTYPE copy of
-    the model, made here and dropped on return, so a change to the
-    model's parameters shows in the next call.
+    (``_packed_log_values``). The calls run on the model cast to
+    SAMPLING_DTYPE (``nn.cast_copy``): a copy made here and dropped on
+    return, or the model's own parameter arrays when they already hold
+    that dtype. Either way a change to the model's parameters shows in
+    the next call.
 
     The whole pass runs with OpenBLAS on one thread, and the calls are
     shared out over as many worker threads as OpenBLAS had; the count

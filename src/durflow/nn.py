@@ -65,11 +65,34 @@ class Module:
         return out
 
 
+class _Undrawn:
+    """Stands in for the Generator a layer draws its initial weights
+    from, for a caller that sets every parameter next, and allocates
+    nothing: each draw is a read-only view of one zero in the drawn
+    shape, and the layer's parameters get no gradient buffers
+    (``_parameter``)."""
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    normal = uniform
+
+
+UNDRAWN = _Undrawn()
+
+
+def _parameter(rng, data) -> Tensor:
+    """``parameter(data)`` for a layer built from ``rng``; under UNDRAWN,
+    a trainable Tensor without a gradient buffer, since its data is
+    replaced next."""
+    return Tensor(data, requires_grad=True) if rng is UNDRAWN else parameter(data)
+
+
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         lim = np.sqrt(1.0 / in_dim)
-        self.weight = parameter(rng.uniform(-lim, lim, size=(in_dim, out_dim)))
-        self.bias = parameter(np.zeros(out_dim))
+        self.weight = _parameter(rng, rng.uniform(-lim, lim, size=(in_dim, out_dim)))
+        self.bias = _parameter(rng, np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.add(nm.matmul(x, self.weight), self.bias)
@@ -79,10 +102,10 @@ class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
                  rng: np.random.Generator):
         lim = np.sqrt(1.0 / (in_channels * kernel_width))
-        self.weight = parameter(
-            rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
+        self.weight = _parameter(
+            rng, rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
         )
-        self.bias = parameter(np.zeros(out_channels))
+        self.bias = _parameter(rng, np.zeros(out_channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.conv1d(x, self.weight, self.bias)
@@ -95,20 +118,6 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)
-
-
-class _Undrawn:
-    """Stands in for the Generator a layer draws its initial weights
-    from, and draws nothing: each draw is an uninitialised array, for a
-    caller that sets every parameter next."""
-
-    def uniform(self, low, high, size):
-        return np.empty(size)
-
-    normal = uniform
-
-
-UNDRAWN = _Undrawn()
 
 
 def token_ids(ids, vocab: int) -> np.ndarray:
@@ -129,7 +138,7 @@ def token_ids(ids, vocab: int) -> np.ndarray:
 
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
-        self.table = parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
+        self.table = _parameter(rng, rng.normal(0.0, 0.02, size=(vocab_size, dim)))
 
     def __call__(self, ids) -> Tensor:
         """Look up token embeddings, channels first.
@@ -185,14 +194,17 @@ def cast_copy(layer, dtype):
     as ``dtype``.
 
     Each parameter is converted straight from the original's data, and
-    everything else is shared with the original. The copy has no
-    gradient buffers and does not follow later changes to the original;
-    training's optimiser gives its copy gradients (``numerics.Adam``).
+    everything else is shared with the original. A parameter that
+    already holds ``dtype`` shares the original's array, so a cast of a
+    model already in ``dtype`` copies no parameter and follows in-place
+    changes to it; a converted parameter does not follow later changes.
+    The copy has no gradient buffers; training's optimiser gives its
+    copy gradients (``numerics.Adam``).
     """
     out = copy.copy(layer)
     for name, value in vars(layer).items():
         if isinstance(value, Tensor):
-            setattr(out, name, Tensor(value.data.astype(dtype)))
+            setattr(out, name, Tensor(value.data.astype(dtype, copy=False)))
         elif isinstance(value, Module):
             setattr(out, name, cast_copy(value, dtype))
     return out

@@ -1,21 +1,23 @@
 """End-to-end behavior of the durflow command line."""
 
 import csv
+import gc
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from durflow import cli
+from durflow import cli, evaluation
 from durflow import numerics as nm
 from durflow.cli import main
-from durflow.data import BLANK_ID, CorpusSpec, _default_laws, generate, save
-from durflow.duration import DurationModel, save_model
-from durflow.evaluation import corpus_frames
+from durflow.data import BLANK_ID, CorpusSpec, _default_laws, generate, load, save
+from durflow.duration import DurationModel, SampleOptions, load_model, save_model
+from durflow.evaluation import SAMPLING_DTYPE, corpus_frames
 from durflow.nn import load_params, save_params
 from durflow.training import train_model
 from test_duration import BAD_PARAMETER_ARRAYS, rewrite_param
@@ -532,6 +534,58 @@ def test_sample_fm_default_five_realisations(tmp_path, capsys, tiny_checkpoints)
     assert "reps=5" in lines[0]
     first_id = lines[1].split()[0]
     assert sum(1 for ln in lines[1:] if ln.split()[0] == first_id) == 5
+
+
+@pytest.mark.parametrize("kind", ["det", "fm"])
+def test_sample_writes_the_float64_models_frames(tmp_path, capsys, tiny_checkpoints, kind):
+    # the command samples its own SAMPLING_DTYPE copy of the checkpoint;
+    # a pass over the float64 model casts the same arrays to the same
+    # dtype, so durations.txt holds the same bytes either way
+    paths, corpus_path = tiny_checkpoints
+    out = tmp_path / "s"
+    code, _, _ = run(["sample", "--checkpoint", paths[kind], "--corpus", corpus_path,
+                      "--nfe", "3", "--reps", "2", "--seed", "6", "--out", str(out)], capsys)
+    assert code == 0
+    corpus = load(corpus_path)
+    frames = corpus_frames(load_model(paths[kind]), corpus, SampleOptions(nfe=3, seed=6), 2)
+    want = [f"#durations model={kind} nfe=3 temperature=0.667 seed=6 min_duration=0 "
+            f"reps=2 sentences={len(corpus)}"]
+    want += [f"{s.sent_id} {rep} " + " ".join(str(int(d)) for d in frames[s.sent_id][rep])
+             for s in corpus.sentences for rep in range(2)]
+    assert (out / "durations.txt").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_sampling_holds_no_float64_checkpoint_array(tmp_path, capsys, monkeypatch,
+                                                    tiny_checkpoints, command):
+    # each checkpoint is cast to SAMPLING_DTYPE as it is loaded and only
+    # the cast is kept, so once a sampling pass starts no float64 array
+    # a load returned is alive, and every pass gets a model already in
+    # that dtype
+    paths, corpus_path = tiny_checkpoints
+    loaded, passes = [], []
+    load_checkpoint, corpus_pass = cli.load_model, evaluation._corpus_log_values
+
+    def tracked_load(path):
+        model = load_checkpoint(path)
+        loaded.extend(weakref.ref(p.data) for p in model.params().values())
+        return model
+
+    def checked_pass(model, *args):
+        gc.collect()
+        alive = [ref for ref in loaded if ref() is not None]
+        passes.append((len(alive), {p.data.dtype for p in model.params().values()}))
+        return corpus_pass(model, *args)
+
+    monkeypatch.setattr(cli, "load_model", tracked_load)
+    monkeypatch.setattr(evaluation, "_corpus_log_values", checked_pass)
+    argv = {"sample": ["sample", "--checkpoint", paths["fm"], "--reps", "2"],
+            "eval": ["eval", "--det", paths["det"], "--fm", paths["fm"]]}[command]
+    code, _, err = run(argv + ["--corpus", corpus_path, "--nfe", "2",
+                               "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    assert loaded and passes
+    assert passes == [(0, {np.dtype(SAMPLING_DTYPE)})] * len(passes)
 
 
 def test_sample_kind_mismatch_is_runtime_error(tmp_path, capsys,

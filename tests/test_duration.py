@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,18 @@ class TestFmSampleBatch:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(frames_of(got), frames_of(want))
 
+    def test_conditioning_patches_outgrow_the_step_patches(self):
+        # the call's one patch buffer is sized for the larger of its two
+        # uses: here conv1's 3D = 48 rows over B*T columns outgrow the
+        # steps' 3 * hidden + 6 = 18 rows over R*B*T = 2*B*T columns
+        model = DurationModel("fm", vocab_size=6, seed=3, encoder_dim=16, hidden=4,
+                              noise_dim=4, time_dim=8)
+        got, want = packed_sample_and_reference(
+            model, np.random.default_rng(8), 3, (4, 1, 11), 4, reps=2)
+        assert got.shape == (6, 1, 16)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(frames_of(got), frames_of(want))
+
     def test_repeated_condition_matches_separate_batches(self):
         model = tiny_model("fm", seed=2)
         rng = np.random.default_rng(7)
@@ -725,6 +738,24 @@ class TestCheckpointRoundTrip:
             assert p.grad is None and p.requires_grad, name
             assert p.data.dtype == np.float64 and p.data.flags.c_contiguous, name
             assert np.array_equal(p.data, arrays[name]), name
+
+    def test_load_holds_little_beyond_the_checkpoint_arrays(self, tmp_path):
+        # the model a checkpoint loads into allocates no placeholder
+        # weights and no gradient buffers, so a load's traced peak stays
+        # near the parameters' bytes (1.07x on the default fm model)
+        path = tmp_path / "m.npz"
+        model = DurationModel("fm", 24, seed=0)
+        save_model(model, path)
+        nbytes = sum(p.data.nbytes for p in model.params().values())
+        del model
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p.data.nbytes for p in loaded.params().values()) == nbytes
+        assert peak <= 1.2 * nbytes, f"peak {peak / nbytes:.2f}x the parameter bytes"
 
     def test_loaded_model_samples_identically(self, tmp_path):
         model = tiny_model("fm", seed=3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import rounded_lognormal_moments
-from durflow import evaluation
+from durflow import evaluation, nn
 from durflow import numerics as nm
 from durflow.data import BIMODAL_ID, CorpusSpec, generate
 from durflow.duration import (
@@ -25,6 +25,7 @@ from durflow.duration import (
 from durflow.encoder import PAUSE_ID
 from durflow.evaluation import (
     DEFAULT_NFE_LIST,
+    SAMPLING_DTYPE,
     ResidualCurve,
     bench_sampling,
     corpus_frames,
@@ -420,26 +421,39 @@ def test_corpus_pass_runs_in_float32(tiny_det, tiny_fm, tiny_corpus, monkeypatch
     assert all(p.data.dtype == np.float64 for p in model.params().values())
 
 
-def test_parameter_edit_shows_in_next_pass(tiny_corpus):
-    def fresh():
-        return DurationModel("fm", 24, seed=5, encoder_dim=16, hidden=24,
-                             noise_dim=8, time_dim=8)
+def test_parameter_edit_shows_in_next_pass(tiny_corpus, monkeypatch):
+    # a pass casts a float64 model afresh, and samples a model already in
+    # SAMPLING_DTYPE through its own arrays, with no copy
+    def fresh(dtype):
+        return nn.cast_copy(DurationModel("fm", 24, seed=5, encoder_dim=16, hidden=24,
+                                          noise_dim=8, time_dim=8), dtype)
 
     def edit(model):
         for name in ("encoder.conv.weight", "predictor.conv2.weight",
                      "predictor.proj.bias"):
             model.params()[name].data[...] += 0.25
 
-    model, reference = fresh(), fresh()
+    read = []
+
+    def recording_sample(sampled, *args):
+        read.extend(p.data for p in sampled.params().values())
+        return fm_sample_batch(sampled, *args)
+
+    monkeypatch.setattr(evaluation, "fm_sample_batch", recording_sample)
     opts = SampleOptions(nfe=2, seed=1)
-    before = corpus_log_values(model, tiny_corpus, opts)
-    edit(model)
-    edit(reference)
-    after = corpus_log_values(model, tiny_corpus, opts)
-    want = corpus_log_values(reference, tiny_corpus, opts)
-    for s in tiny_corpus.sentences:
-        assert not np.array_equal(after[s.sent_id], before[s.sent_id])
-        assert np.array_equal(after[s.sent_id], want[s.sent_id])
+    for dtype in (np.float64, SAMPLING_DTYPE):
+        model, reference = fresh(dtype), fresh(dtype)
+        before = corpus_log_values(model, tiny_corpus, opts)
+        edit(model)
+        edit(reference)
+        read.clear()
+        after = corpus_log_values(model, tiny_corpus, opts)
+        own = {id(p.data) for p in model.params().values()}
+        assert read and {id(array) in own for array in read} == {dtype == SAMPLING_DTYPE}
+        want = corpus_log_values(reference, tiny_corpus, opts)
+        for s in tiny_corpus.sentences:
+            assert not np.array_equal(after[s.sent_id], before[s.sent_id])
+            assert np.array_equal(after[s.sent_id], want[s.sent_id])
 
 
 # ---------------------------------------------------------------- stats
