@@ -103,9 +103,9 @@ class DetPredictor(nn.Module):
 
     def __init__(self, cond_dim: int, hidden: int, rng: np.random.Generator):
         self.conv1 = nn.Conv1d(cond_dim, hidden, 3, rng)
-        self.norm1 = nn.LayerNorm(hidden)
+        self.norm1 = nn.LayerNorm(hidden, rng)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
-        self.norm2 = nn.LayerNorm(hidden)
+        self.norm2 = nn.LayerNorm(hidden, rng)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
 
     def __call__(self, cond: Tensor, lengths=None) -> Tensor:
@@ -133,9 +133,9 @@ class FlowPredictor(nn.Module):
         self.cond_dim = cond_dim
         self.noise_proj = nn.Conv1d(1, noise_dim, 1, rng)
         self.conv1 = nn.Conv1d(cond_dim + noise_dim, hidden, 3, rng)
-        self.norm1 = nn.LayerNorm(hidden)
+        self.norm1 = nn.LayerNorm(hidden, rng)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
-        self.norm2 = nn.LayerNorm(hidden)
+        self.norm2 = nn.LayerNorm(hidden, rng)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
         self.time = nn.TimeEmbedding(time_dim, rng)
         self.time_to_h1 = nn.Linear(time_dim, hidden, rng)
@@ -343,10 +343,11 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     The field is ``FlowPredictor.__call__`` run forward only on
     channel-major (hidden, R*B*T) buffers that are allocated once per
     call. What depends on neither x nor the step is computed once per
-    call too: conv1 over cond's channels with conv1's bias (added to
-    every realisation at every step), the two time rows of every grid
-    point, the first and last column of every sentence, and these folds
-    (gains by scaling, biases by matrix products):
+    call too: conv1 over cond's channels with conv1's bias (one
+    ``nm.conv1d``, added to every realisation at every step), the two
+    time rows of every grid point, the first and last column of every
+    sentence, and these folds (gains by scaling, biases by matrix
+    products):
 
     * noise_proj into conv1. Convolution is linear in its input
       channels, so conv1 over noise_proj's output is x convolved with
@@ -376,13 +377,8 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     conv2 -> ReLU -> norm2's centring -> proj. The ReLUs run in place.
     Both sets of taps are filled by ``nm.fill_taps``, the tap rule
     ``nm.conv1d`` builds its own patches with.
-
-    One patch buffer serves the call, sized for the larger of its two
-    uses. It first holds conv1's (3D, B*T) patches over cond, built by
-    ``nm.width3_patches`` and multiplied as ``nm.conv1d`` multiplies
-    them, so that part is bit for bit conv1d's output; the steps' patch
-    matrix then reuses it. Nothing outlives the call, so a change to the
-    parameters shows in the next call.
+    Nothing outlives the call, so a change to the parameters shows in
+    the next call.
 
     The network runs in the dtype of the model's parameters (float32
     for the copy that corpus-level sampling makes), the time rows
@@ -401,34 +397,27 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     predictor = model.predictor
     conv1, conv2 = predictor.conv1, predictor.conv2
     norm1, norm2 = predictor.norm1, predictor.norm2
-    weight1, cond_dim = conv1.weight.data, predictor.cond_dim
-    hidden, dtype = len(weight1), np.result_type(cond.data, weight1)
+    weight1 = conv1.weight.data
+    part = nm.conv1d(cond, Tensor(weight1[:, :predictor.cond_dim]), conv1.bias, lengths).data
+    hidden, dtype = len(weight1), part.dtype
+    # conv1d's output is channel-major in memory, so this is a view
+    part = part.transpose(1, 0, 2).reshape(hidden, -1)
     n = x.size
     first, last = nm.segment_edges(lengths, x.shape[0], t_len)
-    # one buffer holds conv1's patches over cond, then the step's patches
-    cond_size, rows = 3 * cond_dim * batch * t_len, 3 * hidden + 6
-    buffer = np.empty(max(cond_size, rows * n), dtype=dtype)
-    cond_patches = nm.width3_patches(cond.data, *nm.segment_edges(lengths, batch, t_len),
-                                     buffer[:cond_size].reshape(cond_dim, 3, batch * t_len))
-    # conv1 over cond's channels with conv1's bias, as nm.conv1d computes it
-    part = weight1[:, :cond_dim].reshape(hidden, -1) @ cond_patches  # (hidden, B*T)
-    part += conv1.bias.data[:, None]
     emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
     rows1 = predictor.time_to_h1(emb).data  # (nfe, hidden)
     rows2 = predictor.time_to_h2(emb).data
 
-    # conv2's taps, the ones and edge rows, x's taps; every step writes
-    # the taps before it reads them
-    patches = buffer[:rows * n].reshape(rows, n)
+    # conv2's taps, the ones and edge rows, x's taps
+    patches = np.zeros((3 * hidden + 6, n), dtype=dtype)
     taps = patches[:3 * hidden].reshape(3, hidden, n)
     patches[3 * hidden] = 1.0
-    patches[3 * hidden + 1:3 * hidden + 3] = 0.0
     patches[3 * hidden + 1, first] = 1.0
     patches[3 * hidden + 2, last] = 1.0
     x_taps = patches[3 * hidden + 3:]
     # conv1 over x with noise_proj folded in: the edge terms of its bias
     # over the ones and edge rows, then K over x's taps
-    noise_weight = weight1[:, cond_dim:]
+    noise_weight = weight1[:, predictor.cond_dim:]
     kernel1 = np.hstack([_edge_terms(noise_weight, predictor.noise_proj.bias.data),
                          predictor.noise_proj.weight.data[:, 0, 0] @ noise_weight])
     rows1 += kernel1[:, 0]

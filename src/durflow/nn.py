@@ -69,8 +69,8 @@ class _Undrawn:
     """Stands in for the Generator a layer draws its initial weights
     from, for a caller that sets every parameter next, and allocates
     nothing: each draw is a read-only view of one zero in the drawn
-    shape, and the layer's parameters get no gradient buffers
-    (``_parameter``)."""
+    shape. A layer built from it gives its parameters no gradient
+    buffers (``_parameter``)."""
 
     def uniform(self, low, high, size):
         return np.broadcast_to(0.0, size)
@@ -82,10 +82,10 @@ UNDRAWN = _Undrawn()
 
 
 def _parameter(rng, data) -> Tensor:
-    """``parameter(data)`` for a layer built from ``rng``; under UNDRAWN,
-    a trainable Tensor without a gradient buffer, since its data is
-    replaced next."""
-    return Tensor(data, requires_grad=True) if rng is UNDRAWN else parameter(data)
+    """A parameter of a layer built from ``rng``: with a zero gradient
+    buffer, or with none under UNDRAWN, whose caller replaces the data
+    next. Every layer builds its parameters here."""
+    return parameter(data, grad=rng is not UNDRAWN)
 
 
 class Linear(Module):
@@ -112,9 +112,10 @@ class Conv1d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int):
-        self.gain = parameter(np.ones(channels))
-        self.bias = parameter(np.zeros(channels))
+    def __init__(self, channels: int, rng=None):
+        # nothing is drawn: ``rng`` matters only as UNDRAWN
+        self.gain = _parameter(rng, np.ones(channels))
+        self.bias = _parameter(rng, np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)

@@ -60,10 +60,8 @@ Conventions:
   models use. One rule lays out width-3 taps over packed sequences:
   ``segment_edges`` gives each sequence's first and last column and
   ``fill_taps`` shifts the centre tap into the two edge taps, zero
-  across those edges. ``width3_patches`` builds a patch matrix with
-  it, for ``conv1d`` and for the Euler sampler's conditioning part
-  (``duration.fm_sample_batch``), and the sampler fills its step
-  buffers with it,
+  across those edges. ``conv1d`` builds its patches with it and the
+  Euler sampler (``duration.fm_sample_batch``) its step buffers,
 * every gradient buffer is C-contiguous in the layout of its tensor's
   data. numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it
@@ -212,10 +210,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data) -> Tensor:
-    """Build a trainable Tensor with a persistent zero gradient buffer."""
+def parameter(data, grad: bool = True) -> Tensor:
+    """Build a trainable Tensor with a persistent zero gradient buffer;
+    without ``grad``, with none (``grad`` stays None until a backward
+    pass or the optimiser makes one)."""
     t = Tensor(data, requires_grad=True)
-    t.grad = np.zeros_like(t.data)
+    if grad:
+        t.grad = np.zeros_like(t.data)
     return t
 
 
@@ -598,24 +599,6 @@ def fill_taps(taps: np.ndarray, first, last):
     taps[2][..., last] = 0.0
 
 
-def width3_patches(x: np.ndarray, first, last, out: np.ndarray) -> np.ndarray:
-    """Write the width-3 patch matrix of the (B, C, T) array ``x`` into
-    ``out``, a C-contiguous (C, 3, B*T) array, and return ``out`` as a
-    (3C, B*T) matrix: out[i, j, m] = x[i, m + j - 1] within m's
-    sequence, else zero, over the flat channel-major columns.
-
-    ``first`` and ``last`` are the columns ``segment_edges`` gives. A
-    width-3 kernel reshaped to (C_out, 3C) times the result is the
-    convolution's channel-major output.
-    """
-    xc = _channel_major(x)
-    out[:, 1] = xc
-    # the edge taps read xc, not out[:, 1]: its rows interleave with
-    # theirs, and numpy copies an overlapping source first
-    fill_taps((out[:, 0], xc, out[:, 2]), first, last)
-    return out.reshape(-1, out.shape[-1])
-
-
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """1-D convolution over the time axis with same zero padding.
 
@@ -637,12 +620,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
 
     The batch is flattened to B*T columns of a channel-major matrix.
     For k=3 the forward pass fills a (C_in, 3, B*T) patch matrix with
-    the input as its centre tap and its two shifted copies
-    (``width3_patches``), and performs one dgemm; for k=1 the
-    channel-major input itself is that matrix, with no copy. The tape
-    keeps the input's data, not the patches: the backward pass rebuilds
-    them for the weight's gradient. It is two dgemms, after which each
-    input step sums its taps' shifted slices in tap order. The forward and
+    the input as its centre tap and its two shifted copies from
+    ``fill_taps``, and performs one dgemm; for k=1 the channel-major
+    input itself is that matrix, with no copy. The tape keeps the
+    input's data, not the patches: the backward pass rebuilds them for
+    the weight's gradient. It is two dgemms, after which each input
+    step sums its taps' shifted slices in tap order. The forward and
     backward passes zero the same columns. The output is (B, C_out, T);
     its memory is channel-major.
     """
@@ -660,10 +643,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     xd = x.data
 
     def patch_matrix():
+        xc = _channel_major(xd)
         if k == 1:
             # one tap with no shift: the channel-major input is the patch matrix
-            return _channel_major(xd)
-        return width3_patches(xd, first, last, np.empty((c_in, 3, n), dtype=xd.dtype))
+            return xc
+        # patches[i, j, m] = x[i, m + j - 1] within m's sequence, else zero
+        patches = np.empty((c_in, 3, n), dtype=xc.dtype)
+        patches[:, 1] = xc
+        # the edge taps read xc, not patches[:, 1]: its rows interleave
+        # with theirs, and numpy copies an overlapping source first
+        fill_taps((patches[:, 0], xc, patches[:, 2]), first, last)
+        return patches.reshape(c_in * 3, n)
 
     w2 = weight.data.reshape(c_out, c_in * k)
     out2 = w2 @ patch_matrix()

@@ -438,18 +438,6 @@ class TestFmSampleBatch:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.array_equal(frames_of(got), frames_of(want))
 
-    def test_conditioning_patches_outgrow_the_step_patches(self):
-        # the call's one patch buffer is sized for the larger of its two
-        # uses: here conv1's 3D = 48 rows over B*T columns outgrow the
-        # steps' 3 * hidden + 6 = 18 rows over R*B*T = 2*B*T columns
-        model = DurationModel("fm", vocab_size=6, seed=3, encoder_dim=16, hidden=4,
-                              noise_dim=4, time_dim=8)
-        got, want = packed_sample_and_reference(
-            model, np.random.default_rng(8), 3, (4, 1, 11), 4, reps=2)
-        assert got.shape == (6, 1, 16)
-        assert np.max(np.abs(got - want)) <= 1e-12
-        assert np.array_equal(frames_of(got), frames_of(want))
-
     def test_repeated_condition_matches_separate_batches(self):
         model = tiny_model("fm", seed=2)
         rng = np.random.default_rng(7)
