@@ -29,7 +29,6 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from durflow.files import atomic_write
 
 RESERVED_IDS = (BLANK_ID, PAUSE_ID, FILLER_ID)
 ZERO_OK_IDS = (BLANK_ID, PAUSE_ID)  # the classes whose positions may take 0 frames
+INT64_MAX = np.iinfo(np.int64).max
 FIRST_PHONE_ID = 3
 NUM_PHONE_CLASSES = 20
 BIMODAL_ID = FIRST_PHONE_ID + NUM_PHONE_CLASSES  # 23
@@ -187,6 +187,8 @@ class Sentence:
     durations: np.ndarray
 
     def __post_init__(self):
+        if self.sent_id < 0:
+            raise ValueError(f"sentence id must be >= 0, got {self.sent_id}")
         self.durations = np.asarray(self.durations, dtype=np.int64)
         if self.durations.size != len(self.seq):
             raise ValueError("duration count does not match sequence length")
@@ -368,11 +370,17 @@ def save(corpus: DurationCorpus, path):
 
 
 def load(path) -> DurationCorpus:
-    """Parse a corpus file; malformed input reports the offending line number.
+    """Parse a corpus file, one data row at a time.
 
-    The tokens are converted and checked as whole arrays; only a file
-    that fails a check is read again line by line, to find the first
-    bad line."""
+    A row's three tab-separated fields (sentence id, token ids,
+    durations) are converted with ``int`` and checked in this order:
+    field count, integer tokens, at least one token, as many durations
+    as ids, every id in the vocabulary and with a law in the header,
+    durations at least 0 and within int64, 0 only on BLANK and PAUSE,
+    the interleaved BLANKs, a sentence id at least 0 and not used
+    before. The first failed check raises CorpusFormatError naming the
+    file and the line; so does a bad header (line 1). A file that is not
+    UTF-8 text and a validation split of the wrong size name the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -398,102 +406,55 @@ def load(path) -> DurationCorpus:
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CorpusFormatError(f"{path}: line 1: bad header ({exc})") from exc
 
+    # per-class table; a header vocabulary too large for memory fails here
     has_law = np.zeros(spec.vocab_size, dtype=bool)
     has_law[list(spec.laws)] = True
-    rows = [(lineno, line.split("\t")) for lineno, line in enumerate(lines[1:], start=2)
-            if line.strip()]
-    sentences = _checked_at_once(rows, has_law)
-    if sentences is None:
-        # some check failed: the line-by-line reader names the first bad line
-        sentences = _checked_line_by_line(path, rows, has_law)
+    has_law = has_law.tolist()
+    sentences = []
+    seen = {}  # sentence id -> line
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            sentence = _row_sentence(line.split("\t"), has_law)
+            if sentence.sent_id in seen:
+                raise ValueError(f"sentence id {sentence.sent_id} already used on "
+                                 f"line {seen[sentence.sent_id]}")
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+        seen[sentence.sent_id] = lineno
+        sentences.append(sentence)
     try:
         return DurationCorpus(sentences, spec, split)
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
-def _checked_at_once(rows, has_law: np.ndarray):
-    """The sentences of the data rows, each a (line number, tab-split
-    fields) pair, with every token converted and every check of
-    :func:`_checked_line_by_line` run on the whole corpus's arrays at
-    once; None if any row fails one."""
-    if any(len(fields) != 3 for _, fields in rows):
-        return None
-    id_rows = [fields[1].split() for _, fields in rows]
-    dur_rows = [fields[2].split() for _, fields in rows]
-    counts = [len(tokens) for tokens in id_rows]
-    # a PhoneSequence has even length, so every sentence starts at an
-    # even flat position and its odd positions are the flat odd ones
-    if any(n == 0 or n % 2 or n != len(d) for n, d in zip(counts, dur_rows)):
-        return None
-    try:
-        sent_ids = [int(fields[0]) for _, fields in rows]
-        ids, durs = (np.fromiter(map(int, chain.from_iterable(table)), dtype=np.int64,
-                                 count=sum(counts))
-                     for table in (id_rows, dur_rows))
-    except (ValueError, OverflowError):
-        return None
-    if ids.size and not (ids.min() >= 0 and ids.max() < has_law.size
-                         and has_law[ids].all() and durs.min() >= 0
-                         and not ((durs == 0) & ~zero_allowed(ids)).any()
-                         and (ids[1::2] == BLANK_ID).all()):
-        return None
-    if len(set(sent_ids)) != len(sent_ids):
-        return None
-    ends = list(accumulate(counts))
-    return [Sentence(sent_id, PhoneSequence(ids[lo:hi]), durs[lo:hi])
-            for sent_id, lo, hi in zip(sent_ids, [0] + ends, ends)]
-
-
-def _checked_line_by_line(path, rows, has_law: np.ndarray) -> list:
-    """The sentences of the data rows, read and checked one row at a time;
-    the first malformed row raises CorpusFormatError naming its line."""
-    vocab_size = has_law.size
-    sentences = []
-    seen = {}  # sentence id -> line
-    for lineno, fields in rows:
-        if len(fields) != 3:
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        try:
-            sent_id = int(fields[0])
-            ids = np.array([int(x) for x in fields[1].split()], dtype=np.int64)
-            durs = np.array([int(x) for x in fields[2].split()], dtype=np.int64)
-        except ValueError as exc:
-            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if ids.size == 0:
-            raise CorpusFormatError(f"{path}: line {lineno}: sentence has no tokens")
-        if ids.size != durs.size:
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: {ids.size} ids but {durs.size} durations"
-            )
-        outside = ids[(ids < 0) | (ids >= vocab_size)]
-        if outside.size:
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: token id {outside[0]} outside the "
-                f"vocabulary of size {vocab_size}"
-            )
-        if not np.all(has_law[ids]):
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: token id {ids[~has_law[ids]][0]} has no "
-                f"duration law in the header"
-            )
-        if np.any(durs < 0):
-            raise CorpusFormatError(f"{path}: line {lineno}: negative duration")
-        if np.any((durs == 0) & ~zero_allowed(ids)):
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: zero duration on a phone position"
-            )
-        try:
-            seq = PhoneSequence(ids)
-        except ValueError as exc:
-            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if sent_id in seen:
-            raise CorpusFormatError(
-                f"{path}: line {lineno}: sentence id {sent_id} already used on "
-                f"line {seen[sent_id]}"
-            )
-        seen[sent_id] = lineno
-        sentences.append(Sentence(sent_id, seq, durs))
-    return sentences
+def _row_sentence(fields, has_law: list) -> Sentence:
+    """The sentence of one data row's tab-separated fields, its checks
+    run on the row's Python ints; the first that fails raises
+    ValueError saying what is wrong. has_law[i] says whether class i
+    has a law; its length is the vocabulary size."""
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+    sent_id = int(fields[0])
+    ids = list(map(int, fields[1].split()))
+    durs = list(map(int, fields[2].split()))
+    if not ids:
+        raise ValueError("sentence has no tokens")
+    if len(ids) != len(durs):
+        raise ValueError(f"{len(ids)} ids but {len(durs)} durations")
+    vocab_size = len(has_law)
+    if min(ids) < 0 or max(ids) >= vocab_size:
+        outside = next(i for i in ids if not 0 <= i < vocab_size)
+        raise ValueError(f"token id {outside} outside the vocabulary of size {vocab_size}")
+    if not all(map(has_law.__getitem__, ids)):
+        lawless = next(i for i in ids if not has_law[i])
+        raise ValueError(f"token id {lawless} has no duration law in the header")
+    if min(durs) < 0:
+        raise ValueError("negative duration")
+    if max(durs) > INT64_MAX:
+        raise ValueError(f"duration {max(durs)} does not fit in int64")
+    if not {i for i, d in zip(ids, durs) if d == 0}.issubset(ZERO_OK_IDS):
+        raise ValueError("zero duration on a phone position")
+    return Sentence(sent_id, PhoneSequence(ids), durs)

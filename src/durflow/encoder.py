@@ -60,19 +60,6 @@ class PhoneSequence:
         return isinstance(other, PhoneSequence) and np.array_equal(self.ids, other.ids)
 
 
-def interleave_blanks(ids) -> np.ndarray:
-    """Insert a BLANK after every phone; output length is exactly 2x.
-
-    The input may not already contain BLANK.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids == BLANK_ID):
-        raise ValueError("sequence already contains BLANK tokens")
-    out = np.full(2 * ids.size, BLANK_ID, dtype=np.int64)
-    out[0::2] = ids
-    return out
-
-
 class TextEncoder(nn.Module):
     """Embedding -> conv1d(k=3) -> layer norm -> ReLU, dimension D=192.
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from durflow.data import Sentence, round_half_away, zero_allowed
-from durflow.encoder import FILLER_ID, PAUSE_ID, PhoneSequence, interleave_blanks
+from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence
 from durflow.numerics import parameter, record
 
 
@@ -446,6 +446,14 @@ def _draw_duration(law: dict, rng: np.random.Generator, floor: int) -> int:
     else:
         raise ValueError(f"unknown law kind {kind!r}")
     return max(floor, int(round_half_away(raw)))
+
+
+def interleave_blanks(phones) -> np.ndarray:
+    """The interleaved ids of a list of phones: each followed by a BLANK."""
+    ids = []
+    for phone in phones:
+        ids += [phone, BLANK_ID]
+    return np.array(ids, dtype=np.int64)
 
 
 def per_token_sentence(spec, index: int):

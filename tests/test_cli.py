@@ -691,6 +691,33 @@ def test_sample_sentence_without_tokens_is_runtime_error(tmp_path, capsys,
     assert "empty-line.durcorpus: line 4: sentence has no tokens" in err
 
 
+@pytest.mark.parametrize("field, token, reason", [
+    (2, "99999999999999999999", "duration 99999999999999999999 does not fit in int64"),
+    (1, "99999999999999999999",
+     "token id 99999999999999999999 outside the vocabulary of size 24"),
+    (0, "-1", "sentence id must be >= 0, got -1"),
+], ids=["duration-beyond-int64", "token-id-beyond-int64", "negative-sentence-id"])
+@pytest.mark.parametrize("command", ["train", "sample", "eval"])
+def test_corpus_value_out_of_range_names_file_and_line(tmp_path, capsys, tiny_checkpoints,
+                                                       command, field, token, reason):
+    # an id or duration beyond int64 and a negative sentence id are format
+    # errors of the line holding them, never a traceback
+    paths, corpus_path = tiny_checkpoints
+    with open(corpus_path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    row = lines[1].split("\t")
+    row[field] = " ".join([token] + row[field].split(" ")[1:])
+    broken = tmp_path / "range.durcorpus"
+    broken.write_text("\n".join([lines[0], "\t".join(row)] + lines[2:]) + "\n",
+                      encoding="utf-8")
+    argv = {"train": ["--corpus", str(broken), "--steps", "2"],
+            "sample": ["--checkpoint", paths["fm"], "--corpus", str(broken)],
+            "eval": ["--det", paths["det"], "--fm", paths["fm"], "--corpus", str(broken)]}
+    code, _, err = run([command, "--out", str(tmp_path / "run")] + argv[command], capsys)
+    assert code == 2
+    assert err.splitlines() == [f"error: {broken}: line 2: {reason}"]
+
+
 def test_sample_failing_midway_keeps_old_durations(tmp_path, capsys,
                                                    tiny_checkpoints, monkeypatch):
     paths, corpus_path = tiny_checkpoints

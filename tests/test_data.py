@@ -2,11 +2,11 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from durflow import data
 from durflow.data import (
     BIMODAL_ID,
     VAL_INDEX_OFFSET,
@@ -339,20 +339,6 @@ SMALL_CORPORA = {style: generate(CorpusSpec(style=style, num_sentences=4, seed=5
                  for style in ("read", "spont")}
 
 
-def corpus_rows(corpus) -> list:
-    """The corpus's data rows as ``data.load`` splits them: (line number,
-    tab-separated fields) pairs."""
-    return [(lineno, [str(s.sent_id), " ".join(map(str, s.seq.ids)),
-                      " ".join(map(str, s.durations))])
-            for lineno, s in enumerate(corpus.sentences, start=2)]
-
-
-def laws_mask(corpus) -> np.ndarray:
-    has_law = np.zeros(corpus.spec.vocab_size, dtype=bool)
-    has_law[list(corpus.spec.laws)] = True
-    return has_law
-
-
 class TestFileFormat:
     def test_round_trip_identity(self, tmp_path):
         corpus = generate(CorpusSpec(style="spont", num_sentences=25, seed=4))
@@ -402,23 +388,18 @@ class TestFileFormat:
         assert corpus.sentences[1].sent_id == 1
         assert corpus.sentences[1].durations.tolist() == [2, 2]
 
-    def test_valid_corpora_are_checked_at_once(self):
-        # the line-by-line reader runs only for a file that fails a check
-        for style in ("read", "spont"):
-            corpus = generate(CorpusSpec(style=style, num_sentences=30, seed=2))
-            rows = corpus_rows(corpus)
-            assert data._checked_at_once(rows, laws_mask(corpus)) == corpus.sentences
-
     @pytest.mark.parametrize("style", ["read", "spont"])
-    def test_checked_at_once_accepts_only_what_line_by_line_accepts(self, style):
+    def test_single_token_edits_load_or_name_their_line(self, tmp_path, style):
         # every single-token edit of a small corpus, and every sentence cut
-        # to odd length: wherever the bulk check accepts the rows, the
-        # line-by-line reader gives the same sentences
-        corpus = SMALL_CORPORA[style]
-        has_law = laws_mask(corpus)
+        # to odd length: the file loads with the edited row's values, or
+        # load raises CorpusFormatError naming the edited line
+        path = tmp_path / "c.durcorpus"
+        save(SMALL_CORPORA[style], path)
+        lines = path.read_text().splitlines()
         tokens = ["-1", "0", "1", "2", "3", "23", "24", "x", "", "+3", "1_0", "\u0663",
                   "1.5", "99999999999999999999", "0 0", "5\t6"]
-        for i, (lineno, fields) in enumerate(corpus_rows(corpus)):
+        for i, line in enumerate(lines[1:], start=1):
+            fields = line.split("\t")
             edits = [[fields[0], fields[1].rsplit(" ", 1)[0], fields[2].rsplit(" ", 1)[0]]]
             for field, positions in ((0, [None]), (1, range(len(fields[1].split()))),
                                      (2, range(len(fields[2].split())))):
@@ -432,14 +413,19 @@ class TestFileFormat:
                         edited[field] = " ".join(parts)
                     edits.append(edited)
             for edited in edits:
-                rows = corpus_rows(corpus)
-                rows[i] = (lineno, "\t".join(edited).split("\t"))
+                row = "\t".join(edited)
+                path.write_text("\n".join(lines[:i] + [row] + lines[i + 1:]) + "\n")
                 try:
-                    expected = data._checked_line_by_line("c.durcorpus", rows, has_law)
-                except (ValueError, OverflowError):
-                    expected = None
-                got = data._checked_at_once(rows, has_law)
-                assert got is None or got == expected, (lineno, edited)
+                    sentence = load(path).sentences[i - 1]
+                except CorpusFormatError as exc:
+                    # a duplicate sentence id is reported on the later of its lines
+                    assert re.match(fr"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
+                    assert re.search(fr"line {i + 1}\b", str(exc)), (row, str(exc))
+                    continue
+                sent_id, ids, durs = row.split("\t")
+                assert sentence.sent_id == int(sent_id)
+                assert sentence.seq.ids.tolist() == [int(x) for x in ids.split()]
+                assert sentence.durations.tolist() == [int(x) for x in durs.split()]
 
     def test_missing_header_reports_line_1(self, tmp_path):
         path = tmp_path / "bad"
