@@ -236,12 +236,17 @@ def cmd_sample(args) -> int:
 
 def check_vocabulary(corpus_path, corpus: DurationCorpus, checkpoint_path,
                      model: DurationModel):
-    """Raise ValueError naming both files if the corpus holds a token id
-    outside the checkpoint's vocabulary."""
+    """Raise ValueError naming both files unless the corpus header's
+    vocabulary is the checkpoint's; a token id the checkpoint does not
+    know is named first."""
     top = max((int(s.seq.ids.max()) for s in corpus.sentences), default=-1)
     if top >= model.vocab_size:
         raise ValueError(f"{corpus_path}: token id {top} outside the vocabulary of "
                          f"size {model.vocab_size} of checkpoint {checkpoint_path}")
+    if corpus.spec.vocab_size != model.vocab_size:
+        raise ValueError(f"{corpus_path}: header vocabulary of size "
+                         f"{corpus.spec.vocab_size} differs from the size "
+                         f"{model.vocab_size} of checkpoint {checkpoint_path}")
 
 
 def _eval_reps(corpus: DurationCorpus) -> int:

@@ -406,17 +406,14 @@ def load(path) -> DurationCorpus:
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CorpusFormatError(f"{path}: line 1: bad header ({exc})") from exc
 
-    # per-class table; a header vocabulary too large for memory fails here
-    has_law = np.zeros(spec.vocab_size, dtype=bool)
-    has_law[list(spec.laws)] = True
-    has_law = has_law.tolist()
+    law_ids = frozenset(spec.laws)
     sentences = []
     seen = {}  # sentence id -> line
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            sentence = _row_sentence(line.split("\t"), has_law)
+            sentence = _row_sentence(line.split("\t"), spec.vocab_size, law_ids)
             if sentence.sent_id in seen:
                 raise ValueError(f"sentence id {sentence.sent_id} already used on "
                                  f"line {seen[sentence.sent_id]}")
@@ -430,11 +427,11 @@ def load(path) -> DurationCorpus:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
-def _row_sentence(fields, has_law: list) -> Sentence:
+def _row_sentence(fields, vocab_size: int, law_ids: frozenset) -> Sentence:
     """The sentence of one data row's tab-separated fields, its checks
     run on the row's Python ints; the first that fails raises
-    ValueError saying what is wrong. has_law[i] says whether class i
-    has a law; its length is the vocabulary size."""
+    ValueError saying what is wrong. ``law_ids`` holds the classes that
+    have a law."""
     if len(fields) != 3:
         raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
     sent_id = int(fields[0])
@@ -444,12 +441,11 @@ def _row_sentence(fields, has_law: list) -> Sentence:
         raise ValueError("sentence has no tokens")
     if len(ids) != len(durs):
         raise ValueError(f"{len(ids)} ids but {len(durs)} durations")
-    vocab_size = len(has_law)
     if min(ids) < 0 or max(ids) >= vocab_size:
         outside = next(i for i in ids if not 0 <= i < vocab_size)
         raise ValueError(f"token id {outside} outside the vocabulary of size {vocab_size}")
-    if not all(map(has_law.__getitem__, ids)):
-        lawless = next(i for i in ids if not has_law[i])
+    if not law_ids.issuperset(ids):
+        lawless = next(i for i in ids if i not in law_ids)
         raise ValueError(f"token id {lawless} has no duration law in the header")
     if min(durs) < 0:
         raise ValueError("negative duration")

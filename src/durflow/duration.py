@@ -103,9 +103,9 @@ class DetPredictor(nn.Module):
 
     def __init__(self, cond_dim: int, hidden: int, rng: np.random.Generator):
         self.conv1 = nn.Conv1d(cond_dim, hidden, 3, rng)
-        self.norm1 = nn.LayerNorm(hidden, rng)
+        self.norm1 = nn.LayerNorm(hidden)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
-        self.norm2 = nn.LayerNorm(hidden, rng)
+        self.norm2 = nn.LayerNorm(hidden)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
 
     def __call__(self, cond: Tensor, lengths=None) -> Tensor:
@@ -133,9 +133,9 @@ class FlowPredictor(nn.Module):
         self.cond_dim = cond_dim
         self.noise_proj = nn.Conv1d(1, noise_dim, 1, rng)
         self.conv1 = nn.Conv1d(cond_dim + noise_dim, hidden, 3, rng)
-        self.norm1 = nn.LayerNorm(hidden, rng)
+        self.norm1 = nn.LayerNorm(hidden)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
-        self.norm2 = nn.LayerNorm(hidden, rng)
+        self.norm2 = nn.LayerNorm(hidden)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
         self.time = nn.TimeEmbedding(time_dim, rng)
         self.time_to_h1 = nn.Linear(time_dim, hidden, rng)
@@ -158,8 +158,8 @@ class DurationModel(nn.Module):
 
     The initial weights are drawn from a stream of ``seed``; with
     ``draw=False`` nothing is drawn: the weights are read-only zero
-    placeholders that take no memory and have no gradient buffers, for
-    a caller that sets every parameter (:func:`load_model`).
+    placeholders that take no memory, for a caller that sets every
+    parameter (:func:`load_model`).
     """
 
     def __init__(self, kind: str, vocab_size: int, seed: int = 0,
@@ -224,9 +224,7 @@ def load_model(path) -> DurationModel:
     checkpoint raises CheckpointFormatError naming the file.
 
     The parameters are built from the checkpoint's arrays, as float64,
-    with no initial weights drawn and no gradient buffers, like
-    ``nn.cast_copy``'s copies: a later backward pass or ``train_model``
-    call creates gradients where it needs them.
+    with no initial weights drawn.
     """
     arrays, meta = nn.load_params(path)
     _check_meta(path, meta)
@@ -249,7 +247,7 @@ def load_model(path) -> DurationModel:
             raise CheckpointFormatError(f"{path}: checkpoint shape mismatch for '{name}'")
         if not np.all(np.isfinite(array)):
             raise CheckpointFormatError(f"{where} holds a non-finite value")
-        p.data, p.grad = np.require(array, np.float64, "C"), None
+        p.data = np.require(array, np.float64, "C")
     model.trained_steps = meta["trained_steps"]
     return model
 
@@ -464,11 +462,16 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
 # quantisation and length regulation
 
 
-def _check_finite(values: np.ndarray, what: str):
-    bad = ~np.isfinite(values)
+def _refuse(bad: np.ndarray, what: str):
+    """Raise ValueError naming ``what`` and the first position where
+    ``bad`` is true, if there is one."""
     if np.any(bad):
         pos = int(np.flatnonzero(bad.reshape(-1))[0])
-        raise ValueError(f"non-finite {what} at position {pos}")
+        raise ValueError(f"{what} at position {pos}")
+
+
+def _check_finite(values: np.ndarray, what: str):
+    _refuse(~np.isfinite(values), f"non-finite {what}")
 
 
 def _linear(log_dur: LogDurations) -> np.ndarray:
@@ -481,8 +484,11 @@ def _linear(log_dur: LogDurations) -> np.ndarray:
 
 
 def to_frames(log_dur: LogDurations, min_duration: int = 0) -> np.ndarray:
-    """Integer frame counts: max(min_duration, round(exp(v))), half away from zero."""
-    return np.maximum(round_half_away(_linear(log_dur)), int(min_duration)).astype(np.int64)
+    """Integer frame counts: max(min_duration, round(exp(v))), half away
+    from zero. A count beyond int64 raises ValueError naming its position."""
+    frames = np.maximum(round_half_away(_linear(log_dur)), int(min_duration))
+    _refuse(frames >= 2.0**63, "duration beyond int64 frames")
+    return frames.astype(np.int64)
 
 
 def quantisation_residual(log_dur: LogDurations) -> float:

@@ -69,8 +69,7 @@ class _Undrawn:
     """Stands in for the Generator a layer draws its initial weights
     from, for a caller that sets every parameter next, and allocates
     nothing: each draw is a read-only view of one zero in the drawn
-    shape. A layer built from it gives its parameters no gradient
-    buffers (``_parameter``)."""
+    shape."""
 
     def uniform(self, low, high, size):
         return np.broadcast_to(0.0, size)
@@ -81,18 +80,11 @@ class _Undrawn:
 UNDRAWN = _Undrawn()
 
 
-def _parameter(rng, data) -> Tensor:
-    """A parameter of a layer built from ``rng``: with a zero gradient
-    buffer, or with none under UNDRAWN, whose caller replaces the data
-    next. Every layer builds its parameters here."""
-    return parameter(data, grad=rng is not UNDRAWN)
-
-
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         lim = np.sqrt(1.0 / in_dim)
-        self.weight = _parameter(rng, rng.uniform(-lim, lim, size=(in_dim, out_dim)))
-        self.bias = _parameter(rng, np.zeros(out_dim))
+        self.weight = parameter(rng.uniform(-lim, lim, size=(in_dim, out_dim)))
+        self.bias = parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.add(nm.matmul(x, self.weight), self.bias)
@@ -102,20 +94,19 @@ class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_width: int,
                  rng: np.random.Generator):
         lim = np.sqrt(1.0 / (in_channels * kernel_width))
-        self.weight = _parameter(
-            rng, rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
+        self.weight = parameter(
+            rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
         )
-        self.bias = _parameter(rng, np.zeros(out_channels))
+        self.bias = parameter(np.zeros(out_channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.conv1d(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int, rng=None):
-        # nothing is drawn: ``rng`` matters only as UNDRAWN
-        self.gain = _parameter(rng, np.ones(channels))
-        self.bias = _parameter(rng, np.zeros(channels))
+    def __init__(self, channels: int):
+        self.gain = parameter(np.ones(channels))
+        self.bias = parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)
@@ -139,7 +130,7 @@ def token_ids(ids, vocab: int) -> np.ndarray:
 
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
-        self.table = _parameter(rng, rng.normal(0.0, 0.02, size=(vocab_size, dim)))
+        self.table = parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
 
     def __call__(self, ids) -> Tensor:
         """Look up token embeddings, channels first.
@@ -199,8 +190,7 @@ def cast_copy(layer, dtype):
     already holds ``dtype`` shares the original's array, so a cast of a
     model already in ``dtype`` copies no parameter and follows in-place
     changes to it; a converted parameter does not follow later changes.
-    The copy has no gradient buffers; training's optimiser gives its
-    copy gradients (``numerics.Adam``).
+    The copy's parameters have no gradients.
     """
     out = copy.copy(layer)
     for name, value in vars(layer).items():

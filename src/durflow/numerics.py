@@ -29,14 +29,14 @@ Conventions:
   trailing axis) and the backward pass sums gradients over the
   broadcast axes,
 * a tape can be consumed by ``backward`` exactly once,
-* parameters are Tensors built with :func:`parameter`; they keep a
-  persistent gradient buffer that starts at zero, so a parameter that
-  never enters the graph simply keeps a zero gradient. A parameter
-  whose gradient nothing reads holds no buffer: a loaded checkpoint's
-  parameters and the float64 masters of a training run have ``grad``
-  None, and the first backward pass that reaches one gives it a
-  buffer. :func:`flatten` moves tensors' data, and their gradients
-  where they are read, into flat buffers, as an :class:`Adam`
+* parameters are Tensors built with :func:`parameter`. One rule
+  holds for every gradient: a tensor's ``grad`` is None until a
+  backward pass reaches it; the first write stores the array the op
+  made (a copy where its layout differs from the data's), and later
+  writes add into it. None stands for
+  a zero gradient: :meth:`Adam.step` reads it as zero and, after the
+  update, sets every gradient it read back to None. :func:`flatten`
+  moves tensors' data into one flat buffer, as an :class:`Adam`
   optimizer does with the parameters it updates and with a working
   copy it reads their gradients from,
 * the tape keeps every op's output, and whatever its backward closure
@@ -62,8 +62,8 @@ Conventions:
   ``fill_taps`` shifts the centre tap into the two edge taps, zero
   across those edges. ``conv1d`` builds its patches with it and the
   Euler sampler (``duration.fm_sample_batch``) its step buffers,
-* every gradient buffer is C-contiguous in the layout of its tensor's
-  data. numpy's pairwise reductions sum in memory order, so a gradient
+* every gradient is laid out like its tensor's data (``_accum``).
+  numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it
   feeds; keeping the layouts fixed keeps the loss trajectories
   bit-stable.
@@ -191,7 +191,7 @@ def one_blas_thread():
 
 
 class Tensor:
-    """An ndarray plus an optional gradient buffer."""
+    """An ndarray plus its gradient, None until a backward pass writes one."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -210,44 +210,30 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, grad: bool = True) -> Tensor:
-    """Build a trainable Tensor with a persistent zero gradient buffer;
-    without ``grad``, with none (``grad`` stays None until a backward
-    pass or the optimiser makes one)."""
-    t = Tensor(data, requires_grad=True)
-    if grad:
-        t.grad = np.zeros_like(t.data)
-    return t
+def parameter(data) -> Tensor:
+    """Build a trainable Tensor; its ``grad`` is None until a backward
+    pass reaches it."""
+    return Tensor(data, requires_grad=True)
 
 
-def flatten(tensors, dtype=np.float64, grad=True) -> tuple:
-    """Move the tensors' data into one flat buffer of ``dtype`` and, with
-    ``grad``, their gradients into a second, in the order given; returns
-    the two, the second None without ``grad``.
+def flatten(tensors, dtype=np.float64) -> np.ndarray:
+    """Move the tensors' data into one flat buffer of ``dtype``, in the
+    order given, and return it.
 
-    Each tensor becomes a parameter whose ``data`` and ``grad`` are views
-    into the buffers, so one vectorised pass over a buffer reaches every
-    tensor. A tensor's data is converted to ``dtype``; its gradient is
-    copied when it has one, else starts at zero. Without ``grad`` each
-    tensor's gradient is dropped, to None.
+    Each tensor becomes a parameter whose ``data`` is a view into the
+    buffer, converted to ``dtype``, so one vectorised pass over the
+    buffer reaches every tensor. Gradients are left as they are.
     """
     tensors = list(tensors)
-    size = sum(t.data.size for t in tensors)
-    data = np.empty(size, dtype=dtype)
-    flat_grad = np.zeros(size, dtype=dtype) if grad else None
+    data = np.empty(sum(t.data.size for t in tensors), dtype=dtype)
     lo = 0
     for t in tensors:
         hi = lo + t.data.size
-        data_view = data[lo:hi].reshape(t.data.shape)
-        data_view[...] = t.data
-        grad_view = None
-        if grad:
-            grad_view = flat_grad[lo:hi].reshape(t.data.shape)
-            if t.grad is not None:
-                grad_view[...] = t.grad
-        t.data, t.grad, t.requires_grad = data_view, grad_view, True
+        view = data[lo:hi].reshape(t.data.shape)
+        view[...] = t.data
+        t.data, t.requires_grad = view, True
         lo = hi
-    return data, flat_grad
+    return data
 
 
 def _as_tensor(x) -> Tensor:
@@ -840,20 +826,20 @@ class Adam:
     ``flat_data``, so an update is a fixed sequence of vectorised passes
     over all parameters at once, run block by block.
 
-    ``step()`` reads the gradients, and resets them to zero, in one of
-    two places:
+    ``step()`` reads the gradients from one of two places:
 
-    * without ``working``, in the parameters themselves, whose ``grad``
-      become views into a flat float64 buffer;
+    * without ``working``, the parameters themselves;
     * with ``working``, a dict of the same names and shapes holding a
       copy of the model in another dtype (:mod:`durflow.training` runs
-      its steps on a float32 copy), in that copy. Its data and gradients
-      become views into two flat buffers of its dtype, and the masters
-      carry no gradient buffer. Each block of the copy's gradient is
-      converted into a float64 scratch block before the update, and the
-      block's updated masters are written back into the copy's data.
+      its steps on a float32 copy), that copy. Its data becomes views
+      into a flat buffer of its dtype, and each block's updated masters
+      are written back into it.
 
-    Before anything is updated, a non-finite gradient aborts with the
+    Each block gathers its slices of the gradients, from one tensor or
+    several, into a float64 scratch block; a gradient that is None
+    counts as zero. After the update every gradient read is set back to
+    None, so the next backward pass starts from nothing. Before
+    anything is updated, a non-finite gradient aborts with the
     offending parameter's name.
 
     The update takes the reordered form of Kingma and Ba (arXiv
@@ -871,64 +857,67 @@ class Adam:
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        if working is None:
-            self.flat_data, self._grad = flatten(self.params.values())
-            copy, tensors = None, self.params.items()
-        else:
-            shapes = [(name, p.data.shape) for name, p in self.params.items()]
-            if [(name, w.data.shape) for name, w in working.items()] != shapes:
-                raise ValueError("the working copy's parameters must match the "
-                                 "masters' names and shapes, in order")
-            self.flat_data, _ = flatten(self.params.values(), grad=False)
-            dtype = next(iter(working.values())).data.dtype
-            copy, self._grad = flatten(working.values(), dtype)
-            tensors = [*self.params.items(), *working.items()]
+        sources = self.params if working is None else dict(working)
+        if ([(name, w.data.shape) for name, w in sources.items()]
+                != [(name, p.data.shape) for name, p in self.params.items()]):
+            raise ValueError("the working copy's parameters must match the "
+                             "masters' names and shapes, in order")
+        self.flat_data = flatten(self.params.values())
+        copy = None
+        if working is not None:
+            copy = flatten(sources.values(), next(iter(sources.values())).data.dtype)
+        # the tensors whose gradients step() reads, in flat order
+        self._sources = list(sources.items())
+        # (name, tensor, data view) of every tensor whose storage was taken over
+        taken = [*self.params.items(), *(() if working is None else self._sources)]
+        self._views = [(name, p, p.data) for name, p in taken]
         size = self.flat_data.size
         self._m = np.zeros(size)
         self._v = np.zeros(size)
-        # (name, tensor, data view, grad view); a master's grad view is
-        # None when the gradients are read from the working copy
-        self._views = [(name, p, p.data, p.grad) for name, p in tensors]
         # the update runs block by block so that its passes stay in cache;
-        # a float64 gradient is read in place, any other through scratch
-        num, den, scratch = (np.empty(_ADAM_BLOCK) for _ in range(3))
+        # a block's pieces are (source index, slice of its flat gradient,
+        # scratch slice it is gathered into)
+        g, num, den = (np.empty(_ADAM_BLOCK) for _ in range(3))
+        ends = np.cumsum([t.data.size for _, t in self._sources]).tolist()
+        starts = [0] + ends[:-1]
         self._blocks = []
         for lo in range(0, size, _ADAM_BLOCK):
             hi = min(size, lo + _ADAM_BLOCK)
-            source = self._grad[lo:hi]
-            g = source if copy is None else scratch[:hi - lo]
-            self._blocks.append((self.flat_data[lo:hi], source, g, self._m[lo:hi],
-                                 self._v[lo:hi], num[:hi - lo], den[:hi - lo],
-                                 None if copy is None else copy[lo:hi]))
+            pieces = [(i, slice(max(lo, a) - a, min(hi, b) - a),
+                       g[max(lo, a) - lo:min(hi, b) - lo])
+                      for i, (a, b) in enumerate(zip(starts, ends)) if a < hi and lo < b]
+            self._blocks.append((self.flat_data[lo:hi], pieces, g[:hi - lo],
+                                 self._m[lo:hi], self._v[lo:hi], num[:hi - lo],
+                                 den[:hi - lo], None if copy is None else copy[lo:hi]))
 
-    def _check_finite(self):
+    def _check_finite(self, grads):
         # a finite sum proves every entry finite. It is summed in the
         # gradient's own dtype, so finite entries whose sum overflows reach
-        # the search below, which then finds nothing to report
+        # the search, which then finds nothing to report
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(self._grad.sum()):
-                return
-        for name, _, _, grad in self._views:
-            if grad is not None and not np.all(np.isfinite(grad)):
-                raise FloatingPointError(
-                    f"non-finite gradient for parameter '{name}'"
-                )
+            for (name, _), grad in zip(self._sources, grads):
+                if (grad is not None and not np.isfinite(grad.sum())
+                        and not np.all(np.isfinite(grad))):
+                    raise FloatingPointError(
+                        f"non-finite gradient for parameter '{name}'"
+                    )
 
     def step(self):
-        for name, p, data, grad in self._views:
-            if p.data is not data or p.grad is not grad:
+        for name, p, data in self._views:
+            if p.data is not data:
                 raise RuntimeError(
                     f"parameter '{name}' was rebound outside the optimizer"
                 )
-        self._check_finite()
+        grads = [None if t.grad is None else t.grad.reshape(-1) for _, t in self._sources]
+        self._check_finite(grads)
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         step_size = self.lr * np.sqrt(bc2) / bc1
         eps = ADAM_EPS * np.sqrt(bc2)
-        for theta, source, g, m, v, num, den, copy in self._blocks:
-            if g is not source:
-                g[...] = source
+        for theta, pieces, g, m, v, num, den, copy in self._blocks:
+            for i, part, scratch in pieces:
+                scratch[...] = 0.0 if grads[i] is None else grads[i][part]
             m *= b1
             np.multiply(g, 1.0 - b1, out=num)
             m += num
@@ -941,6 +930,7 @@ class Adam:
             np.divide(m, den, out=num)
             num *= step_size
             theta -= num
-            source[...] = 0.0
             if copy is not None:
                 copy[...] = theta
+        for _, t in self._sources:
+            t.grad = None

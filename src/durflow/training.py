@@ -10,11 +10,11 @@ The model's own parameters are the float64 master weights: Adam's
 moments and update and the checkpoints stay float64. Each step's loss
 runs forward and backward in TRAINING_DTYPE on a working copy of the
 model, made once per ``train_model`` call, and the gradients stay in
-that dtype, in the copy. ``Adam.step`` reads them block by block from
-there, updates the masters and writes them back into the copy's data
-(``numerics.Adam``'s ``working``); the masters carry no gradient
-buffer. The copy lives for one call, so a parameter changed between
-two calls shows in the second.
+that dtype, on the copy. ``Adam.step`` reads them block by block from
+there, updates the masters, writes them back into the copy's data and
+then drops the gradients (``numerics.Adam``'s ``working``); the
+masters never hold one. The copy lives for one call, so a parameter
+changed between two calls shows in the second.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def train_model(model: DurationModel, corpus: DurationCorpus, steps: int,
 
     Each loss, and so each returned value, is computed in
     TRAINING_DTYPE on the call's working copy; the updates land in the
-    model's float64 parameters, which hold no gradient buffers after
-    the call.
+    model's float64 parameters, which hold no gradients after the call.
 
     Optionally streams a `step,loss` CSV into a temporary file beside
     loss_path that replaces loss_path once every step has run, so an

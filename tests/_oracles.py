@@ -51,7 +51,7 @@ def fd_gradcheck_params(loss_fn, params, h=1e-5):
     """Like fd_gradcheck, but for existing parameter Tensors.
 
     ``loss_fn`` takes no arguments and reads the params by closure; the
-    params must carry fresh zero gradients.
+    params must carry no gradient yet (``grad`` None).
     """
     with record() as tape:
         loss = loss_fn()

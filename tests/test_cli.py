@@ -140,8 +140,9 @@ def test_train_same_seed_reproduces_loss_file(tmp_path, capsys,
 @pytest.mark.parametrize("command", ["train", "sample"])
 def test_corpus_too_large_for_memory_is_runtime_error(tmp_path, capsys,
                                                       small_corpus_file, command):
-    # a header vocabulary of 10^16 makes the reader's per-class table
-    # fail to allocate
+    # a header vocabulary of 10^16: train fails to allocate the model's
+    # embedding table, and sample refuses a corpus whose header vocabulary
+    # is not the checkpoint's
     with open(small_corpus_file, encoding="utf-8") as fh:
         text = fh.read()
     huge = tmp_path / "huge.durcorpus"
@@ -779,6 +780,44 @@ def test_eval_vocabulary_mismatch_names_both_files(tmp_path, capsys, tiny_checkp
     assert err.splitlines() == [
         f"error: {vocab32_corpus_file}: token id 30 outside the vocabulary of size 24 "
         f"of checkpoint {paths['det']}"]
+    assert not out.exists()
+
+
+def test_sample_header_vocabulary_mismatch_names_both_files(tmp_path, capsys,
+                                                            tiny_checkpoints):
+    # every token id is known to the checkpoint; the header still differs
+    paths, corpus_path = tiny_checkpoints
+    with open(corpus_path, encoding="utf-8") as fh:
+        text = fh.read()
+    other = tmp_path / "vocab30.durcorpus"
+    other.write_text(text.replace(" vocab=24 ", " vocab=30 ", 1))
+    out = tmp_path / "s"
+    code, _, err = run(["sample", "--checkpoint", paths["fm"], "--corpus", str(other),
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: {other}: header vocabulary of size 30 differs from the size 24 "
+        f"of checkpoint {paths['fm']}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_duration_beyond_int64_is_runtime_error(tmp_path, capsys, tiny_checkpoints,
+                                                command):
+    # a det head whose output bias is 60 predicts exp(60), about 1e26
+    # frames, at every position: more than int64 holds
+    paths, corpus_path = tiny_checkpoints
+    model = load_model(paths["det"])
+    model.params()["predictor.proj.bias"].data[...] = 60.0
+    det = str(tmp_path / "long.npz")
+    save_model(model, det)
+    out = tmp_path / "run"
+    args = {"sample": ["--checkpoint", det], "eval": ["--det", det, "--fm", paths["fm"]]}
+    code, _, err = run([command, *args[command], "--corpus", corpus_path,
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: duration beyond int64 frames at position ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -497,6 +498,22 @@ class TestFileFormat:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CorpusFormatError, match="v.durcorpus: .*100 sentences, got 99"):
             load(path)
+
+    def test_header_vocabulary_allocates_nothing_per_class(self, tmp_path):
+        # ids are checked against the header's vocabulary size and the
+        # set of classes with a law, so a vocabulary of a million costs no
+        # table of a million entries
+        path = tmp_path / "v.durcorpus"
+        save(generate(CorpusSpec(style="read", num_sentences=20, seed=3)), path)
+        path.write_text(path.read_text().replace(" vocab=24 ", " vocab=1000000 ", 1))
+        tracemalloc.start()
+        try:
+            corpus = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.spec.vocab_size == 1000000 and len(corpus) == 20
+        assert peak < 1 << 20
 
     def test_non_utf8_file_names_file(self, tmp_path):
         path = tmp_path / "b.durcorpus"

@@ -567,6 +567,14 @@ class TestToFrames:
         out = to_frames(LogDurations(np.array([1.0, 2.0])))
         assert out.dtype == np.int64
 
+    def test_count_beyond_int64_reports_position(self):
+        # exp(43) rounds to about 4.7e18 frames, within int64; exp(44),
+        # about 1.3e19, is not, and must not wrap to a negative count
+        got = to_frames(LogDurations(np.array([1.0, 43.0])))
+        assert got.tolist() == [3, 4727839468229346304]
+        with pytest.raises(ValueError, match="beyond int64 frames at position 2"):
+            to_frames(LogDurations(np.array([1.0, 43.0, 44.0, 50.0])))
+
 
 class TestQuantisationResidual:
     def test_integer_logs_give_zero(self):

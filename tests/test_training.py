@@ -259,6 +259,24 @@ def test_loaded_model_trains_like_the_model_it_was_saved_from(kind, tmp_path):
         assert p.grad is None and model.params()[name].grad is None, name
 
 
+def test_training_leaves_no_gradient(monkeypatch):
+    # Adam drops each step's gradients from the working copy, and the
+    # float64 masters never receive any
+    copies = []
+    cast_copy = nn.cast_copy
+
+    def keep_copy(layer, dtype):
+        copies.append(cast_copy(layer, dtype))
+        return copies[-1]
+
+    monkeypatch.setattr(nn, "cast_copy", keep_copy)
+    model = small_model("fm")
+    train_model(model, small_corpus(), steps=3, batch_size=8, seed=0)
+    for params in (model.params(), copies[-1].params()):
+        for name, p in params.items():
+            assert p.grad is None, name
+
+
 def test_trained_steps_accumulates():
     model = small_model("det")
     corpus = small_corpus()
@@ -269,8 +287,8 @@ def test_trained_steps_accumulates():
 
 
 def float32_working_copy(model):
-    """The copy train_model runs each step on: float32 parameters with
-    their gradients in flat buffers."""
+    """The copy train_model runs each step on: float32 parameters whose
+    data is one flat buffer."""
     work = nn.cast_copy(model, np.float32)
     nm.flatten(work.params().values(), np.float32)
     return work
@@ -347,7 +365,7 @@ def test_each_step_runs_on_a_float32_copy_of_the_current_masters():
             value = loss(work, ids, targets, noise_rng)
         tape.backward(value)
         for name, p in work.params().items():
-            ref.params()[name].grad[...] = p.grad
+            ref.params()[name].grad = p.grad.astype(np.float64)
         opt.step()
         expected.append(value.item())
     assert np.array_equal(losses, expected)
