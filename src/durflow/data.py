@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from durflow.encoder import BLANK_ID, FILLER_ID, PAUSE_ID, PhoneSequence
-from durflow.files import atomic_write
+from durflow.files import atomic_write, plain_number
 
 RESERVED_IDS = (BLANK_ID, PAUSE_ID, FILLER_ID)
 ZERO_OK_IDS = (BLANK_ID, PAUSE_ID)  # the classes whose positions may take 0 frames
@@ -356,7 +356,8 @@ def save(corpus: DurationCorpus, path):
     spec = corpus.spec
     params = {key: getattr(spec, key) for key in HEADER_PARAMS}
     params["laws"] = {str(k): v for k, v in spec.laws.items()}
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(params, sort_keys=True, separators=(",", ":"),
+                      default=plain_number)
     lines = [
         f"#durcorpus v1 style={spec.style} vocab={spec.vocab_size} "
         f"seed={spec.seed} split={corpus.split} params={blob}"

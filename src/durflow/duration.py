@@ -256,17 +256,18 @@ def load_model(path) -> DurationModel:
 # loss
 
 
-def cfm_pair(x1, x0, t, sigma: float = OT_SIGMA):
+def cfm_pair(x1, x0, t):
     """Point on the optimal-transport path and its target vector field.
 
-    x_t = (1 - (1 - sigma) t) x0 + t x1 and u_t = x1 - (1 - sigma) x0.
-    Works elementwise; t may be a scalar or broadcastable array.
+    x_t = (1 - (1 - sigma) t) x0 + t x1 and u_t = x1 - (1 - sigma) x0,
+    with sigma = OT_SIGMA. Works elementwise; t may be a scalar or
+    broadcastable array.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    x_t = (1.0 - (1.0 - sigma) * t) * x0 + t * x1
-    u_t = x1 - (1.0 - sigma) * x0
+    x_t = (1.0 - (1.0 - OT_SIGMA) * t) * x0 + t * x1
+    u_t = x1 - (1.0 - OT_SIGMA) * x0
     u_t = np.broadcast_to(u_t, x_t.shape).copy()
     return x_t, u_t
 
@@ -302,7 +303,7 @@ def loss(model: DurationModel, ids, targets, rng: np.random.Generator) -> Tensor
         x_t, goal = cfm_pair(x1, x0, t[:, None, None])
         pred = model.predictor(Tensor(x_t.astype(dtype, copy=False)), t, cond)
     diff = nm.sub(pred, Tensor(goal.astype(dtype, copy=False)))
-    return nm.scale(nm.tensor_sum(nm.mul(diff, diff)), 1.0 / ids.size)
+    return nm.mean(nm.mul(diff, diff))
 
 
 # ---------------------------------------------------------------------------

@@ -255,11 +255,9 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
     """Mean residual over the whole validation set at each NFE count,
     keyed by (model kind, corpus style).
 
-    The deterministic model is evaluated once and replicated, since its
-    output does not depend on the step count. For the flow model, each
-    sentence keeps the same initial noise across NFE values (one stream
-    per sentence), which makes the curve a paired comparison. Every NFE
-    count must be an integer >= 1, for either kind.
+    Each sentence keeps the same initial noise across NFE values (one
+    stream per sentence), which makes a flow model's curve a paired
+    comparison. Every NFE count must be an integer >= 1, for either kind.
     """
     opts = opts or SampleOptions()
     # SampleOptions rejects an NFE count that is not an integer >= 1
@@ -272,20 +270,13 @@ def residual_vs_nfe(model: DurationModel, corpus_val: DurationCorpus,
     if not corpus_val.sentences:
         raise ValueError(f"the {corpus_val.spec.style} {corpus_val.split} corpus of seed "
                          f"{corpus_val.spec.seed} has no sentences to evaluate")
-    model_id, corpus_id = model.kind, corpus_val.spec.style
-
-    def pooled_residual(values_by_id):
-        vals = np.concatenate([values_by_id[s.sent_id] for s in corpus_val.sentences])
-        return quantisation_residual(LogDurations(vals))
-
+    residuals = []
+    for step_opts in nfe_opts:
+        values = corpus_log_values(model, corpus_val, step_opts)
+        pooled = np.concatenate([values[s.sent_id] for s in corpus_val.sentences])
+        residuals.append(quantisation_residual(LogDurations(pooled)))
     curve = ResidualCurve(nfe_list)
-    if model.kind == "det":
-        r = pooled_residual(corpus_log_values(model, corpus_val, opts))
-        curve.add(model_id, corpus_id, [r] * len(nfe_list))
-    else:
-        curve.add(model_id, corpus_id, [
-            pooled_residual(corpus_log_values(model, corpus_val, step_opts))
-            for step_opts in nfe_opts])
+    curve.add(model.kind, corpus_val.spec.style, residuals)
     return curve
 
 

@@ -15,6 +15,8 @@ import contextlib
 import os
 import uuid
 
+import numpy as np
+
 
 @contextlib.contextmanager
 def atomic_write(path, binary: bool = False):
@@ -38,3 +40,12 @@ def atomic_write(path, binary: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def plain_number(value):
+    """``json.dumps``'s ``default`` for corpus headers and checkpoints:
+    the validators accept numpy numbers, stored as given, which json
+    cannot write; each becomes the Python number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -19,7 +19,7 @@ import zipfile
 import numpy as np
 
 from durflow import numerics as nm
-from durflow.files import atomic_write
+from durflow.files import atomic_write, plain_number
 from durflow.numerics import Tensor, parameter
 
 CHECKPOINT_VERSION = 1
@@ -218,7 +218,7 @@ def save_params(path, arrays: dict, meta: dict):
         data = arr.data if isinstance(arr, Tensor) else arr
         payload[name] = np.asarray(data, dtype=np.float64)
     payload["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        json.dumps(meta, sort_keys=True, default=plain_number).encode("utf-8"), dtype=np.uint8
     )
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, **payload)

@@ -362,17 +362,8 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out, tracked = _make_out(a.data - b.data, (a, b))
-    if tracked:
-        def backward_fn(g):
-            if a.requires_grad:
-                ga = _unbroadcast(g, a.data.shape)
-                _accum(a, ga, fresh=ga is not g)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g, b.data.shape), fresh=True)
-        _active_tape._push(out, backward_fn)
-    return out
+    """a + (-b), which IEEE arithmetic defines a - b to be; negation is exact."""
+    return add(a, scale(_as_tensor(b), -1.0))
 
 
 def mul(a, b) -> Tensor:
@@ -390,14 +381,8 @@ def mul(a, b) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python float; cheaper than mul with a constant."""
-    c = float(c)
-    out, tracked = _make_out(a.data * c, (a,))
-    if tracked:
-        def backward_fn(g):
-            _accum(a, g * c, fresh=True)
-        _active_tape._push(out, backward_fn)
-    return out
+    """Multiply by a number, rounded to a's dtype first."""
+    return mul(a, Tensor(np.asarray(c, dtype=a.data.dtype)))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -445,14 +430,8 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out, tracked = _make_out(a.data.mean(), (a,))
-    if tracked:
-        shape = a.data.shape
-        def backward_fn(g):
-            _accum(a, np.broadcast_to(g / n, shape))
-        _active_tape._push(out, backward_fn)
-    return out
+    """The sum times 1/n; an empty tensor raises ZeroDivisionError."""
+    return scale(tensor_sum(a), 1.0 / a.data.size)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -134,7 +134,8 @@ def test_criterion_3_residual_vs_nfe(fm_spont, det_spont, spont_val):
         f"undecided at the final Euler step scales with (1/nfe) divided by "
         f"the log-domain atom spacing, and the tight phone and pause "
         f"classes (spacing 0.22 and 0.065) cannot be resolved in 10 steps "
-        f"at any noise temperature."
+        f"on the uniform grid t = i/nfe that durflow samples on, at any "
+        f"noise temperature."
     )
 
 

@@ -347,6 +347,20 @@ class TestFileFormat:
         save(corpus, path)
         assert load(path) == corpus
 
+    def test_numpy_numbers_round_trip(self, tmp_path):
+        # the validators accept numpy integers and floats, which the spec
+        # stores as given
+        laws = _default_laws("read")
+        laws[BLANK_ID]["values"] = [np.int64(v) for v in laws[BLANK_ID]["values"]]
+        laws[3]["mu"] = np.float32(1.5)
+        spec = CorpusSpec(style="read", seed=1, num_sentences=np.int64(3),
+                          min_phones=np.int64(2), max_phones=3,
+                          pause_prob=np.float32(0.0), laws=laws)
+        corpus = generate(spec)
+        path = tmp_path / "c.durcorpus"
+        save(corpus, path)
+        assert load(path) == corpus
+
     def test_identical_corpora_give_identical_bytes(self, tmp_path):
         spec = CorpusSpec(style="read", num_sentences=15, seed=8)
         p1, p2 = tmp_path / "a", tmp_path / "b"

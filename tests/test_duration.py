@@ -65,13 +65,15 @@ class TestCfmPair:
     def test_t1_is_data_plus_sigma_noise(self):
         x0 = np.array([1.0, -2.0])
         x1 = np.array([3.0, 5.0])
-        x_t, _ = cfm_pair(x1, x0, 1.0, sigma=1e-4)
-        assert np.allclose(x_t, x1 + 1e-4 * x0, atol=1e-15)
+        x_t, _ = cfm_pair(x1, x0, 1.0)
+        assert np.allclose(x_t, x1 + dur.OT_SIGMA * x0, atol=1e-15)
 
     def test_midpoint_interpolant_and_slope(self):
-        x_t, u_t = cfm_pair(np.array([3.0]), np.array([1.0]), 0.5, sigma=0.0)
-        assert np.allclose(x_t, [2.0])
-        assert np.allclose(u_t, [2.0])
+        # with OT_SIGMA = 1e-4: x_t = (1 - 0.9999 / 2) 1 + 3 / 2 and
+        # u_t = 3 - 0.9999, as float64 rounds them
+        x_t, u_t = cfm_pair(np.array([3.0]), np.array([1.0]), 0.5)
+        assert np.array_equal(x_t, [2.00005])
+        assert np.array_equal(u_t, [2.0000999999999998])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

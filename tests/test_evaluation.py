@@ -71,6 +71,10 @@ def test_det_curve_is_exactly_flat(tiny_det, tiny_corpus):
     values = curve.residuals[("det", "read")]
     assert len(values) == len(DEFAULT_NFE_LIST)
     assert len(set(values)) == 1
+    # each point is the residual of one det pass over the corpus
+    one_pass = corpus_log_values(tiny_det, tiny_corpus, SampleOptions())
+    pooled = np.concatenate([one_pass[s.sent_id] for s in tiny_corpus.sentences])
+    assert values[0] == quantisation_residual(LogDurations(pooled))
 
 
 def test_untrained_model_is_flagged(tiny_corpus):
@@ -95,8 +99,7 @@ NON_INTEGER_NFE = [((1, 2.5), 2.5), ((1.9,), 1.9), ((True, 2), True), ((1, "2"),
 @pytest.mark.parametrize("nfe_list, bad", NON_INTEGER_NFE)
 def test_curve_rejects_a_non_integer_nfe(tiny_det, tiny_fm, tiny_corpus, monkeypatch,
                                          kind, nfe_list, bad):
-    # a det curve samples once for every NFE, so the check must not
-    # depend on building options per NFE for sampling
+    # every NFE count is checked before the first pass samples anything
     passes = []
     monkeypatch.setattr(evaluation, "corpus_log_values", lambda *args: passes.append(args))
     model = {"det": tiny_det, "fm": tiny_fm}[kind]

@@ -586,6 +586,87 @@ def test_random_elementwise_chain_gradient(seed):
     assert fd_gradcheck(fn, [a, b]) < GRAD_TOL
 
 
+class TestCompositionsKeepTheArithmetic:
+    """sub, scale and mean are compositions of add, mul and tensor_sum.
+    Each must give the bits that numpy's own arithmetic gives, forward
+    and backward, in float32 and float64: training's loss trajectories
+    rest on it."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def values(dtype, *shape, seed):
+        """Normal draws of ``dtype`` with some entries -0.0 and some +0.0."""
+        x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+        x.flat[::3] = -0.0
+        x.flat[1::5] = 0.0
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sub(self, dtype):
+        av, bv, g = (self.values(dtype, 3, 4, seed=k) for k in (1, 2, 3))
+        a, b = parameter(av), parameter(bv)
+        out = _backward_with(lambda t: nm.sub(t, b), a, g)
+        self.assert_same_bits(out.data, av - bv)
+        self.assert_same_bits(a.grad, g)
+        self.assert_same_bits(b.grad, -g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sub_of_a_broadcast_b(self, dtype):
+        av, g = self.values(dtype, 3, 4, seed=4), self.values(dtype, 3, 4, seed=5)
+        bv = self.values(dtype, 4, seed=6)
+        g[:, 0] = -0.0
+        a, b = parameter(av), parameter(bv)
+        out = _backward_with(lambda t: nm.sub(t, b), a, g)
+        self.assert_same_bits(out.data, av - bv)
+        self.assert_same_bits(a.grad, g)
+        # b's gradient is the negated sum of g, where a subtraction's own
+        # adjoint would sum -g: the two differ only in the sign of a sum
+        # that is exactly zero, here column 0
+        want = (-g).sum(axis=0)
+        assert b.grad.dtype == want.dtype and np.array_equal(b.grad, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [0.5, 0.0, -0.0])
+    def test_sub_of_a_python_number(self, dtype, c):
+        av = self.values(dtype, 3, 4, seed=7)
+        # the number becomes a float64 Tensor, as in add and mul
+        want = av - np.asarray(c)
+        g = self.values(want.dtype, 3, 4, seed=8)
+        a = parameter(av)
+        out = _backward_with(lambda t: nm.sub(t, c), a, g)
+        self.assert_same_bits(out.data, want)
+        self.assert_same_bits(a.grad, g.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [-1.0, 0.1, 1.0 / 3.0, -0.0])
+    def test_scale(self, dtype, c):
+        av, g = self.values(dtype, 3, 4, seed=9), self.values(dtype, 3, 4, seed=10)
+        a = parameter(av)
+        out = _backward_with(lambda t: nm.scale(t, c), a, g)
+        # a Python float is rounded to a's dtype before it multiplies
+        self.assert_same_bits(out.data, av * c)
+        self.assert_same_bits(a.grad, g * c)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mean(self, dtype):
+        av = self.values(dtype, 3, 7, seed=11)
+        g = np.asarray(0.7, dtype=dtype)
+        a = parameter(av)
+        out = _backward_with(nm.mean, a, g)
+        self.assert_same_bits(out.data, av.sum() * (1 / av.size))
+        self.assert_same_bits(a.grad, np.broadcast_to(g * (1 / av.size), av.shape))
+
+    def test_mean_of_nothing_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            nm.mean(Tensor(np.zeros((2, 0))))
+
+
 class TestDtypes:
     def test_tensor_keeps_float32_and_converts_the_rest_to_float64(self):
         assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32

@@ -286,6 +286,18 @@ def test_trained_steps_accumulates():
     assert model.trained_steps == 12
 
 
+def test_numpy_step_count_saves_and_loads(tmp_path):
+    # check_options accepts a numpy integer, which trained_steps then holds
+    model = DurationModel("det", np.int64(24), seed=np.int64(0), encoder_dim=np.int64(16),
+                          hidden=24, noise_dim=8, time_dim=8)
+    train_model(model, small_corpus(), np.int64(2), batch_size=8)
+    path = tmp_path / "m.npz"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.trained_steps == 2 and type(loaded.trained_steps) is int
+    assert loaded.dims == model.dims
+
+
 def float32_working_copy(model):
     """The copy train_model runs each step on: float32 parameters whose
     data is one flat buffer."""
