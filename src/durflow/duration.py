@@ -73,8 +73,8 @@ class SampleOptions:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.min_duration not in (0, 1):
-            raise ValueError(f"min_duration must be 0 or 1, got {self.min_duration}")
+        if not _is_int(self.min_duration) or self.min_duration not in (0, 1):
+            raise ValueError(f"min_duration must be 0 or 1, got {self.min_duration!r}")
 
 
 def log_targets(durations, zero_allowed) -> np.ndarray:
@@ -103,9 +103,9 @@ class DetPredictor(nn.Module):
 
     def __init__(self, cond_dim: int, hidden: int, rng: np.random.Generator):
         self.conv1 = nn.Conv1d(cond_dim, hidden, 3, rng)
-        self.norm1 = nn.LayerNorm(hidden)
+        self.norm1 = nn.LayerNorm(hidden, rng)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
-        self.norm2 = nn.LayerNorm(hidden)
+        self.norm2 = nn.LayerNorm(hidden, rng)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
 
     def __call__(self, cond: Tensor, lengths=None) -> Tensor:
@@ -130,12 +130,11 @@ class FlowPredictor(nn.Module):
 
     def __init__(self, cond_dim: int, hidden: int, noise_dim: int, time_dim: int,
                  rng: np.random.Generator):
-        self.cond_dim = cond_dim
         self.noise_proj = nn.Conv1d(1, noise_dim, 1, rng)
         self.conv1 = nn.Conv1d(cond_dim + noise_dim, hidden, 3, rng)
-        self.norm1 = nn.LayerNorm(hidden)
+        self.norm1 = nn.LayerNorm(hidden, rng)
         self.conv2 = nn.Conv1d(hidden, hidden, 3, rng)
-        self.norm2 = nn.LayerNorm(hidden)
+        self.norm2 = nn.LayerNorm(hidden, rng)
         self.proj = nn.Conv1d(hidden, 1, 1, rng)
         self.time = nn.TimeEmbedding(time_dim, rng)
         self.time_to_h1 = nn.Linear(time_dim, hidden, rng)
@@ -157,9 +156,9 @@ class DurationModel(nn.Module):
     """A text encoder plus one duration head, with training metadata.
 
     The initial weights are drawn from a stream of ``seed``; with
-    ``draw=False`` nothing is drawn: the weights are read-only zero
-    placeholders that take no memory, for a caller that sets every
-    parameter (:func:`load_model`).
+    ``draw=False`` nothing is drawn: every parameter is a read-only zero
+    placeholder that takes no memory, whatever the dims, for a caller
+    that sets every parameter (:func:`load_model`).
     """
 
     def __init__(self, kind: str, vocab_size: int, seed: int = 0,
@@ -232,7 +231,8 @@ def load_model(path) -> DurationModel:
         model = DurationModel(meta["kind"], meta["vocab_size"], seed=meta["seed"],
                               **meta["dims"], draw=False)
     except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from exc
+        raise CheckpointFormatError(
+            f"{path}: checkpoint metadata describes no model ({exc})") from exc
     params = model.params()
     if set(params) != set(arrays):
         missing = sorted(set(params) ^ set(arrays))[:4]
@@ -326,27 +326,18 @@ def _edge_terms(weight: np.ndarray, value: np.ndarray) -> np.ndarray:
     return np.stack([taps.sum(axis=1), -taps[:, 0], -taps[:, 2]], axis=1)
 
 
-def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
-                    nfe: int, lengths=None) -> np.ndarray:
-    """Euler-integrate the learned field for a batch; returns x at t=1.
+def _learned_field(predictor: FlowPredictor, cond: Tensor, reps: int, lengths,
+                   times: np.ndarray):
+    """The predictor's field at each of ``times``, built for Euler steps.
 
-    cond is the (B, D, T) encoder output and noise the t=0 state of R
-    realisations of it stacked rep-major, (R*B, 1, T): row r*B + b starts
-    realisation r of row b. R is the rows of noise over the rows of
-    cond; any other shape raises ValueError. ``lengths``, when given,
-    are the lengths of sentences packed back to back along T, the same
-    in every row; each sentence then runs as if it were sampled alone
-    (None: each row is one sentence). nfe, an integer >= 1, counts the
-    steps: step i evaluates the field at t = i/nfe and advances by 1/nfe.
-
-    The field is ``FlowPredictor.__call__`` run forward only on
-    channel-major (hidden, R*B*T) buffers that are allocated once per
-    call. What depends on neither x nor the step is computed once per
-    call too: conv1 over cond's channels with conv1's bias (one
-    ``nm.conv1d``, added to every realisation at every step), the two
-    time rows of every grid point, the first and last column of every
-    sentence, and these folds (gains by scaling, biases by matrix
-    products):
+    Returns step(flat_x, i): ``FlowPredictor.__call__`` at times[i] for
+    the (R*B*T,) state flat_x of cond's R realisations, stacked and
+    packed as ``fm_sample_batch`` takes them. It runs forward only, in
+    the parameters' dtype, on channel-major (hidden, R*B*T) buffers
+    made here. Built here once: conv1 over cond's channels with its
+    bias (added to every realisation), the two time rows of every time,
+    each sentence's first and last column, and three folds (gains by
+    scaling, biases by matrix products):
 
     * noise_proj into conv1. Convolution is linear in its input
       channels, so conv1 over noise_proj's output is x convolved with
@@ -367,44 +358,20 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     ``_edge_terms`` columns over the ones and edge rows, so a bias and
     its edge corrections ride in the product. The ones-row column also
     carries the step's time row: conv1's the first, conv2's the second
-    with conv2's bias.
-
-    A step fills x's taps, runs the conv1 product, adds the cond part
-    to every realisation in place, then ReLU, normalises norm1
-    (``nm.centre_columns``, as ``nm.layer_norm`` does) straight into
-    conv2's centre tap, fills the two shifted taps from it, runs
-    conv2 -> ReLU -> norm2's centring -> proj. The ReLUs run in place.
-    Both sets of taps are filled by ``nm.fill_taps``, the tap rule
-    ``nm.conv1d`` builds its own patches with.
-    Nothing outlives the call, so a change to the parameters shows in
-    the next call.
-
-    The network runs in the dtype of the model's parameters (float32
-    for the copy that corpus-level sampling makes), the time rows
-    included; x is cast to it at every step's input. The state x
-    itself stays float64, so the Euler sum accumulates in float64.
+    with conv2's bias. Taps are filled by ``nm.fill_taps`` and norm1 is
+    centred by ``nm.centre_columns``, as ``nm.conv1d`` and
+    ``nm.layer_norm`` do.
     """
-    batch, _, t_len = cond.data.shape
-    x = np.array(noise, dtype=np.float64)
-    if not (x.ndim == 3 and x.shape[1:] == (1, t_len)
-            and 0 < batch <= x.shape[0] and x.shape[0] % batch == 0):
-        raise ValueError(f"noise {x.shape} must stack R >= 1 realisations (R*B, 1, T) "
-                         f"of cond {cond.data.shape}")
-    if not _is_int(nfe) or nfe < 1:
-        raise ValueError(f"nfe must be an integer >= 1, got {nfe!r}")
-    reps = x.shape[0] // batch
-    predictor = model.predictor
-    conv1, conv2 = predictor.conv1, predictor.conv2
-    norm1, norm2 = predictor.norm1, predictor.norm2
-    weight1 = conv1.weight.data
-    part = nm.conv1d(cond, Tensor(weight1[:, :predictor.cond_dim]), conv1.bias, lengths).data
-    hidden, dtype = len(weight1), part.dtype
+    weight1 = predictor.conv1.weight.data
+    cond_dim = weight1.shape[1] - len(predictor.noise_proj.weight.data)
+    part = nm.conv1d(cond, Tensor(weight1[:, :cond_dim]), predictor.conv1.bias, lengths).data
+    (batch, hidden, t_len), dtype = part.shape, part.dtype
     # conv1d's output is channel-major in memory, so this is a view
     part = part.transpose(1, 0, 2).reshape(hidden, -1)
-    n = x.size
-    first, last = nm.segment_edges(lengths, x.shape[0], t_len)
-    emb = predictor.time(np.arange(nfe) / nfe)  # (nfe, time_dim)
-    rows1 = predictor.time_to_h1(emb).data  # (nfe, hidden)
+    n = reps * part.shape[1]
+    first, last = nm.segment_edges(lengths, reps * batch, t_len)
+    emb = predictor.time(times)  # (len(times), time_dim)
+    rows1 = predictor.time_to_h1(emb).data  # (len(times), hidden)
     rows2 = predictor.time_to_h2(emb).data
 
     # conv2's taps, the ones and edge rows, x's taps
@@ -416,33 +383,33 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
     x_taps = patches[3 * hidden + 3:]
     # conv1 over x with noise_proj folded in: the edge terms of its bias
     # over the ones and edge rows, then K over x's taps
-    noise_weight = weight1[:, predictor.cond_dim:]
+    noise_weight = weight1[:, cond_dim:]
     kernel1 = np.hstack([_edge_terms(noise_weight, predictor.noise_proj.bias.data),
                          predictor.noise_proj.weight.data[:, 0, 0] @ noise_weight])
     rows1 += kernel1[:, 0]
     # conv2 with norm1 folded in: its taps, then the edge terms of
     # norm1's bias over the ones and edge rows
+    weight2 = predictor.conv2.weight.data
     kernel2 = np.empty((hidden, 3 * hidden + 3), dtype=dtype)
-    np.multiply(conv2.weight.data.transpose(0, 2, 1), norm1.gain.data,
+    np.multiply(weight2.transpose(0, 2, 1), predictor.norm1.gain.data,
                 out=kernel2[:, :3 * hidden].reshape(hidden, 3, hidden))
-    kernel2[:, 3 * hidden:] = _edge_terms(conv2.weight.data, norm1.bias.data)
-    rows2 += conv2.bias.data + kernel2[:, 3 * hidden]
+    kernel2[:, 3 * hidden:] = _edge_terms(weight2, predictor.norm1.bias.data)
+    rows2 += predictor.conv2.bias.data + kernel2[:, 3 * hidden]
     # proj with norm2's gain and bias folded in
     proj = predictor.proj.weight.data[0, :, 0]
-    proj_weight = proj * norm2.gain.data
-    proj_bias = proj @ norm2.bias.data + predictor.proj.bias.data[0]
+    proj_weight = proj * predictor.norm2.gain.data
+    proj_bias = proj @ predictor.norm2.bias.data + predictor.proj.bias.data[0]
 
     h = np.empty((hidden, n), dtype=dtype)
     # the realisations of h, for adding the conditioning part to each
     per_rep = h.reshape(hidden, reps, -1)
-    flat_x = x.reshape(-1)
-    dt = 1.0 / nfe
-    for i in range(nfe):
+
+    def step(flat_x: np.ndarray, i: int) -> np.ndarray:
         x_taps[1] = flat_x
         nm.fill_taps(x_taps, first, last)
         kernel1[:, 0] = rows1[i]
         np.matmul(kernel1, patches[3 * hidden:], out=h)
-        per_rep += part[:, None, :]
+        np.add(per_rep, part[:, None, :], out=per_rep)
         np.maximum(h, 0.0, out=h)
         # taps[0] is scratch until nm.fill_taps writes it
         inv_std = nm.centre_columns(h, taps[1], taps[0])
@@ -452,10 +419,43 @@ def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
         np.matmul(kernel2, patches[:3 * hidden + 3], out=h)
         np.maximum(h, 0.0, out=h)
         inv_std = nm.centre_columns(h, h, taps[0])
-        v = proj_weight @ h
-        v *= inv_std
-        v += proj_bias
-        flat_x += dt * v
+        return proj_weight @ h * inv_std + proj_bias
+
+    return step
+
+
+def fm_sample_batch(model: DurationModel, cond: Tensor, noise: np.ndarray,
+                    nfe: int, lengths=None) -> np.ndarray:
+    """Euler-integrate the learned field for a batch; returns x at t=1.
+
+    cond is the (B, D, T) encoder output and noise the t=0 state of R
+    realisations of it stacked rep-major, (R*B, 1, T): row r*B + b starts
+    realisation r of row b. R is the rows of noise over the rows of
+    cond; any other shape raises ValueError. ``lengths``, when given,
+    are the lengths of sentences packed back to back along T, the same
+    in every row; each sentence then runs as if it were sampled alone
+    (None: each row is one sentence). nfe, an integer >= 1, counts the
+    steps: step i evaluates the field at t = i/nfe and advances by 1/nfe.
+
+    The field (``_learned_field``) is built once per call, so a change
+    to the parameters shows in the next call. It runs in the dtype of
+    the model's parameters, float32 on the copy corpus sampling makes;
+    the state x stays float64, so the Euler sum accumulates in float64.
+    """
+    batch, _, t_len = cond.data.shape
+    x = np.array(noise, dtype=np.float64)
+    if not (x.ndim == 3 and x.shape[1:] == (1, t_len)
+            and 0 < batch <= x.shape[0] and x.shape[0] % batch == 0):
+        raise ValueError(f"noise {x.shape} must stack R >= 1 realisations (R*B, 1, T) "
+                         f"of cond {cond.data.shape}")
+    if not _is_int(nfe) or nfe < 1:
+        raise ValueError(f"nfe must be an integer >= 1, got {nfe!r}")
+    field = _learned_field(model.predictor, cond, x.shape[0] // batch, lengths,
+                           np.arange(nfe) / nfe)
+    flat_x = x.reshape(-1)
+    dt = 1.0 / nfe  # a Python float, so NEP 50 keeps dt * v in v's dtype
+    for i in range(nfe):
+        flat_x += dt * field(flat_x, i)
     return x
 
 

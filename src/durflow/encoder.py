@@ -72,7 +72,7 @@ class TextEncoder(nn.Module):
     def __init__(self, vocab_size: int, rng: np.random.Generator, dim: int = ENCODER_DIM):
         self.embed = nn.Embedding(vocab_size, dim, rng)
         self.conv = nn.Conv1d(dim, dim, 3, rng)
-        self.norm = nn.LayerNorm(dim)
+        self.norm = nn.LayerNorm(dim, rng)
 
     def __call__(self, ids) -> Tensor:
         """ids (B, T) -> (B, D, T); one sequence is a batch of one. A list

@@ -68,8 +68,8 @@ class Module:
 class _Undrawn:
     """Stands in for the Generator a layer draws its initial weights
     from, for a caller that sets every parameter next, and allocates
-    nothing: each draw is a read-only view of one zero in the drawn
-    shape."""
+    nothing: each draw, and each constant a layer starts from
+    (``_filled``), is a read-only view of one zero in its shape."""
 
     def uniform(self, low, high, size):
         return np.broadcast_to(0.0, size)
@@ -80,11 +80,16 @@ class _Undrawn:
 UNDRAWN = _Undrawn()
 
 
+def _filled(value: float, size, rng) -> np.ndarray:
+    """A new array of ``value``, or UNDRAWN's placeholder when ``rng`` is it."""
+    return np.broadcast_to(0.0, size) if rng is UNDRAWN else np.full(size, value)
+
+
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         lim = np.sqrt(1.0 / in_dim)
         self.weight = parameter(rng.uniform(-lim, lim, size=(in_dim, out_dim)))
-        self.bias = parameter(np.zeros(out_dim))
+        self.bias = parameter(_filled(0.0, out_dim, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.add(nm.matmul(x, self.weight), self.bias)
@@ -97,16 +102,18 @@ class Conv1d(Module):
         self.weight = parameter(
             rng.uniform(-lim, lim, size=(out_channels, in_channels, kernel_width))
         )
-        self.bias = parameter(np.zeros(out_channels))
+        self.bias = parameter(_filled(0.0, out_channels, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.conv1d(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int):
-        self.gain = parameter(np.ones(channels))
-        self.bias = parameter(np.zeros(channels))
+    def __init__(self, channels: int, rng: np.random.Generator):
+        """Identity at the start: ``rng`` draws nothing, but UNDRAWN
+        makes both parameters placeholders."""
+        self.gain = parameter(_filled(1.0, channels, rng))
+        self.bias = parameter(_filled(0.0, channels, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         return nm.layer_norm(x, self.gain, self.bias)

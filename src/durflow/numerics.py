@@ -61,7 +61,7 @@ Conventions:
   ``segment_edges`` gives each sequence's first and last column and
   ``fill_taps`` shifts the centre tap into the two edge taps, zero
   across those edges. ``conv1d`` builds its patches with it and the
-  Euler sampler (``duration.fm_sample_batch``) its step buffers,
+  sampler's field (``duration._learned_field``) its step buffers,
 * every gradient is laid out like its tensor's data (``_accum``).
   numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it

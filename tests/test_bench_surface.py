@@ -77,6 +77,10 @@ def test_sampling_pass_runs_traced(bench_modules, monkeypatch, kind):
     names = {s[0] for s in tracer.spans}
     assert {"evaluation.corpus_frames", "encoder", "numerics.conv1d.fwd",
             "numerics.layer_norm.fwd"} <= names
+    # the sampler's span reads its rows and positions from the noise it
+    # is passed third: 2 reps of the 6 sentences packed into one call
+    samples = [s[4] for s in tracer.spans if s[0] == "duration.fm_sample_batch"]
+    assert samples == ([[2, 50]] if kind == "fm" else [])
 
 
 def test_machine_context(bench_modules):

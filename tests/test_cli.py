@@ -659,6 +659,21 @@ def test_sample_checkpoint_with_mistyped_metadata_is_runtime_error(
     assert "typed.npz" in err and f"'{key}'" in err
 
 
+def test_sample_checkpoint_claiming_huge_dims_is_runtime_error(tmp_path, capsys,
+                                                              tiny_checkpoints):
+    # a hidden size of 1e12 used to end in a MemoryError naming no file
+    paths, corpus_path = tiny_checkpoints
+    arrays, meta = load_params(paths["det"])
+    meta["dims"]["hidden"] = 10**12
+    broken = tmp_path / "huge.npz"
+    save_params(broken, arrays, meta)
+    code, _, err = run(["sample", "--checkpoint", str(broken), "--corpus",
+                        corpus_path, "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "huge.npz" in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "complex", "string"])
 def test_sample_bad_parameter_array_is_runtime_error(tmp_path, capsys,
                                                      tiny_checkpoints, bad):

@@ -300,6 +300,17 @@ class TestSampleOptions:
         opts = SampleOptions(temperature=np.float32(0.5), seed=np.int64(3))
         assert (opts.temperature, opts.seed) == (0.5, 3)
 
+    @pytest.mark.parametrize("min_duration", [True, False, 1.0, 0.0, 2, -1, "1", None])
+    def test_min_duration_not_0_or_1_rejected(self, min_duration):
+        # bools and floats used to pass, compared by value
+        with pytest.raises(ValueError, match=re.escape(
+                f"min_duration must be 0 or 1, got {min_duration!r}")):
+            SampleOptions(min_duration=min_duration)
+
+    @pytest.mark.parametrize("min_duration", [0, 1, np.int64(0), np.int32(1)])
+    def test_integer_min_duration_accepted(self, min_duration):
+        assert SampleOptions(min_duration=min_duration).min_duration == min_duration
+
 
 class TestFmSample:
     def test_fixed_seed_is_bit_reproducible(self):
@@ -502,6 +513,59 @@ class TestFmSampleBatch:
         want = reference_euler(model, cond, noise, 4)
         assert not np.allclose(after, before)
         assert np.max(np.abs(after - want)) <= 1e-12
+
+
+class TestEulerArithmetic:
+    """The Euler sum and the time grid of fm_sample_batch, pinned bit for
+    bit on a field that is a known constant."""
+
+    B = 0.3  # at NFE 3, (1/3) * 0.3 differs between float32 and float64
+
+    def constant_field_copy(self):
+        # proj's weight at zero leaves only its bias: the field is the
+        # float32 constant B at every position and step
+        copy = nn.cast_copy(tiny_model("fm"), np.float32)
+        copy.predictor.proj.weight.data[...] = 0.0
+        copy.predictor.proj.bias.data[...] = self.B
+        return copy
+
+    @classmethod
+    def euler_sum(cls, noise, nfe, dtype):
+        """noise plus nfe steps of (1.0 / nfe) * B, the product in dtype."""
+        x = np.array(noise, dtype=np.float64)
+        for _ in range(nfe):
+            x += (1.0 / nfe) * np.full(x.shape, cls.B, dtype=dtype)
+        return x
+
+    def test_steps_add_dt_times_the_field_in_its_dtype(self):
+        copy = self.constant_field_copy()
+        cond = tiny_cond(copy)
+        moved = []
+        for nfe in (1, 3, 10, 20):
+            noise = np.random.default_rng(nfe).standard_normal((2, 1, 6))
+            got = dur.fm_sample_batch(copy, cond, noise, nfe)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, self.euler_sum(noise, nfe, np.float32)), nfe
+            moved.append(not np.array_equal(got, self.euler_sum(noise, nfe, np.float64)))
+        # a float64 step size would show at some NFE count
+        assert any(moved)
+
+    @pytest.mark.parametrize("nfe", [1, 3, 10, 20])
+    def test_time_embedding_runs_once_on_the_grid(self, monkeypatch, nfe):
+        model = tiny_model("fm")
+        cond = tiny_cond(model)
+        calls = []
+        embed = nn.TimeEmbedding.__call__
+
+        def recording(layer, t):
+            calls.append(np.array(t))
+            return embed(layer, t)
+
+        monkeypatch.setattr(nn.TimeEmbedding, "__call__", recording)
+        dur.fm_sample_batch(model, cond, tiny_noise(nfe), nfe)
+        assert len(calls) == 1
+        assert calls[0].dtype == np.float64
+        assert np.array_equal(calls[0], np.arange(nfe) / nfe)
 
 
 class TestFmSampleProperties:
@@ -841,6 +905,32 @@ class TestCheckpointRoundTrip:
         loaded = load_model(rewrite_param(good, tmp_path / "f32.npz", name, array))
         assert loaded.params()[name].data.dtype == np.float64
         assert np.array_equal(loaded.params()[name].data, array)
+
+    def test_huge_dims_claim_names_file(self, tmp_path):
+        # the placeholder of a (1e12, 1e12, 3) kernel is too big to index;
+        # this used to allocate a 7.28 TiB gain first, a MemoryError
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("det"), good)
+        bad = rewrite_meta(good, tmp_path / "huge.npz", dims={**TINY_DIMS, "hidden": 10**12})
+        with pytest.raises(CheckpointFormatError, match="huge.npz: .*describes no model"):
+            load_model(bad)
+
+    def test_dims_claim_allocates_nothing_before_the_shape_check(self, tmp_path):
+        # every parameter of the model a checkpoint loads into is a
+        # placeholder until its array is checked, biases and gains too:
+        # a hidden size of 1e6 in a 12 KB file used to peak at 46 MB
+        good = tmp_path / "good.npz"
+        save_model(tiny_model("det"), good)
+        bad = rewrite_meta(good, tmp_path / "wide.npz", dims={**TINY_DIMS, "hidden": 10**6})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError,
+                               match="wide.npz: .*'predictor.conv1.weight'"):
+                load_model(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
 
     def test_odd_time_dim_names_file(self, tmp_path):
         good = tmp_path / "good.npz"

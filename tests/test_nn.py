@@ -147,7 +147,7 @@ class TestLayers:
     def test_layer_gradients(self):
         rng = np.random.default_rng(8)
         conv = nn.Conv1d(3, 2, 3, rng)
-        ln = nn.LayerNorm(2)
+        ln = nn.LayerNorm(2, rng)
         ln.gain.data[:] = rng.uniform(0.5, 1.5, size=2)
         ln.bias.data[:] = rng.normal(size=2)
         x = Tensor(rng.normal(size=(2, 3, 5)))
@@ -163,7 +163,7 @@ class TestLayers:
         rng = np.random.default_rng(1)
         for layer, names in ((nn.Linear(4, 3, rng), ("weight", "bias")),
                              (nn.Conv1d(2, 3, 3, rng), ("weight", "bias")),
-                             (nn.LayerNorm(5), ("gain", "bias")),
+                             (nn.LayerNorm(5, rng), ("gain", "bias")),
                              (nn.Embedding(7, 4, rng), ("table",))):
             params = layer.params()
             assert list(params) == list(names)
@@ -173,12 +173,14 @@ class TestLayers:
         # nor have drawn ones: a gradient is None until a backward pass
         def layers(rng):
             return (nn.Linear(4, 3, rng), nn.Conv1d(2, 3, 3, rng),
-                    nn.LayerNorm(5), nn.Embedding(7, 4, rng))
+                    nn.LayerNorm(5, rng), nn.Embedding(7, 4, rng))
 
         for drawn, undrawn in zip(layers(np.random.default_rng(1)), layers(nn.UNDRAWN)):
             for name, p in undrawn.params().items():
                 assert p.requires_grad and p.grad is None
                 assert p.data.shape == drawn.params()[name].data.shape
+                # a read-only view of one zero, biases and gains included
+                assert not p.data.flags.writeable and not any(p.data.strides), name
             assert all(p.requires_grad and p.grad is None
                        for p in drawn.params().values())
 
@@ -197,7 +199,7 @@ class TestLayers:
         assert np.all(conv.bias.data == 0.0)
         emb = nn.Embedding(1000, 8, rng)
         assert abs(emb.table.data.std() - 0.02) < 0.002
-        ln = nn.LayerNorm(5)
+        ln = nn.LayerNorm(5, rng)
         assert np.all(ln.gain.data == 1.0) and np.all(ln.bias.data == 0.0)
 
 
