@@ -71,11 +71,14 @@ SAMPLING_DTYPE = np.float32
 # BLAS thread a float32 Euler step costs about the same per column from
 # 256 to 2048 columns (10.4, 9.3, 9.5 and 10.7 us per column-step at
 # 256, 512, 1024 and 2048, NFE 10, on a 2-vCPU x86 guest), so the cap
-# mainly sets how many calls the workers can share: a one-realisation
-# pass over spont val (about 2,050 columns) makes two full calls and a
-# sliver, where 2048 made one full call and left the second worker
-# idle. A fixed cap keeps many-rep passes from multiplying peak memory.
-MAX_BATCH_COLUMNS = 1024
+# mainly sets how many calls the workers can share and how large each
+# call's buffers are. At 512 a one-realisation pass over spont val
+# (about 2,050 columns) makes four full calls and a sliver, two full
+# calls for each of two workers, and each worker's buffers are half a
+# 1024-column call's: small enough that sampling no longer sets the
+# benchmark's resident peak, training does. A fixed cap keeps many-rep
+# passes from multiplying peak memory.
+MAX_BATCH_COLUMNS = 512
 # samples every class needs before dist_stats reports it
 MIN_STAT_TOKENS = 1000
 

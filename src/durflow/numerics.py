@@ -39,13 +39,18 @@ Conventions:
   moves tensors' data into one flat buffer, as an :class:`Adam`
   optimizer does with the parameters it updates and with a working
   copy it reads their gradients from,
-* the tape keeps every op's output, and whatever its backward closure
-  saved, until backward reaches that node. The closures save little:
-  ``matmul`` and ``conv1d`` keep references to their inputs' data, and
-  ``conv1d`` rebuilds its width-3 patch matrix in backward rather than
-  hold it; ``layer_norm`` and ``relu_norm`` keep the normalised input
-  and the per-column inverse standard deviations, and ``relu_norm``
-  also its ReLU's boolean mask,
+* the tape and the backward closures hold gradient records
+  (:class:`_GradRecord`: a tensor's gradient, whether it takes one,
+  and its data's layout), never Tensors, and a closure holds only the
+  arrays its adjoint reads: ``matmul`` and ``conv1d`` keep references
+  to their inputs' data, and ``conv1d`` rebuilds its width-3 patch
+  matrix in backward rather than hold it; ``layer_norm`` and
+  ``relu_norm`` keep the normalised input and the per-column inverse
+  standard deviations, and ``relu_norm`` also its ReLU's boolean mask.
+  So an output that no adjoint reads (a conv output feeding a norm, a
+  norm output feeding ``relu``) is freed once the caller drops it,
+  while the tape goes on recording; one the caller holds is left as
+  it is,
 * ``Tape.backward`` drops each node once it has run, so an op's saved
   arrays and its output's gradient are freed while the pass goes on,
 * ``conv1d``, ``layer_norm`` and ``relu_norm`` take batched (B, C, T)
@@ -62,7 +67,9 @@ Conventions:
   ``fill_taps`` shifts the centre tap into the two edge taps, zero
   across those edges. ``conv1d`` builds its patches with it and the
   sampler's field (``duration._learned_field``) its step buffers,
-* every gradient is laid out like its tensor's data (``_accum``).
+* every gradient is laid out like its tensor's data (``_accum``), by
+  the layout the record took when the data was set, so a rebound
+  ``data`` (:func:`flatten`, a loaded checkpoint) sets a new one.
   numpy's pairwise reductions sum in memory order, so a gradient
   laid out differently would change the last bits of the sums it
   feeds; keeping the layouts fixed keeps the loss trajectories
@@ -190,18 +197,71 @@ def one_blas_thread():
         set_(threads)
 
 
-class Tensor:
-    """An ndarray plus its gradient, None until a backward pass writes one."""
+class _GradRecord:
+    """What backward keeps of a tensor: its gradient, whether it takes
+    one, and the layout of its data (shape, strides, dtype and memory
+    order), which the gradient is laid out by. The tape and the ops'
+    backward closures hold records, never Tensors, so a tensor's data
+    lives only while user code, or a closure that reads it, holds it."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad", "requires_grad", "shape", "strides", "dtype", "order")
+
+    def __init__(self, requires_grad: bool):
+        self.grad = None
+        self.requires_grad = requires_grad
+
+    def empty_grad(self) -> np.ndarray:
+        """An uninitialised array laid out as ``np.empty_like`` lays one
+        out like the data: in C or Fortran order when the data is
+        contiguous in it, else with its axes from the largest stride to
+        the smallest."""
+        if self.order is not None:
+            return np.empty(self.shape, self.dtype, self.order)
+        axes = sorted(range(len(self.shape)), key=lambda i: -abs(self.strides[i]))
+        buf = np.empty([self.shape[i] for i in axes], self.dtype)
+        return buf.transpose(np.argsort(axes))
+
+
+class Tensor:
+    """An ndarray plus its gradient record. ``grad`` (None until a
+    backward pass writes one) and ``requires_grad`` live in the record,
+    and setting ``data`` records the new array's layout there."""
+
+    __slots__ = ("_data", "_rec")
 
     def __init__(self, data, requires_grad: bool = False):
+        self._rec = _GradRecord(requires_grad)
         if isinstance(data, (np.ndarray, np.float32)) and data.dtype == np.float32:
             self.data = np.asarray(data)
         else:
             self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray):
+        self._data, rec = value, self._rec
+        rec.shape, rec.strides, rec.dtype = value.shape, value.strides, value.dtype
+        flags = value.flags
+        rec.order = "C" if flags.c_contiguous else "F" if flags.f_contiguous else None
+
+    @property
+    def grad(self):
+        return self._rec.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._rec.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._rec.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool):
+        self._rec.requires_grad = value
 
     def item(self) -> float:
         return float(self.data)
@@ -246,20 +306,20 @@ class Tape:
     """Ordered record of backward closures for one forward pass."""
 
     def __init__(self):
-        self._nodes = []  # (out_tensor, backward_closure)
+        self._nodes = []  # (output's gradient record, backward closure)
         self._spent = False
 
     def _push(self, out: Tensor, backward_fn):
-        self._nodes.append((out, backward_fn))
+        self._nodes.append((out._rec, backward_fn))
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(leaf) into every recorded tensor's .grad.
 
         ``loss`` must be a scalar. The tape is consumed as the pass runs:
         each node is dropped once it has run, so the arrays its backward
-        closure saved, and the output tensor with its gradient unless the
-        caller holds it, are freed before the pass returns. Calling
-        backward a second time raises RuntimeError.
+        closure saved, and the output's gradient unless the caller holds
+        the output, are freed before the pass returns. Calling backward a
+        second time raises RuntimeError.
         """
         if self._spent:
             raise RuntimeError("tape has already been consumed by backward()")
@@ -273,9 +333,9 @@ class Tape:
         loss.grad = loss.grad + 1.0
         nodes = self._nodes
         while nodes:
-            out, backward_fn = nodes.pop()
-            if out.grad is not None:
-                backward_fn(out.grad)
+            rec, backward_fn = nodes.pop()
+            if rec.grad is not None:
+                backward_fn(rec.grad)
 
 
 class record:
@@ -305,21 +365,22 @@ class record:
         return False
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
-    """Add ``g`` into ``t.grad``, laid out like ``t.data``.
+def _accum(rec: _GradRecord, g: np.ndarray, fresh: bool = False):
+    """Add ``g`` into the gradient of the tensor ``rec`` records, laid
+    out like its data.
 
     The first write stores ``g`` itself when the caller owns it
-    (``fresh``) and its memory order matches ``t.data``; otherwise it
+    (``fresh``) and its memory order matches the data's; otherwise it
     copies ``g`` (broadcasting if need be) into a buffer of that layout.
     """
-    if t.grad is None:
-        if fresh and g.shape == t.data.shape and g.strides == t.data.strides:
-            t.grad = g
+    if rec.grad is None:
+        if fresh and g.shape == rec.shape and g.strides == rec.strides:
+            rec.grad = g
         else:
-            t.grad = np.empty_like(t.data)
-            np.copyto(t.grad, g)
+            rec.grad = rec.empty_grad()
+            np.copyto(rec.grad, g)
     else:
-        t.grad += g
+        rec.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -350,13 +411,14 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out, tracked = _make_out(a.data + b.data, (a, b))
     if tracked:
+        ra, rb = a._rec, b._rec
         def backward_fn(g):
-            if a.requires_grad:
-                ga = _unbroadcast(g, a.data.shape)
-                _accum(a, ga, fresh=ga is not g)
-            if b.requires_grad:
-                gb = _unbroadcast(g, b.data.shape)
-                _accum(b, gb, fresh=gb is not g)
+            if ra.requires_grad:
+                ga = _unbroadcast(g, ra.shape)
+                _accum(ra, ga, fresh=ga is not g)
+            if rb.requires_grad:
+                gb = _unbroadcast(g, rb.shape)
+                _accum(rb, gb, fresh=gb is not g)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -370,12 +432,12 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out, tracked = _make_out(a.data * b.data, (a, b))
     if tracked:
-        ad, bd = a.data, b.data
+        ad, bd, ra, rb = a.data, b.data, a._rec, b._rec
         def backward_fn(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * bd, a.data.shape), fresh=True)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * ad, b.data.shape), fresh=True)
+            if ra.requires_grad:
+                _accum(ra, _unbroadcast(g * bd, ra.shape), fresh=True)
+            if rb.requires_grad:
+                _accum(rb, _unbroadcast(g * ad, rb.shape), fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -388,9 +450,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out, tracked = _make_out(np.exp(a.data), (a,))
     if tracked:
-        ed = out.data
+        ed, ra = out.data, a._rec
         def backward_fn(g):
-            _accum(a, g * ed, fresh=True)
+            _accum(ra, g * ed, fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -398,9 +460,9 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     out, tracked = _make_out(np.log(a.data), (a,))
     if tracked:
-        ad = a.data
+        ad, ra = a.data, a._rec
         def backward_fn(g):
-            _accum(a, g / ad, fresh=True)
+            _accum(ra, g / ad, fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -408,9 +470,9 @@ def log(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out, tracked = _make_out(np.maximum(a.data, 0.0), (a,))
     if tracked:
-        positive = a.data > 0.0
+        positive, ra = a.data > 0.0, a._rec
         def backward_fn(g):
-            _accum(a, g * positive, fresh=True)
+            _accum(ra, g * positive, fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -422,9 +484,9 @@ def relu(a: Tensor) -> Tensor:
 def tensor_sum(a: Tensor) -> Tensor:
     out, tracked = _make_out(a.data.sum(), (a,))
     if tracked:
-        shape = a.data.shape
+        ra = a._rec
         def backward_fn(g):
-            _accum(a, np.broadcast_to(g, shape))
+            _accum(ra, np.broadcast_to(g, ra.shape))
         _active_tape._push(out, backward_fn)
     return out
 
@@ -435,11 +497,11 @@ def mean(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
     out, tracked = _make_out(a.data.reshape(shape), (a,))
     if tracked:
+        ra = a._rec
         def backward_fn(g):
-            _accum(a, g.reshape(old))
+            _accum(ra, g.reshape(ra.shape))
         _active_tape._push(out, backward_fn)
     return out
 
@@ -448,9 +510,9 @@ def permute(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     out, tracked = _make_out(np.ascontiguousarray(a.data.transpose(axes)), (a,))
     if tracked:
-        inverse = tuple(np.argsort(axes))
+        inverse, ra = tuple(np.argsort(axes)), a._rec
         def backward_fn(g):
-            _accum(a, g.transpose(inverse))
+            _accum(ra, g.transpose(inverse))
         _active_tape._push(out, backward_fn)
     return out
 
@@ -461,14 +523,14 @@ def concat(tensors, axis: int) -> Tensor:
         np.concatenate([t.data for t in tensors], axis=axis), tensors
     )
     if tracked:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+        recs = [t._rec for t in tensors]
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         def backward_fn(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
+            for rec, lo, hi in zip(recs, offsets[:-1], offsets[1:]):
+                if rec.requires_grad:
                     idx = [slice(None)] * g.ndim
                     idx[axis] = slice(lo, hi)
-                    _accum(t, g[tuple(idx)])
+                    _accum(rec, g[tuple(idx)])
         _active_tape._push(out, backward_fn)
     return out
 
@@ -478,10 +540,12 @@ def take_rows(table: Tensor, idx) -> Tensor:
     idx = np.asarray(idx)
     out, tracked = _make_out(table.data[idx], (table,))
     if tracked:
+        rec = table._rec
         def backward_fn(g):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            if rec.grad is None:
+                rec.grad = rec.empty_grad()
+                rec.grad[...] = 0.0
+            np.add.at(rec.grad, idx, g)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -498,12 +562,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out, tracked = _make_out(a.data @ b.data, (a, b))
     if tracked:
-        ad, bd = a.data, b.data
+        ad, bd, ra, rb = a.data, b.data, a._rec, b._rec
         def backward_fn(g):
-            if a.requires_grad:
-                _accum(a, g @ bd.T, fresh=True)
-            if b.requires_grad:
-                _accum(b, ad.T @ g, fresh=True)
+            if ra.requires_grad:
+                _accum(ra, g @ bd.T, fresh=True)
+            if rb.requires_grad:
+                _accum(rb, ad.T @ g, fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -625,13 +689,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
     out2 += bias.data[:, None]
     out, tracked = _make_out(_batch_major_view(out2, batch, t_len), (x, weight, bias))
     if tracked:
+        rx, rw, rb = x._rec, weight._rec, bias._rec
         def backward_fn(g):
             g2 = _channel_major(g)
-            if weight.requires_grad:
-                _accum(weight, (g2 @ patch_matrix().T).reshape(weight.data.shape), fresh=True)
-            if bias.requires_grad:
-                _accum(bias, g2.sum(axis=1), fresh=True)
-            if x.requires_grad:
+            if rw.requires_grad:
+                _accum(rw, (g2 @ patch_matrix().T).reshape(rw.shape), fresh=True)
+            if rb.requires_grad:
+                _accum(rb, g2.sum(axis=1), fresh=True)
+            if rx.requires_grad:
                 gx = w2.T @ g2
                 if k == 3:
                     gp = gx.reshape(c_in, 3, n)
@@ -646,7 +711,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, lengths=None) -> Tensor:
                     gx[:, -1:] = 0.0
                     gx += gp[:, 1]
                     gx[:, 1:] += gp[:, 2, :-1]
-                _accum(x, _batch_major_view(gx, batch, t_len), fresh=True)
+                _accum(rx, _batch_major_view(gx, batch, t_len), fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -691,11 +756,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat, inv_std = _norm_forward(xc, out2, gain, bias)
     out, tracked = _make_out(_batch_major_view(out2, batch, t_len), (x, gain, bias))
     if tracked:
+        rx, affine = x._rec, (gain.data, gain._rec, bias._rec)
         def backward_fn(g):
-            gx = _norm_adjoint(_channel_major(g), xhat, inv_std, gain, bias,
-                               batch, t_len, x.requires_grad)
+            gx = _norm_adjoint(_channel_major(g), xhat, inv_std, affine,
+                               batch, t_len, rx.requires_grad)
             if gx is not None:
-                _accum(x, _batch_major_view(gx, batch, t_len), fresh=True)
+                _accum(rx, _batch_major_view(gx, batch, t_len), fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 
@@ -713,23 +779,25 @@ def _norm_forward(xc, out, gain: Tensor, bias: Tensor) -> tuple:
     return xhat, inv_std
 
 
-def _norm_adjoint(gc, xhat, inv_std, gain: Tensor, bias: Tensor, batch: int,
-                  t_len: int, want_input: bool):
+def _norm_adjoint(gc, xhat, inv_std, affine: tuple, batch: int, t_len: int,
+                  want_input: bool):
     """Backward of a layer norm whose output gradient is the channel-major
     (C, B*T) ``gc``: accumulate the gain's and the bias's gradients and,
     with ``want_input``, return the normalised input's, channel-major;
     else None. ``xhat`` and ``inv_std`` are what ``centre_columns`` gave
-    the forward pass, ``xhat`` already scaled."""
+    the forward pass, ``xhat`` already scaled; ``affine`` is the gain's
+    data and the gain's and the bias's gradient records."""
+    gain, rg, rb = affine
     prod = gc * xhat
-    if gain.requires_grad:
-        _accum(gain, _sum_batch_time(prod, batch, t_len), fresh=True)
-    if bias.requires_grad:
-        _accum(bias, _sum_batch_time(gc, batch, t_len), fresh=True)
+    if rg.requires_grad:
+        _accum(rg, _sum_batch_time(prod, batch, t_len), fresh=True)
+    if rb.requires_grad:
+        _accum(rb, _sum_batch_time(gc, batch, t_len), fresh=True)
     if not want_input:
         return None
     # gx = inv_std / c * (c*gxhat - sum(gxhat) - xhat*sum(gxhat*xhat))
     c = len(gc)
-    gxhat = gc * gain.data[:, None]
+    gxhat = gc * gain[:, None]
     np.multiply(gxhat, xhat, out=prod)
     s2 = prod.sum(axis=0)
     gx = np.multiply(c, gxhat)
@@ -770,11 +838,13 @@ def relu_norm(x: Tensor, gain: Tensor, bias: Tensor, rows: Tensor = None) -> Ten
     xhat, inv_std = _norm_forward(h, h, gain, bias)
     out, tracked = _make_out(_batch_major_view(h, batch, t_len), (x, gain, bias, rows))
     if tracked:
-        row_grad = rows is not None and rows.requires_grad
+        rx, affine = x._rec, (gain.data, gain._rec, bias._rec)
+        rr = None if rows is None else rows._rec
+        row_grad = rr is not None and rr.requires_grad
 
         def backward_fn(g):
-            gh = _norm_adjoint(_channel_major(g), xhat, inv_std, gain, bias,
-                               batch, t_len, x.requires_grad or row_grad)
+            gh = _norm_adjoint(_channel_major(g), xhat, inv_std, affine,
+                               batch, t_len, rx.requires_grad or row_grad)
             if gh is None:
                 return
             gh *= positive
@@ -783,9 +853,9 @@ def relu_norm(x: Tensor, gain: Tensor, bias: Tensor, rows: Tensor = None) -> Ten
                 # broadcasting's adjoint: a sum over T, or at T = 1 the
                 # step itself, -0.0 kept
                 gr = _unbroadcast(gx, (batch, c, 1))
-                _accum(rows, gr.reshape(batch, c), fresh=gr is not gx)
-            if x.requires_grad:
-                _accum(x, gx, fresh=True)
+                _accum(rr, gr.reshape(batch, c), fresh=gr is not gx)
+            if rx.requires_grad:
+                _accum(rx, gx, fresh=True)
         _active_tape._push(out, backward_fn)
     return out
 

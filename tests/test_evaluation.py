@@ -5,6 +5,7 @@ import csv
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,31 @@ def test_corpus_pass_runs_in_float32(tiny_det, tiny_fm, tiny_corpus, monkeypatch
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
     assert {v.dtype for v in values.values()} == {np.dtype(np.float64)}
     assert all(p.data.dtype == np.float64 for p in model.params().values())
+
+
+# traced peak of a one-realisation NFE-1 pass over spont val (about
+# 2,050 columns) on a default-size float32 fm model, by worker count.
+# With calls of at most 512 columns it is about 4.3 MB on one worker
+# and 6.4-8.6 MB on two, as their calls overlap; 1024-column calls
+# would read 7.5 MB and 11.8-15 MB
+PASS_PEAK_BYTES = {1: 6_000_000, 2: 10_000_000}
+
+
+@pytest.mark.parametrize("workers", sorted(PASS_PEAK_BYTES))
+def test_pass_peak_memory_stays_bounded(monkeypatch, workers):
+    # the column cap sets the size of each call's buffers, and each
+    # worker holds one call's; the weights cannot change a size
+    val = generate(CorpusSpec(style="spont", seed=777), "val")
+    model = nn.cast_copy(DurationModel("fm", val.spec.vocab_size, seed=0), np.float32)
+    monkeypatch.setattr(nm, "one_blas_thread", lambda: blas_threads_found(workers))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        corpus_frames(model, val, SampleOptions(nfe=1, seed=777))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < PASS_PEAK_BYTES[workers], f"{peak / 1e6:.2f} MB"
 
 
 def test_parameter_edit_shows_in_next_pass(tiny_corpus, monkeypatch):

@@ -1,3 +1,4 @@
+import types
 import weakref
 
 import numpy as np
@@ -306,6 +307,105 @@ class TestTapeSemantics:
         tape.backward(loss)
         assert alive[-1] is False
         assert np.array_equal(a.grad, [6.0, 8.0])
+
+    @pytest.mark.parametrize("name,fn,arrays", gradient_cases(),
+                             ids=[c[0] for c in gradient_cases()])
+    def test_the_tape_holds_no_tensor(self, name, fn, arrays):
+        # the tape keeps each output's gradient record, and a backward
+        # closure its inputs' records and the arrays its adjoint reads:
+        # a Tensor, and with it data no adjoint reads, is held by neither
+        def tensors_in(obj, seen):
+            if id(obj) in seen:
+                return []
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                return [obj]
+            if isinstance(obj, types.FunctionType):
+                obj = [cell.cell_contents for cell in obj.__closure__ or ()]
+            if isinstance(obj, (list, tuple)):
+                return [t for item in obj for t in tensors_in(item, seen)]
+            return []
+
+        with record() as tape:
+            fn(*(parameter(a) for a in arrays))
+        assert tape._nodes
+        assert tensors_in(tape._nodes, set()) == []
+
+    @staticmethod
+    def _conv_block(rng, dtype=np.float64):
+        """x, then conv1d's and relu_norm's parameters, rows included."""
+        x = Tensor(rng.normal(size=(2, 4, 6)).astype(dtype), requires_grad=True)
+        return x, *(parameter(rng.normal(size=shape).astype(dtype))
+                    for shape in ((5, 4, 3), (5,), (5,), (5,), (2, 5)))
+
+    def test_the_tape_keeps_no_activation_its_adjoints_do_not_read(self):
+        # relu_norm's adjoint reads its mask and normalised input, never
+        # the conv output it was given: once no caller holds that output,
+        # its memory is freed while the tape still records both ops
+        x, w, b, gain, bias, rows = self._conv_block(np.random.default_rng(5))
+        with record() as tape:
+            h = nm.conv1d(x, w, b)
+            memory = weakref.ref(h.data.base)
+            y = nm.relu_norm(h, gain, bias, rows)
+            del h
+            loss = nm.tensor_sum(nm.mul(y, y))
+        assert memory() is None
+        tape.backward(loss)
+        assert all(p.grad is not None for p in (x, w, b, gain, bias, rows))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_held_activation_is_kept_intact(self, dtype):
+        # an output the caller still holds is neither freed nor changed,
+        # and holding it changes no gradient by a bit
+        def grads(hold):
+            x, w, b, gain, bias, rows = self._conv_block(np.random.default_rng(6), dtype)
+            with record() as tape:
+                if hold:
+                    h = nm.conv1d(x, w, b)
+                    before = h.data.copy()
+                    y = nm.relu_norm(h, gain, bias, rows)
+                else:
+                    y = nm.relu_norm(nm.conv1d(x, w, b), gain, bias, rows)
+                loss = nm.tensor_sum(nm.mul(y, y))
+            tape.backward(loss)
+            if hold:
+                assert h.data.dtype == before.dtype and h.data.shape == before.shape
+                assert h.data.tobytes() == before.tobytes()
+                assert h.grad is not None
+            return [p.grad for p in (x, w, b, gain, bias, rows)]
+
+        for held, free in zip(grads(True), grads(False)):
+            assert held.dtype == free.dtype and held.strides == free.strides
+            assert held.tobytes() == free.tobytes()
+
+    def test_a_gradient_takes_the_layout_of_rebound_data(self):
+        # a parameter whose data is replaced, as load_model replaces the
+        # placeholders of an undrawn model, gets gradients laid out like
+        # the new array, not the old
+        p = parameter(np.zeros((4, 3)).T)
+        p.data = np.arange(12.0).reshape(3, 4)
+        with record() as tape:
+            loss = nm.tensor_sum(p)
+        tape.backward(loss)
+        assert p.grad.strides == p.data.strides and p.grad.flags.c_contiguous
+        assert np.array_equal(p.grad, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("layout", [
+        lambda a: a,
+        lambda a: a.transpose(1, 0, 2),
+        lambda a: a.transpose(2, 1, 0),
+        lambda a: a[:, :1].transpose(1, 0, 2),
+        lambda a: a[::-1, :, ::2],
+        lambda a: a[:1].transpose(2, 0, 1),
+    ], ids=["C", "channel-major", "F", "one-channel", "strided", "one-row"])
+    def test_a_copied_gradient_is_laid_out_as_empty_like(self, layout):
+        # the record keeps the data's layout, not the data, and lays a
+        # copied gradient out as np.empty_like would next to the data
+        data = layout(np.zeros((3, 4, 5)))
+        t = Tensor(data, requires_grad=True)
+        nm._accum(t._rec, np.ones(data.shape))
+        assert t.grad.strides == np.empty_like(data).strides
+        assert np.array_equal(t.grad, np.ones(data.shape))
 
     def test_grads_accumulate_across_tapes(self):
         a = parameter(np.array([2.0]))

@@ -398,11 +398,12 @@ def test_parameter_edit_shows_in_next_call():
     assert first > 50.0 and baseline < 50.0
 
 
-# a float32 fm step at batch 16 holds about 15.4 KB per column of its
-# batch (B*T) at its peak: the tape's activations, then backward's
-# adjoints. Before each conv block's tail ran as one op and conv1d
-# rebuilt its patches in backward, it held about 28.1 KB
-STEP_BYTES_PER_COLUMN = 21_000
+# one float32 fm loss forward and backward at batch 16 peaks at about
+# 6.3 KB per column of its batch (B*T), measured as below: the arrays
+# the adjoints read, then backward's gradients. A tape that held the
+# ops' outputs, the conv and norm outputs no adjoint reads included,
+# would peak at about 12.8 KB; the bound lies between the two
+STEP_BYTES_PER_COLUMN = 9_500
 
 
 def test_fm_step_memory_per_column_stays_bounded():
